@@ -428,9 +428,12 @@ def hits(
     Distributed shape per half-iteration: one partitioned hash_join
     (edges ⋈ scores) + one combiner-shape grouped sum + one exact
     scalar ``Dataset.max`` (driver reads ONE int) + a left join back
-    to the node set. Same auto gate as pagerank."""
+    to the node set. Same auto gate as pagerank. ``iters`` must be ≥ 1
+    (an authority score needs at least one half-iteration)."""
     if mode not in ("auto", "driver", "distributed"):
         raise ValueError(mode)
+    if iters < 1:
+        raise ValueError(f"hits: iters must be >= 1, got {iters}")
     use_driver = mode == "driver" or (
         mode == "auto" and n_nodes <= DRIVER_GATE_NODES)
 
@@ -494,7 +497,6 @@ def hits(
         lambda t: t.append_column(
             "hub_q", pa.array(np.full(len(t), scale, np.int64))),
         batch_format="pyarrow").materialize()
-    a = None
     for _ in range(iters):
         a = _half(h, "hub_q", src_col, dst_col, "auth_q")
         h = _half(a, "auth_q", dst_col, src_col, "hub_q")

@@ -199,18 +199,10 @@ def shard_shuffle(
 
     assigned = ds.map_batches(_assign, batch_format="pyarrow")
 
-    from feast_ray.stages.exchange import bucket_exchange, raw_exchange_default
+    from feast_ray.stages.exchange import bucket_exchange
 
-    def _sort_path() -> ray.data.Dataset:
-        return assigned.groupby(shard_col).map_groups(
-            _order, batch_format="pandas"
-        )
-
-    if not raw_exchange_default():
-        return _sort_path()
-
-    # raw bucketed exchange (round 5): partition-only on the shard id —
-    # Ray's sort shuffle ordered rows by shard_col only for _order to
+    # raw bucketed exchange: partition-only on the shard id — a sort
+    # shuffle would order rows by shard_col only for _order to
     # immediately re-sort them by (__h, key). The exchange drops its
     # bucket column, so __shard2 carries the id into the reducer.
     def _dup(tbl: pa.Table) -> pa.Table:
@@ -236,7 +228,7 @@ def shard_shuffle(
         shard_col,
         num_shards,
         _reduce,
-        fallback=_sort_path,
+        fallback=lambda: ray.data.from_arrow(_reduce([])),
     )
 
 

@@ -50,7 +50,6 @@ def sequence_pattern_counts(
     count_as: str = "n_matches",
     len_as: str = "seq_len",
     num_buckets: "int | None" = None,
-    exchange: "str | None" = None,
 ) -> ray.data.Dataset:
     """Per ``keys``: order rows by ``order_by``, map ``event_col``
     values through ``alphabet`` (misses become ``other``), and count
@@ -89,4 +88,4 @@ def sequence_pattern_counts(
         return out[cols]
 
     return bucketed_group_reduce(ds, list(keys), _reduce,
-                                 num_buckets=num_buckets, exchange=exchange)
+                                 num_buckets=num_buckets)

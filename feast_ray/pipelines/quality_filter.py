@@ -7,9 +7,8 @@ per the north rule:
 
     read pages → validate → extract (html→text, byte-stable) →
     drop html payload → dedup latest crawl per url →
-    textstats (vectorized Arrow) → langid (actor pool) →
-    perplexity (actor pool) → decide keep/drop →
-    scrub kept text (actor pool) → output
+    one fused scorer task: textstats (vectorized Arrow) → langid →
+    perplexity → decide keep/drop → scrub kept text → output
 
 Everything is one lazy Ray Dataset chain (the reference's DerivedRead
 chaining, ray/nodes.py:769-834, without the disk round-trip). Scale
@@ -104,12 +103,12 @@ def _model_rules(tbl: pa.Table) -> pa.Table:
 
 
 class QualityScorer:
-    """One actor-pool stage fusing every per-row model step: text
-    stats → langid → perplexity → rules → scrub. They have no shuffle
-    between them, so fusing removes three pool hand-offs and lets a
-    single pool own all CPUs (the reference materializes per-view
-    chains the same way — one worker pass per row set, ray/nodes.py
-    Transform→Filter fusion via lazy Datasets)."""
+    """One stage fusing every per-row model step: text stats → langid
+    → perplexity → rules → scrub. They have no shuffle between them,
+    so fusing removes three stage hand-offs (the reference
+    materializes per-view chains the same way — one worker pass per
+    row set, ray/nodes.py Transform→Filter fusion via lazy Datasets).
+    ``quality_filter`` runs it as stateless tasks via ``_scorer_task``."""
 
     def __init__(self, text_col: str = "extracted_text"):
         self.text_col = text_col
@@ -157,7 +156,6 @@ def quality_filter(
     dedup_mode: str = "global",
     dedup_pairs: "ray.data.Dataset | None" = None,
     keep_only: bool = False,
-    model_concurrency=None,
     validate_input: bool = True,
 ) -> ray.data.Dataset:
     """Build the full lazy pipeline over a pages Dataset with schema
@@ -169,8 +167,8 @@ def quality_filter(
     computed downstream from the same stream.
 
     Dedup mode choice (round-2 measurements, 300k pages, 32 CPUs,
-    post-vectorized-extract: global 5.6 s / exchange 6.9 s /
-    sketch 13.5 s; 4→16 CPU scaling: global 0.94):
+    post-vectorized-extract: global 5.6 s / sketch 13.5 s; 4→16 CPU
+    scaling: global 0.94):
     - ``global`` (DEFAULT): Ray-native streaming groupby shuffle with
       a per-block combiner — backpressured, spillable, no driver
       state, no materialization barrier; the shuffle carries extracted
@@ -182,10 +180,9 @@ def quality_filter(
       what costs it the lead on thin rows. Pass ``dedup_pairs`` (a
       column-pruned (url, warc_ts) read — see
       :func:`quality_filter_from_parquet`) so pass A reads megabytes.
-    - ``exchange``: raw-Ray bucketed exchange; fastest single-node
-      variant in round 1, but it materializes the corpus into the
-      object store (a barrier) — kept for thin-row single-node runs.
     """
+    if dedup_mode not in ("global", "sketch"):
+        raise ValueError(f"quality_filter: unknown dedup_mode {dedup_mode!r}")
     ds = pages
     if validate_input:
         ds = validate_stage(ds, WEBPAGE_SCHEMA, strict=False)
@@ -193,9 +190,8 @@ def quality_filter(
     # latest crawl per url — PIT invariant analog (SURVEY.md §2.2).
     # Mode trade-offs are measured and documented in the function
     # docstring above ("global" is the default; "sketch" dedups BEFORE
-    # extraction with a 16 B/row pass A — the fat-row mode; "exchange"
-    # is the raw-Ray single-node alternative). All modes tested
-    # equivalent. ``dedup_pairs``: optionally a column-pruned
+    # extraction with a 16 B/row pass A — the fat-row mode). Both
+    # modes tested equivalent. ``dedup_pairs``: optionally a column-pruned
     # (url, warc_ts) read of the same source, so sketch's pass A reads
     # megabytes, not the corpus
     if dedup and dedup_mode == "sketch":
@@ -214,23 +210,12 @@ def quality_filter(
         import ray as _ray
 
         ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-        ds = keep_latest(ds, ["url"], "warc_ts", mode=dedup_mode,
-                         num_buckets=max(64, 8 * ncpu))
+        ds = keep_latest(ds, ["url"], "warc_ts", num_buckets=max(64, 8 * ncpu))
 
     # one fused model stage: stats + langid + ppl + rules + scrub
     # (scrub skips dropped rows via only_where="keep"). Stateless tasks
-    # + per-worker model cache; pass concurrency to pin an actor pool
-    # instead (e.g. when a model is too big for every worker).
-    if model_concurrency is not None:
-        ds = ds.map_batches(
-            QualityScorer,
-            fn_constructor_kwargs={"text_col": "extracted_text"},
-            batch_format="pyarrow",
-            batch_size=2048,
-            concurrency=model_concurrency,
-        )
-    else:
-        ds = ds.map_batches(_scorer_task, batch_format="pyarrow", batch_size=2048)
+    # + per-worker model cache (see _SCORER_CACHE).
+    ds = ds.map_batches(_scorer_task, batch_format="pyarrow", batch_size=2048)
 
     if keep_only:
         ds = ds.map_batches(

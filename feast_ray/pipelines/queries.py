@@ -15827,8 +15827,11 @@ def q231_gini_revenue(sf_dir: str):
     payload shuffle, no full re-sort), then
     G = (2·Σ i·x_i) / (n·Σ x_i) − (n+1)/n from two exact int64 sums
     — Σ i·x_i is the only rank-weighted term and stays under 2^63 for
-    any realistic customer count (documented: n·max_cents·n — assert
-    guards it). The two closing divisions are restated verbatim."""
+    any realistic customer count (documented, not asserted: it is
+    bounded by n·n·max_cents; the only runtime guard is the
+    composite-key bound rev < 2^40, custkey < 2^22, so the int64
+    accumulation could wrap at far larger scale factors). The two
+    closing divisions are restated verbatim."""
     from feast_ray.stages.relational import global_rank_int
 
     orders = read_table(sf_dir, "orders",
@@ -16429,7 +16432,7 @@ def q237_cross_source_dups(sf_dir: str):
                        [AggSpec(None, "count", "n_shared_groups")])
 
 
-_Q237_SQL = """
+_Q237_SQL = r"""
 with hs as (
   select md5(array_to_string(regexp_extract_all(text, '\S+')[1:3],
                              ' ')) as h,

@@ -9,7 +9,6 @@ from feast_ray.stages.filters import filter_mask, ttl_filter
 from feast_ray.stages.dedup import (
     bucketed_group_reduce,
     keep_latest,
-    keep_latest_exchange,
     keep_latest_sketch,
 )
 from feast_ray.stages.aggregate import AggSpec, grouped_agg, session_agg, windowed_agg
@@ -42,7 +41,6 @@ __all__ = [
     "filter_mask",
     "ttl_filter",
     "keep_latest",
-    "keep_latest_exchange",
     "keep_latest_sketch",
     "AggSpec",
     "grouped_agg",

@@ -2,16 +2,12 @@
 
 Semantics reproduced: the reference's DedupNode — argmax by
 ``(event_ts, created_ts)`` per key, nulls sorting first / losing ties
-(dask.py:1229-1270 `_drop_duplicates`; ray/nodes.py:559-654, whose
-comments at :560-576 and :601-630 spell out the streaming-vs-shuffle
-trade-off we mirror with ``mode``):
-
-- ``mode="global"`` — exact: per-block combiner (argmax per key within
-  each batch — shrinks the shuffle to ≤ one row per key per block) then
-  a hash-shuffle ``groupby(keys).map_groups`` picking the final argmax.
-- ``mode="block"`` — streaming-safe cheap variant: per-block argmax
-  only; cross-block duplicates are left for an idempotent last-write-
-  wins sink, exactly the reference's materialization strategy.
+(dask.py:1229-1270 `_drop_duplicates`; ray/nodes.py:559-654).
+``keep_latest`` is exact: a per-block combiner (argmax per key within
+each batch — shrinks the shuffle to ≤ one row per key per block), then
+a hash-shuffle ``groupby(bucket).map_groups`` picking the final argmax.
+``keep_latest_sketch`` is the payload-preserving alternative whose only
+shuffle carries 16-byte (hash, ts) pairs.
 
 Scale note: the combiner bounds shuffle volume by (#distinct keys per
 block), so a hot key costs one row per block, not its full row count —
@@ -69,47 +65,27 @@ def bucketed_group_reduce(
     *,
     num_buckets: "int | None" = None,
     bucket_col: str = "__bg",
-    exchange: str | None = None,
 ) -> ray.data.Dataset:
     """THE high-cardinality-safe merge shape (used by grouped_agg,
     distinct, keep_latest_sketch, count_distinct): shuffle on
-    ``hash(keys) % num_buckets`` and run ``merge_fn`` (a vectorized
-    pandas reduce, typically one groupby over the bucket) once per
-    bucket — never one Python call per key, which is where Ray's
-    native per-key aggregate loses at high key cardinality (measured
-    5.8 s vs 0.7 s at 147k groups).
+    ``hash(keys) % num_buckets`` through the raw bucketed exchange
+    (stages/exchange.py — partition-only, no sort) and run
+    ``merge_fn`` (a vectorized pandas reduce, typically one groupby
+    over the bucket) once per bucket — never one Python call per key,
+    which is where Ray's native per-key aggregate loses at high key
+    cardinality (measured 5.8 s vs 0.7 s at 147k groups).
 
     ``num_buckets=None`` (the default since VERDICT r3 #7) AUTO-SIZES
     the bucket count from the exchange's materialized input bytes
     (``exchange.auto_num_buckets`` — one-bucket-fits-heap derived, not
     hard-coded); pass an int to pin it (key-cardinality-driven shapes
-    like session windows, or tests). The sort fallback can't see the
-    size pre-shuffle, so None degrades to 64 there.
+    like session windows, or tests).
 
-    ``exchange``: "raw" moves the rows through the raw-Ray bucketed
-    exchange (stages/exchange.py — partition-only, no sort), "sort"
-    keeps the Ray-Data groupby shuffle; None follows
-    ``raw_exchange_default()``. Both paths call ``merge_fn`` once per
-    bucket with the bucket column already dropped; on the raw path
-    EMPTY buckets also get a call (typed 0-row frame), which every
-    repo merge_fn tolerates."""
-    from feast_ray.stages.exchange import bucket_exchange, raw_exchange_default
-
-    use_raw = raw_exchange_default() if exchange is None else exchange == "raw"
-    auto = num_buckets is None
-    sort_b = 64 if auto else num_buckets
-
-    def _sort_path() -> ray.data.Dataset:
-        sb = ds.map_batches(
-            lambda t: add_hash_bucket(t, keys, sort_b, col=bucket_col),
-            batch_format="pyarrow",
-        )
-        return sb.groupby(bucket_col).map_groups(
-            lambda g: merge_fn(g.drop(columns=bucket_col)), batch_format="pandas"
-        )
-
-    if not use_raw:
-        return _sort_path()
+    ``merge_fn`` gets each bucket with the bucket column already
+    dropped; EMPTY buckets also get a call (typed 0-row frame), which
+    every repo merge_fn tolerates. A zero-block input yields an empty
+    Dataset."""
+    from feast_ray.stages.exchange import bucket_exchange
 
     bucketed = ds.map_batches(
         lambda t: add_hash_bucket(t, keys, num_buckets, col=bucket_col),
@@ -121,8 +97,7 @@ def bucketed_group_reduce(
         if not cands:
             # typed 0-row slice → merge_fn still runs, emitting the
             # correct (empty) output schema; all-schema-less parts mean
-            # the whole exchange was empty — emit the 0-col empty block
-            # the sort path's "no groups" also produces
+            # the whole exchange was empty — emit a 0-col empty block
             typed = [p for p in parts if p.num_columns]
             if not typed:
                 return pa.table({})
@@ -136,8 +111,9 @@ def bucketed_group_reduce(
         )
 
     return bucket_exchange(
-        bucketed, bucket_col, num_buckets, _reduce, fallback=_sort_path,
-        premodded=not auto,
+        bucketed, bucket_col, num_buckets, _reduce,
+        fallback=lambda: ray.data.from_arrow(_reduce([])),
+        premodded=num_buckets is not None,
     )
 
 
@@ -146,7 +122,6 @@ def keep_latest(
     keys: list[str],
     event_ts: str,
     created_ts: str | None = None,
-    mode: str = "global",
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Exact global dedup: per-block combiner (≤ 1 row per key per
@@ -158,13 +133,9 @@ def keep_latest(
     Partitioning assumption: the surviving rows of one bucket fit in a
     worker's heap; scale ``num_buckets`` with key cardinality."""
     order_by = [event_ts] + ([created_ts] if created_ts else [])
-    if mode == "exchange":
-        return keep_latest_exchange(ds, keys, event_ts, created_ts, num_buckets)
     combined = ds.map_batches(
         _block_combiner(keys, order_by), batch_format="pyarrow"
     )
-    if mode == "block":
-        return combined
 
     bucketed = combined.map_batches(
         lambda t: add_hash_bucket(t, keys, num_buckets), batch_format="pyarrow"
@@ -176,67 +147,6 @@ def keep_latest(
         return combine(tbl).drop_columns([BUCKET_COL])
 
     return bucketed.groupby(BUCKET_COL).map_groups(_per_bucket, batch_format="pandas")
-
-
-def keep_latest_exchange(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    event_ts: str,
-    created_ts: str | None = None,
-    num_buckets: int = 64,
-) -> ray.data.Dataset:
-    """Exact global dedup via a raw-Ray bucketed exchange — the
-    documented last-resort drop to Ray tasks (SURVEY custom-operator
-    rule (c)): Ray Data's sort-based groupby pays for an ordering we
-    don't need; partitioning alone suffices.
-
-    map side: one task per materialized block → per-block combine →
-    bucket by key hash → ``num_returns=B`` sub-tables. reduce side: one
-    task per bucket concatenates its sub-tables and combines. Measured
-    2× faster than the groupby path on 1.5M rows (5.3 s vs 10.4 s at
-    32 CPUs). Partitioning assumption unchanged: one bucket's
-    survivors fit in a worker's heap.
-
-    Note: building this stage materializes the upstream into the
-    object store (same barrier the sort shuffle has) — the returned
-    Dataset is backed by the reduce outputs.
-    """
-    import numpy as np
-
-    order_by = [event_ts] + ([created_ts] if created_ts else [])
-    combine = _block_combiner(keys, order_by)
-    B = num_buckets
-
-    @ray.remote(num_returns=B)
-    def _split(tbl: pa.Table):
-        tbl = combine(tbl)
-        tbl = add_hash_bucket(tbl, keys, B)
-        col = tbl[BUCKET_COL].to_numpy(zero_copy_only=False)
-        order = np.argsort(col, kind="stable")
-        tbl = tbl.take(order)
-        col = col[order]
-        bounds = np.searchsorted(col, np.arange(B + 1))
-        return tuple(
-            tbl.slice(bounds[i], bounds[i + 1] - bounds[i]).drop_columns([BUCKET_COL])
-            for i in range(B)
-        )
-
-    # sub-table refs ride inside a list argument (not as task args) —
-    # same Ray 2.49 arg-inlining-race hardening as stages/exchange.py
-    @ray.remote
-    def _reduce(sub_refs):
-        subs = ray.get(list(sub_refs))
-        parts = [s for s in subs if len(s)]
-        if not parts:
-            return subs[0]  # empty table keeps the schema
-        return combine(pa.concat_tables(parts))
-
-    refs = ds.to_arrow_refs()
-    if not refs:
-        return ds
-    split_refs = [_split.remote(r) for r in refs]
-    reduce_refs = [_reduce.remote([sr[b] for sr in split_refs]) for b in range(B)]
-    return ray.data.from_arrow_refs(reduce_refs)
 
 
 def keep_latest_sketch(
@@ -257,7 +167,7 @@ def keep_latest_sketch(
          again, keeping a row iff its key is not in the map or its
          event_ts equals the key's max.
 
-    vs ``keep_latest`` (mode="global"): no all-to-all of full rows —
+    vs ``keep_latest``: no all-to-all of full rows —
     the only shuffle carries 16-byte pairs; the price is re-reading
     (key, ts) (pass ``pairs_ds`` for a column-pruned read) plus pass
     A's bucketed aggregate, which runs BEFORE the main pass can start.

@@ -1,14 +1,13 @@
-"""Raw-Ray bucketed exchange — the shuffle primitive under
-``hash_join`` and ``bucketed_group_reduce``.
+"""Raw-Ray bucketed exchange — the one shuffle primitive under
+``hash_join``, ``bucketed_group_reduce``, ``shard_shuffle`` and the
+store's LSM upsert.
 
 Ray Data's ``groupby(bucket).map_groups`` shuffle is SORT-based: it
 pays a full range-partition sort for an ordering hash-bucketed
-reducers never need (measured ~1 s of compute inside q02's ~5 s wall,
-the rest being the sort-exchange constant). Partitioning alone
-suffices, so this module drops to raw Ray tasks — the documented
-last-resort rule (SURVEY custom-operator rule (c)), same shape as
-``stages/dedup.py``'s ``keep_latest_exchange`` which measured 2×
-over the sort path at 1.5 M rows:
+reducers never need (q02 at sf0.1 on 32 CPUs: 12.5 s on the sort
+shuffle, 4.6 s here). Partitioning alone suffices, so this module
+drops to raw Ray tasks — the documented last-resort rule (SURVEY
+custom-operator rule (c)):
 
 * **map side**: one task per materialized block → stable-sort the
   block by its small-int bucket column → ``num_returns=B`` zero-copy
@@ -24,30 +23,20 @@ salted key's rows still spread here). Partitioning assumption
 unchanged: one bucket (all sides) fits in a worker's heap — scale
 ``num_buckets`` with data size.
 
-Every exchange here (like ``keep_latest_exchange``) materializes its
-upstream into the object store at BUILD time (``to_arrow_refs``) —
-the same materialization the sort shuffle performs, surfaced eagerly;
-the returned Dataset is lazy from the reduce outputs onward.
-
-``FEAST_RAY_EXCHANGE=sort`` flips both consumers back to the
-Ray-Data-native sort shuffle (kept as the parity/fallback path and
-exercised by tests both ways).
+Every exchange here materializes its upstream into the object store
+at BUILD time (``to_arrow_refs``) — the same materialization a sort
+shuffle performs, surfaced eagerly; the returned Dataset is lazy from
+the reduce outputs onward.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
-
-
-def raw_exchange_default() -> bool:
-    """True when the raw exchange is the process-wide default."""
-    return os.environ.get("FEAST_RAY_EXCHANGE", "raw") != "sort"
 
 
 #: target bytes per bucket for auto-sized exchanges — the documented
@@ -128,8 +117,9 @@ def bucket_exchange(
     column already dropped; EVERY bucket gets a reduce call, possibly
     with all-empty typed parts — reducers must tolerate empty input).
 
-    ``fallback`` builds the sort-shuffle equivalent; it is used when
-    the input materializes to zero blocks (no schema to exchange).
+    ``fallback`` builds the result for an input that materializes to
+    zero blocks (no schema to exchange) — typically an empty Dataset
+    from ``reduce_fn([])``.
 
     ``num_buckets=None`` AUTO-SIZES the bucket count from the
     materialized input's object-store bytes (``auto_num_buckets``) —

@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from feast_ray.stages.exchange import raw_exchange_default, two_sided_exchange
+from feast_ray.stages.exchange import two_sided_exchange
 
 _JOIN_TYPE = {
     "inner": "inner",
@@ -479,11 +479,13 @@ def hash_join(
     salt_factor: int = 8,
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
-    exchange: str | None = None,
 ) -> ray.data.Dataset:
     """Partitioned hash join for two LARGE sides: co-partition both on
-    ``hash(key) % num_buckets`` and join bucket-wise. Partitioning
-    assumption: one bucket (both sides) fits in a worker's heap.
+    ``hash(key) % num_buckets`` through the raw bucketed exchange
+    (stages/exchange.py — partition-only, no sort) and join
+    bucket-wise. Partitioning assumption: one bucket (both sides) fits
+    in a worker's heap. A zero-block tagged union yields a typed empty
+    Dataset.
 
     ``how``: inner / left / right / full (outer). Outer semantics are
     exact under co-partitioning — a key's rows from BOTH sides land in
@@ -500,13 +502,7 @@ def hash_join(
     edits. With ``hot_keys`` the count is derived from the two inputs'
     bytes BEFORE tagging instead (salting needs the bucket count at
     tag time to keep salted offsets distinct). Pass an explicit count
-    only to pin behavior (tests) or to keep the sort path streaming
-    end-to-end (auto-sizing adds one materialization).
-
-    ``exchange``: "raw" routes the co-partition through the raw-Ray
-    bucketed exchange (stages/exchange.py — partition-only, skips the
-    sort the Ray-Data groupby shuffle pays), "sort" keeps the native
-    sort shuffle; None (default) follows ``raw_exchange_default()``.
+    only to pin behavior (tests).
 
     ``left_schema`` / ``right_schema``: pass the known Arrow schemas to
     skip the limit-1 probe executions ``dataset_schema`` otherwise runs
@@ -681,46 +677,10 @@ def hash_join(
         both = both.materialize()
         num_buckets = auto_num_buckets(both.size_bytes() or 0)
 
-    def _per_bucket(g: pa.Table) -> pa.Table:
-        lmask = pc.equal(g[side], "L")
-        # cast each side to its captured schema — a pandas-origin block
-        # can surface an all-null column as Arrow `null` type, which
-        # the C++ join refuses as a payload field; cast BEFORE select so
-        # a side whose columns never reached the union (an empty
-        # schema-less input) still yields a typed empty table
-        ltab = cast_to_schema(g.filter(lmask), lschema)
-        rtab = cast_to_schema(g.filter(pc.invert(lmask)), rschema_orig)
-        if r_renamed != rnames:
-            rtab = rtab.rename_columns(r_renamed)
-        out = ltab.join(rtab, keys=on, join_type=_JOIN_TYPE[how])
-        return out.select(out_cols)
-
-    def _sort_path() -> ray.data.Dataset:
-        src = both
-        if defer:
-            B = np.uint64(num_buckets)
-
-            def _mod(t: pa.Table) -> pa.Table:
-                if bucket not in t.column_names:  # schema-less empty
-                    return t
-                v = t[bucket].to_numpy(zero_copy_only=False)
-                v = (v.astype(np.int64).view(np.uint64) % B).astype(np.int64)
-                return t.set_column(
-                    t.column_names.index(bucket), bucket, pa.array(v)
-                )
-
-            src = both.map_batches(_mod, batch_format="pyarrow")
-        return src.groupby(bucket).map_groups(_per_bucket, batch_format="pyarrow")
-
-    use_raw = raw_exchange_default() if exchange is None else exchange == "raw"
-    if not use_raw:
-        return _sort_path()
-
-    # raw bucketed exchange (stages/exchange.py): partition-only, no
-    # sort — the same per-bucket C++ join, reached without paying the
-    # sort-exchange constant. Semantics identical to _sort_path
-    # (gate-parity-tested both ways).
     def _join_bucket(lparts: list, rparts: list) -> pa.Table:
+        # cast each part to its captured side schema — a pandas-origin
+        # block can surface an all-null column as Arrow `null` type,
+        # which the C++ join refuses as a payload field
         lparts = [cast_to_schema(p, lschema) for p in lparts if len(p)]
         rparts = [cast_to_schema(p, rschema_orig) for p in rparts if len(p)]
         ltab = pa.concat_tables(lparts) if lparts else lschema.empty_table()
@@ -732,7 +692,8 @@ def hash_join(
 
     return two_sided_exchange(
         both, bucket, side, "R", num_buckets, _join_bucket,
-        fallback=_sort_path, premodded=not defer,
+        fallback=lambda: ray.data.from_arrow(_join_bucket([], [])),
+        premodded=not defer,
     )
 
 

@@ -482,7 +482,13 @@ def global_rank_prefix_int(
     DRIVER prefix-sum over the B bucket (count, val-total) pairs —
     payload rows shuffle exactly once. The budget-selection /
     quantile-cut primitive: ``prefix < T`` picks the exact key-ordered
-    head whose values fit a budget T, independent of partitioning."""
+    head whose values fit a budget T, independent of partitioning.
+
+    Contract: ``key_col`` is a UNIQUE int64 key, as for
+    ``global_rank_int`` (composite orders encode into it). With
+    duplicate keys the per-bucket stable sort keeps arrival order, so
+    the rank and exclusive prefix among tied keys depend on
+    partitioning and are not deterministic."""
     keep_cols = keep_cols or []
 
     def _sample(tbl: pa.Table) -> pa.Table:

@@ -147,6 +147,16 @@ def materialize_resumable(
         return {"skipped": sorted(done), "written": [], "rows": 0}
     data_dir = os.path.join(out_dir, "data")
 
+    def _part_files(p: int) -> list[str]:
+        pdir = os.path.join(data_dir, f"part_id={p}")
+        if not os.path.isdir(pdir):
+            return []
+        return [
+            os.path.join(pdir, f)
+            for f in sorted(os.listdir(pdir))
+            if f.endswith(".parquet")
+        ]
+
     def _run_chunk(chunk: list[int]) -> dict[int, int]:
         keep = sorted(chunk)
 
@@ -173,15 +183,10 @@ def materialize_resumable(
         result.write_parquet(data_dir, partition_cols=["part_id"])
         # per-partition lineage: row counts from parquet footers
         # (metadata only — no data read), recorded in the commit
-        rows: dict[int, int] = {}
-        for p in keep:
-            pdir = os.path.join(data_dir, f"part_id={p}")
-            n = 0
-            if os.path.isdir(pdir):
-                for f in os.listdir(pdir):
-                    if f.endswith(".parquet"):
-                        n += pq.read_metadata(os.path.join(pdir, f)).num_rows
-            rows[p] = n
+        rows = {
+            p: sum(pq.read_metadata(f).num_rows for f in _part_files(p))
+            for p in keep
+        }
         reg.commit_partitions(keep, version, stats={"rows_out": rows})
         return rows
 
@@ -193,15 +198,12 @@ def materialize_resumable(
     if metrics_fn is not None and pending:
         # metrics over ONLY the freshly written partitions — reading
         # the whole data_dir double-counted already-committed
-        # partitions on every resumed run (code-review r2 finding)
-        import os as _os
-
-        fresh_dirs = [
-            _os.path.join(data_dir, f"part_id={p}") for p in pending
-        ]
-        fresh_dirs = [d for d in fresh_dirs if _os.path.isdir(d)]
-        if fresh_dirs:
-            written = ray.data.read_parquet(fresh_dirs)
+        # partitions on every resumed run (code-review r2 finding).
+        # Pass their FILES: Ray 2.49's read_parquet rejects a list of
+        # several partition directories ("... is a directory")
+        fresh_files = [f for p in pending for f in _part_files(p)]
+        if fresh_files:
+            written = ray.data.read_parquet(fresh_files)
             reg.append_metrics(metrics_fn(written))
     return {
         "skipped": sorted(done),

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     p.add_argument("--partitions", type=int, default=256,
                    help="resume granularity (one manifest entry each)")
     p.add_argument("--dedup-mode", default="global",
-                   choices=["global", "sketch", "exchange"])
+                   choices=["global", "sketch"])
     p.add_argument("--keep-only", action="store_true")
     p.add_argument("--no-resume", action="store_true")
     args = p.parse_args(argv)

@@ -4,6 +4,7 @@ sanity, dangling-source convention."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from feast_ray.functions.graphrank import pagerank
@@ -173,3 +174,16 @@ def test_hits_overflow_guard():
     with pytest.raises(ValueError, match="overflow"):
         hits(rd.from_pandas(edges), n, iters=2, scale=10**10,
              mode="driver").to_pandas()
+
+
+@pytest.mark.parametrize("mode", ["driver", "distributed"])
+def test_hits_rejects_zero_iters(mode):
+    """iters < 1 is refused identically by the driver and distributed
+    paths."""
+    import pandas as pd
+
+    from feast_ray.functions.graphrank import hits
+
+    edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+    with pytest.raises(ValueError, match="iters"):
+        hits(rd.from_pandas(edges), 3, iters=0, mode=mode)

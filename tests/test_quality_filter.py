@@ -121,24 +121,11 @@ def test_sketch_dedup_equivalent(sf_small):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_exchange_dedup_equivalent(sf_small):
-    """The raw-Ray exchange dedup must produce exactly the groupby
-    result (the flagship's default path)."""
-    import pandas as pd
-
-    a = (
+def test_unknown_dedup_mode_rejected(sf_small):
+    """Only "global" and "sketch" exist; anything else fails fast
+    instead of silently running the default dedup."""
+    with pytest.raises(ValueError, match="dedup_mode"):
         quality_filter(synth_webpages(sf_small), dedup_mode="exchange")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    b = (
-        quality_filter(synth_webpages(sf_small), dedup_mode="global")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_corpus_export_partitions(tmp_path, sf_small):

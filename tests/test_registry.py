@@ -56,6 +56,24 @@ def test_metrics_sink(tmp_path, sf_small):
     assert len(os.listdir(path)) == 1
 
 
+def test_metrics_over_several_fresh_partitions(tmp_path, sf_small):
+    """metrics_fn sees every freshly written partition: with four
+    part_id= directories the quality_metrics n_docs total equals the
+    rows committed."""
+    from feast_ray.pipelines import quality_metrics
+
+    out = str(tmp_path / "mat")
+    res = materialize_resumable(
+        _build, synth_webpages(sf_small), out, num_partitions=4,
+        metrics_fn=quality_metrics,
+    )
+    assert res["written"] == [0, 1, 2, 3]
+    rows = sum(res["rows_out"].values())
+    assert rows == pq.read_table(os.path.join(out, "data")).num_rows > 0
+    metrics = pq.read_table(os.path.join(out, "metrics")).to_pandas()
+    assert int(metrics["n_docs"].sum()) == rows
+
+
 def test_kill_and_resume_incremental(tmp_path, sf_small):
     """Real kill mid-run: a chunked materialization killed partway
     leaves committed chunks; the rerun skips them and completes the

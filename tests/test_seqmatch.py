@@ -62,19 +62,25 @@ def test_tiebreak_order_by():
     assert _run(_ds(rows2), num_buckets=2) == {1: (1, 2)}
 
 
-@pytest.mark.parametrize("exchange", ["raw", "sort"])
-def test_exchange_modes_agree(exchange):
+def test_counts_match_pandas_groupby():
+    """The bucketed exchange's per-key counts equal a pandas groupby
+    reference over the same rows, with the input spread over several
+    blocks and more buckets than keys (empty buckets included)."""
+    import random
+    import re
+
     rows = []
     for u in range(37):
         rows += _rows(u, (["view", "click", "purchase"] * (u % 4 + 1)
-                          + ["click"] * (u % 3)))
-    got = {
-        r["u"]: r["n_matches"]
-        for r in sequence_pattern_counts(
-            _ds(rows), ["u"], ["ts", "eid"], "et", AB, "vc*p",
-            num_buckets=8, exchange=exchange).take_all()
-    }
-    assert got == {u: u % 4 + 1 for u in range(37)}
+                          + ["click", "signup"] * (u % 3)))
+    random.Random(7).shuffle(rows)
+    got = _run(_ds(rows).repartition(4), num_buckets=64)
+
+    df = pd.DataFrame(rows).sort_values(["u", "ts", "eid"])
+    seq = df.groupby("u")["et"].agg(
+        lambda s: "".join(AB.get(e, "_") for e in s))
+    want = {u: (len(re.findall("vc*p", s)), len(s)) for u, s in seq.items()}
+    assert got == want
 
 
 def test_int64_dtypes():

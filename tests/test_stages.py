@@ -749,61 +749,81 @@ def test_session_agg_gap_semantics():
     assert out.loc[0, "session_end"] - out.loc[0, "session_start"] == timedelta(minutes=30)
 
 
-def test_exchange_raw_vs_sort_parity():
-    """hash_join and bucketed_group_reduce produce identical results
-    through the raw exchange (default) and the Ray-native sort shuffle
-    (exchange="sort") — including empty buckets and a 0-row side."""
-    import pandas as pd
+def test_exchange_matches_pandas():
+    """hash_join and bucketed_group_reduce through the raw bucketed
+    exchange equal pandas merge / groupby — including empty buckets
+    and a 0-row side."""
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from feast_ray.stages.dedup import bucketed_group_reduce
-    from feast_ray.stages.join import hash_join
 
-    left = ray.data.from_arrow(
-        pa.table({"k": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                  "v": pa.array([10.0, 20.0, 30.0, 40.0, 50.0])})
-    ).repartition(3)
-    right = ray.data.from_arrow(
-        pa.table({"k": pa.array([2, 3, 3, 9], pa.int64()),
-                  "w": pa.array(["a", "b", "c", "d"])})
-    ).repartition(2)
+    ldf = pd.DataFrame({"k": [1, 2, 3, 4, 5],
+                        "v": [10.0, 20.0, 30.0, 40.0, 50.0]})
+    rdf = pd.DataFrame({"k": [2, 3, 3, 9], "w": ["a", "b", "c", "d"]})
+    left = ray.data.from_pandas(ldf).repartition(3)
+    right = ray.data.from_pandas(rdf).repartition(2)
 
-    def _j(exchange):
-        return (
-            hash_join(left, right, on="k", num_buckets=4, exchange=exchange)
-            .to_pandas()
-            .sort_values(["k", "w"])
-            .reset_index(drop=True)
+    joined = (
+        hash_join(left, right, on="k", num_buckets=4)
+        .to_pandas().sort_values(["k", "w"]).reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(
+        joined, ldf.merge(rdf, on="k").sort_values(["k", "w"]).reset_index(drop=True)
+    )
+
+    grouped = (
+        bucketed_group_reduce(
+            left,
+            ["k"],
+            lambda df: df.groupby("k", as_index=False)["v"].sum(),
+            num_buckets=8,  # > #keys: the exchange hits EMPTY buckets
         )
+        .to_pandas().sort_values("k").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(
+        grouped, ldf.groupby("k", as_index=False)["v"].sum()
+    )
 
-    pd.testing.assert_frame_equal(_j("raw"), _j("sort"))
-
-    def _g(exchange):
-        return (
-            bucketed_group_reduce(
-                left,
-                ["k"],
-                lambda df: df.groupby("k", as_index=False)["v"].sum(),
-                num_buckets=8,  # > #keys: raw path hits EMPTY buckets
-                exchange=exchange,
-            )
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-
-    pd.testing.assert_frame_equal(_g("raw"), _g("sort"))
-
-    # 0-row (typed) side through the raw path
+    # 0-row (typed) side: every bucket emits the typed empty join
     empty = ray.data.from_arrow(
         pa.table({"k": pa.array([], pa.int64()), "w": pa.array([], pa.string())})
     )
-    joined = hash_join(left, empty, on="k", num_buckets=4, exchange="raw")
+    joined = hash_join(left, empty, on="k", num_buckets=4)
     blocks = [ray.get(r) for r in joined.to_arrow_refs()]
     assert all(b.column_names == ["k", "v", "w"] for b in blocks)
     assert sum(len(b) for b in blocks) == 0
+
+
+def test_exchange_zero_block_input_is_empty():
+    """A Dataset that materializes to ZERO blocks (nothing to take a
+    schema from) reaches each exchange site's empty fallback: the
+    result is empty and building it does not raise."""
+    import pyarrow as pa
+
+    from feast_ray.functions.sampling import shard_shuffle
+    from feast_ray.stages.dedup import bucketed_group_reduce
+
+    def _zero_blocks(tbl: pa.Table) -> ray.data.Dataset:
+        ds = ray.data.from_arrow(tbl).limit(0)
+        assert ds.materialize().num_blocks() == 0
+        return ds
+
+    kv = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.float64())})
+    kw = pa.table({"k": pa.array([], pa.int64()), "w": pa.array([], pa.string())})
+
+    grouped = bucketed_group_reduce(
+        _zero_blocks(kv), ["k"], lambda df: df.groupby("k", as_index=False)["v"].sum()
+    )
+    assert grouped.count() == 0
+
+    # a zero-block side has no schema to probe: state both
+    joined = hash_join(_zero_blocks(kv), _zero_blocks(kw), on="k", num_buckets=4,
+                       left_schema=kv.schema, right_schema=kw.schema)
+    assert joined.count() == 0
+    assert joined.schema().names == ["k", "v", "w"]
+
+    shards = shard_shuffle(_zero_blocks(kw), "k", 4)
+    assert shards.count() == 0
 
 
 def test_window_compose_grid_vs_brute(ray_session):
@@ -926,8 +946,8 @@ def test_hash_join_auto_buckets_scale_with_input(monkeypatch):
     """num_buckets=None (the default) derives the bucket count from the
     materialized tagged union's bytes: with a tiny bucket-size target a
     bigger input must fan out to MORE reduce buckets (visible as output
-    blocks on the raw-exchange path), and both the raw and sort paths
-    stay correct in the deferred raw-hash mode."""
+    blocks), and the deferred raw-hash mode stays equal to a pandas
+    merge."""
     import ray.data
 
     from feast_ray.stages import exchange
@@ -942,19 +962,19 @@ def test_hash_join_auto_buckets_scale_with_input(monkeypatch):
         return ray.data.from_pandas(left), ray.data.from_pandas(right)
 
     lds, rds = _mk(200)
-    small = hash_join(lds, rds, on="k", exchange="raw")
+    small = hash_join(lds, rds, on="k")
     n_small = small.materialize().num_blocks()
     big_l, big_r = _mk(20_000)
-    big = hash_join(big_l, big_r, on="k", exchange="raw")
+    big = hash_join(big_l, big_r, on="k")
     bigm = big.materialize()
     assert bigm.num_blocks() > n_small  # buckets grew with bytes
-    assert bigm.count() == 10_000
-    # deferred-mode parity: sort path mods the raw hash identically
-    srt = hash_join(big_l, big_r, on="k", exchange="sort").to_pandas()
-    raw = bigm.to_pandas()
+    # deferred mode: each map task mods the raw hash by the derived
+    # count, and the join still equals the pandas reference
+    ref = big_l.to_pandas().merge(big_r.to_pandas(), on="k")
+    assert len(ref) == 10_000
     pd.testing.assert_frame_equal(
-        srt.sort_values("k").reset_index(drop=True),
-        raw.sort_values("k").reset_index(drop=True),
+        bigm.to_pandas().sort_values("k").reset_index(drop=True),
+        ref.sort_values("k").reset_index(drop=True),
     )
 
 
@@ -1122,8 +1142,8 @@ def test_progressive_ac_refine_history_beyond_zrl_window():
 
 def test_hash_join_right_and_full_outer():
     """Right/full outer (late round 5): unmatched rows from each side
-    surface exactly once with coalesced keys and typed nulls, in BOTH
-    exchange modes; broadcast_join and hot_keys reject outer types."""
+    surface exactly once with coalesced keys and typed nulls, equal to
+    pandas merge; broadcast_join and hot_keys reject outer types."""
     import ray.data
 
     from feast_ray.stages.join import broadcast_join
@@ -1133,29 +1153,13 @@ def test_hash_join_right_and_full_outer():
     left = ray.data.from_pandas(ldf).repartition(3)
     right = ray.data.from_pandas(rdf).repartition(2)
 
-    for mode in ("raw", "sort"):
-        router = (
-            hash_join(left, right, on="k", how="right", num_buckets=4,
-                      exchange=mode)
+    for how, pd_how in (("right", "right"), ("full", "outer")):
+        got = (
+            hash_join(left, right, on="k", how=how, num_buckets=4)
             .to_pandas().sort_values("k").reset_index(drop=True)
         )
-        assert list(router["k"]) == [2, 4, 9, 11]
-        assert pd.isna(router.loc[2, "lv"]) and pd.isna(router.loc[3, "lv"])
-        assert router.loc[0, "lv"] == 20
-
-        fouter = (
-            hash_join(left, right, on="k", how="full", num_buckets=4,
-                      exchange=mode)
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        ref = ldf.merge(rdf, on="k", how="outer").sort_values("k")
-        assert list(fouter["k"]) == list(ref["k"])
-        assert (
-            fouter["lv"].isna().to_numpy() == ref["lv"].isna().to_numpy()
-        ).all()
-        assert (
-            fouter["rv"].isna().to_numpy() == ref["rv"].isna().to_numpy()
-        ).all()
+        ref = ldf.merge(rdf, on="k", how=pd_how).sort_values("k").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, ref, check_dtype=False)
 
     with pytest.raises(ValueError):
         broadcast_join(left, rdf, on="k", how="full")
