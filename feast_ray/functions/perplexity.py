@@ -127,7 +127,8 @@ class PerplexityModel:
     def score_batch(self, texts: list[str]) -> np.ndarray:
         """Vectorized scoring: ONE trigram/bigram lookup over the
         concatenated byte stream of the whole batch, then per-document
-        segment means via add.reduceat — no per-doc numpy call chain."""
+        segment means via add.reduceat — no per-doc numpy call chain.
+        A doc's score is bit-identical whatever batch it is scored in."""
         encoded = [t.encode("utf-8") for t in texts]
         lens = np.array([len(b) for b in encoded], dtype=np.int64)
         out = np.full(len(texts), float(self.V))
@@ -139,13 +140,13 @@ class PerplexityModel:
         tri = (blob[:-2] << 16) | (blob[1:-1] << 8) | blob[2:]
         logp = self.logp_dense[tri]  # one gather — the add/div/log
         # chain is baked into the table (bit-identical, see __init__)
-        # zero out the 2 cross-document boundary trigrams per doc, then
-        # segment-sum: doc i's trigrams live at [starts[i], starts[i]+len-2)
-        csum = np.concatenate([[0.0], np.cumsum(logp)])
-        for i in np.flatnonzero(valid):
-            s = starts[i]
-            e = s + lens[i] - 2
-            out[i] = float(np.exp(-(csum[e] - csum[s]) / (lens[i] - 2)))
+        # segment-sum doc i's trigrams at [starts[i], starts[i]+len-2),
+        # skipping the 2 cross-document boundary trigrams; each sum reads
+        # only its own segment, so the rest of the batch cannot change it
+        idx = np.flatnonzero(valid)
+        bounds = np.stack([starts[idx], starts[idx] + lens[idx] - 2], axis=1).ravel()
+        sums = np.add.reduceat(np.append(logp, 0.0), bounds)[::2]
+        out[idx] = np.exp(-sums / (lens[idx] - 2))
         return out
 
     def __call__(self, batch: "pa.Table") -> "pa.Table":

@@ -169,10 +169,10 @@ def quality_filter(
     Dedup mode choice (round-2 measurements, 300k pages, 32 CPUs,
     post-vectorized-extract: global 5.6 s / sketch 13.5 s; 4→16 CPU
     scaling: global 0.94):
-    - ``global`` (DEFAULT): Ray-native streaming groupby shuffle with
-      a per-block combiner — backpressured, spillable, no driver
-      state, no materialization barrier; the shuffle carries extracted
-      text only (html is dropped before it).
+    - ``global`` (DEFAULT): ``keep_latest`` — Ray's sort shuffle on a
+      hash bucket between two runs of one Arrow kernel (per block, per
+      bucket) — backpressured, spillable, no driver state; the shuffle
+      carries extracted text only (html is dropped before it).
     - ``sketch``: barrier-free two-pass dedup whose only shuffle is
       16-byte (hash, ts) pairs — wins when rows stay FAT through the
       dedup point (e.g. 50-100 KB html payloads that can't be dropped

@@ -4,8 +4,8 @@ Semantics reproduced: the reference's DedupNode — argmax by
 ``(event_ts, created_ts)`` per key, nulls sorting first / losing ties
 (dask.py:1229-1270 `_drop_duplicates`; ray/nodes.py:559-654).
 ``keep_latest`` is exact: a per-block combiner (argmax per key within
-each batch — shrinks the shuffle to ≤ one row per key per block), then
-a hash-shuffle ``groupby(bucket).map_groups`` picking the final argmax.
+each batch — shrinks the shuffle to ≤ one row per key per block), Ray's
+sort shuffle on a hash bucket, then the same Arrow kernel per bucket.
 ``keep_latest_sketch`` is the payload-preserving alternative whose only
 shuffle carries 16-byte (hash, ts) pairs.
 
@@ -16,29 +16,39 @@ skew-resistant without explicit salting.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 BUCKET_COL = "__kl_bucket"
 
 
-def _block_combiner(keys: list[str], order_by: list[str]):
-    # Arrow in/out (pandas only inside): a pandas-FORMAT stage would
-    # turn all downstream blocks pandas, which Ray's sort shuffle
-    # handles 5-10x slower than Arrow blocks
-    def _combine(tbl: pa.Table) -> pa.Table:
-        if len(tbl) <= 1:
-            return tbl
-        df = tbl.to_pandas()
-        df = df.sort_values(order_by, kind="stable", na_position="first")
-        df = df.drop_duplicates(subset=keys, keep="last")
-        return pa.Table.from_pandas(
-            df, preserve_index=False, schema=tbl.schema
-        ).replace_schema_metadata(None)
+def _latest_per_key(keys: list[str], order_by: list[str], drop: tuple = ()):
+    """Arrow kernel of ``keep_latest``: a stable sort on ``keys +
+    order_by`` (nulls first, so a null timestamp loses), then the last
+    row of each key run — the max ``order_by`` row; on full ties the
+    last in input order. Null keys form one group, as do NaN keys."""
+    sort_keys = [(c, "ascending") for c in keys + order_by]
 
-    return _combine
+    def _kernel(tbl: pa.Table) -> pa.Table:
+        if len(tbl) > 1:
+            order = pc.sort_indices(tbl, sort_keys, null_placement="at_start")
+            last = np.arange(len(tbl)) == len(tbl) - 1
+            for k in keys:
+                col = tbl.column(k).take(order)
+                a, b = col[:-1], col[1:]
+                same = pc.or_(pc.fill_null(pc.equal(a, b), False),
+                              pc.and_(pc.is_null(a), pc.is_null(b)))
+                if pa.types.is_floating(col.type):
+                    same = pc.or_(same, pc.fill_null(pc.and_(pc.is_nan(a), pc.is_nan(b)), False))
+                last[:-1] |= ~same.to_numpy()
+            tbl = tbl.take(order.to_numpy()[last])
+        return tbl.drop_columns(list(drop)).replace_schema_metadata(None)
+
+    return _kernel
 
 
 def add_hash_bucket(tbl: pa.Table, keys: list[str], num_buckets: "int | None",
@@ -47,8 +57,6 @@ def add_hash_bucket(tbl: pa.Table, keys: list[str], num_buckets: "int | None",
     stable, unlike Python's hash()). ``num_buckets=None`` stores the
     RAW uint64 hash (as int64) for exchanges that pick the bucket
     count after materializing (``bucket_exchange(premodded=False)``)."""
-    import numpy as np
-
     h = np.zeros(len(tbl), dtype=np.uint64)
     for k in keys:
         s = tbl.column(k).to_pandas()
@@ -125,28 +133,20 @@ def keep_latest(
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Exact global dedup: per-block combiner (≤ 1 row per key per
-    block) → hash-bucket shuffle → per-bucket vectorized combine.
-
-    Grouping by a SMALL INT bucket instead of the raw key keeps the
-    shuffle sort cheap and the reducer vectorized (one pandas
-    drop_duplicates per bucket) — never one Python call per key.
-    Partitioning assumption: the surviving rows of one bucket fit in a
-    worker's heap; scale ``num_buckets`` with key cardinality."""
+    block) → Ray's default sort shuffle (``SORT_SHUFFLE_PULL_BASED``
+    ``groupby``) on a SMALL INT hash bucket → per-bucket reducer; both
+    ends run ``_latest_per_key``, so no block goes through pandas and
+    no Python call is made per key. Partitioning assumption: the
+    surviving rows of one bucket fit in a worker's heap; scale
+    ``num_buckets`` with key cardinality."""
     order_by = [event_ts] + ([created_ts] if created_ts else [])
-    combined = ds.map_batches(
-        _block_combiner(keys, order_by), batch_format="pyarrow"
+    combine = _latest_per_key(keys, order_by)
+    bucketed = ds.map_batches(
+        lambda t: add_hash_bucket(combine(t), keys, num_buckets), batch_format="pyarrow"
     )
-
-    bucketed = combined.map_batches(
-        lambda t: add_hash_bucket(t, keys, num_buckets), batch_format="pyarrow"
+    return bucketed.groupby(BUCKET_COL).map_groups(
+        _latest_per_key(keys, order_by, drop=(BUCKET_COL,)), batch_format="pyarrow"
     )
-    combine = _block_combiner(keys, order_by)
-
-    def _per_bucket(df: pd.DataFrame) -> pa.Table:
-        tbl = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-        return combine(tbl).drop_columns([BUCKET_COL])
-
-    return bucketed.groupby(BUCKET_COL).map_groups(_per_bucket, batch_format="pandas")
 
 
 def keep_latest_sketch(
@@ -189,9 +189,6 @@ def keep_latest_sketch(
     pass B by the same hash buckets as the map. 64-bit key hashing;
     collisions ~n²/2⁶⁵, negligible below 10¹² keys.
     """
-    import numpy as np
-    import pyarrow.compute as pc
-
     def _key_hash(tbl: pa.Table) -> np.ndarray:
         s = tbl.column(key).to_pandas()
         return (pd.util.hash_pandas_object(s, index=False).to_numpy() >> 1).astype(np.int64)

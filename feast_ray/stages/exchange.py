@@ -17,11 +17,11 @@ custom-operator rule (c)):
 
 Scale shape: classic MapReduce shuffle — B × M small objects through
 the object store, no global order, no barrier beyond the one every
-all-to-all already has. Skew lives in the caller's bucket assignment
-(hash_join salts hot keys BEFORE the bucket column is computed, so a
-salted key's rows still spread here). Partitioning assumption
-unchanged: one bucket (all sides) fits in a worker's heap — scale
-``num_buckets`` with data size.
+all-to-all has (reducers start once all map tasks are done). Skew
+lives in the caller's bucket assignment (hash_join salts hot keys
+BEFORE the bucket column is computed, so a salted key's rows still
+spread here). Partitioning assumption unchanged: one bucket (all
+sides) fits in a worker's heap — scale ``num_buckets`` with data size.
 
 Every exchange here materializes its upstream into the object store
 at BUILD time (``to_arrow_refs``) — the same materialization a sort
@@ -102,6 +102,13 @@ def _split_remote(bucket_col: str, n_out: int, key_fn, drop_cols: Sequence[str])
     return _split
 
 
+def _splits_done(split_refs: list) -> list:
+    """Wait (no fetch) until every map task is done; see bucket_exchange."""
+    ray.wait([r[0] if isinstance(r, list) else r for r in split_refs],
+             num_returns=len(split_refs), fetch_local=False)
+    return split_refs
+
+
 def bucket_exchange(
     ds: ray.data.Dataset,
     bucket_col: str,
@@ -159,17 +166,16 @@ def bucket_exchange(
         B = num_buckets
     _split = _split_remote(bucket_col, B, _key, [bucket_col])
 
-    # slice refs ride INSIDE a list argument (not as task args): Ray
-    # then never runs dependency resolution/inlining over thousands of
-    # tiny slice objects — a path where Ray 2.49's reference counter
-    # can fatally race (reference_count.cc:581 check failure, observed
-    # once under heavy co-tenant load) — and the reduce task fetches
-    # its bucket's slices itself
+    # slice refs ride INSIDE a list argument, not as task args (Ray
+    # 2.49's reference counter can fatally race inlining thousands of
+    # tiny slices, reference_count.cc:581), so Ray would schedule a
+    # reducer before its slices exist; it would then hold a worker in
+    # ray.get while another worker process starts for the map tasks
     @ray.remote
     def _reduce(part_refs):
         return reduce_fn(list(ray.get(list(part_refs))))
 
-    split_refs = [_split.remote(r) for r in refs]
+    split_refs = _splits_done([_split.remote(r) for r in refs])
     if B == 1:
         out = [_reduce.remote(split_refs)]
     else:
@@ -223,7 +229,7 @@ def two_sided_exchange(
     def _reduce(l_refs, r_refs):
         return join_fn(list(ray.get(list(l_refs))), list(ray.get(list(r_refs))))
 
-    split_refs = [_split.remote(r) for r in refs]
+    split_refs = _splits_done([_split.remote(r) for r in refs])
     out = [
         _reduce.remote(
             [sr[b] for sr in split_refs],

@@ -38,7 +38,6 @@ import ray.data
 
 from feast_ray.sources.parquet import read_table
 from feast_ray.stages.aggregate import grouped_agg, windowed_agg
-from feast_ray.stages.dedup import keep_latest
 from feast_ray.stages.filters import filter_mask
 from feast_ray.stages.join import asof_join, cross_join
 from feast_ray.views import FeatureService, OnDemandView, TableSource, View

@@ -37,3 +37,30 @@ def test_auto_num_buckets_scales_with_input(monkeypatch):
         small, ["k"], lambda d: d.groupby("k", as_index=False, dropna=False)["v"].sum()
     )
     assert out_s.num_blocks() == 8
+
+
+def test_reducers_wait_for_every_map_task():
+    """Reducers get their slices as refs inside a list, which Ray does
+    not wait for; the exchange itself must hold them back until every
+    map task (single- or multi-return) is done."""
+    import time
+
+    import ray
+
+    from feast_ray.stages import exchange
+
+    @ray.remote(num_returns=2)
+    def _two(delay):
+        time.sleep(delay)
+        return delay, delay
+
+    @ray.remote
+    def _one(delay):
+        time.sleep(delay)
+        return delay
+
+    refs = [_two.remote(0.5), _one.remote(0.0), _one.remote(0.3), _two.remote(0.1)]
+    assert exchange._splits_done(refs) is refs
+    flat = [r for x in refs for r in (x if isinstance(x, list) else [x])]
+    _, pending = ray.wait(flat, num_returns=len(flat), timeout=0, fetch_local=False)
+    assert not pending

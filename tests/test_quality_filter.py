@@ -81,6 +81,22 @@ def test_scrubber_patterns():
     assert s.scrub("you badword1 person") == "you <TOX> person"
 
 
+def test_perplexity_independent_of_batch(sf_small):
+    """A doc's ppl is bit-identical alone, in its batch and behind a
+    random prefix batch, so keep/drop at MAX_PPL cannot move with block
+    boundaries; the per-doc ``score`` loop stays the reference."""
+    from feast_ray.functions.perplexity import PerplexityModel
+
+    texts = webpages_table(sf_small)["text"].to_pylist()[:400] + ["", "ab", "abc", "é"]
+    m = PerplexityModel()
+    batch = m.score_batch(texts)
+    alone = np.array([m.score_batch([t])[0] for t in texts])
+    assert np.array_equal(batch, alone)
+    prefix = list(np.random.default_rng(0).choice(texts, 37))
+    assert np.array_equal(m.score_batch(prefix + texts)[len(prefix):], batch)
+    np.testing.assert_allclose(batch, [m.score(t) for t in texts], rtol=1e-12)
+
+
 def test_metrics(sf_small):
     pages = synth_webpages(sf_small)
     res = quality_filter(pages)

@@ -100,6 +100,129 @@ def test_keep_latest_tiebreak_created():
     assert out["v"].tolist() == [20, 40]
 
 
+# keep_latest's Arrow kernel against the pandas semantics it replaced:
+# stable sort on the order columns (nulls first), last row per key
+
+
+def _pandas_latest(tbl, keys, order_by):
+    df = tbl.to_pandas()
+    df = df.sort_values(order_by, kind="stable", na_position="first")
+    return df.drop_duplicates(keys, keep="last")
+
+
+def _arrow(ds):
+    """Collect a Dataset as one Arrow table; the sort shuffle may also
+    emit schema-less empty blocks, which carry no rows."""
+    import pyarrow as pa
+
+    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_columns])
+
+
+def _events(n, seed):
+    """Few keys and few timestamps, so full ties are common; ``v`` is a
+    unique row id, so the set of kept ``v`` identifies the output."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(seed)
+    k = pa.array(rng.integers(0, 5, n), pa.int64(), mask=rng.random(n) < 0.15)
+    k2 = pa.array(rng.choice(["a", "b"], n), pa.string(), mask=rng.random(n) < 0.1)
+    f = rng.integers(0, 3, n).astype(np.float64)
+    f[rng.random(n) < 0.2] = np.nan
+    ts = pa.array(rng.integers(0, 3, n) * 3_600_000_000, pa.timestamp("us"),
+                  mask=rng.random(n) < 0.2)
+    created = pa.array(rng.integers(0, 3, n), pa.timestamp("us"), mask=rng.random(n) < 0.2)
+    return pa.table({"k": k, "k2": k2, "f": f, "ts": ts, "created": created,
+                     "v": np.arange(n)})
+
+
+_KERNEL_CASES = [
+    (["k"], ["ts"]),  # null keys, null event_ts, full ties
+    (["k", "k2"], ["ts"]),  # multi-column keys, nulls in either
+    (["k"], ["ts", "created"]),  # created_ts tie-break, null created
+    (["f"], ["ts"]),  # NaN float keys form one group
+]
+
+
+@pytest.mark.parametrize("keys,order_by", _KERNEL_CASES)
+@pytest.mark.parametrize("seed", range(4))
+def test_latest_kernel_matches_pandas(keys, order_by, seed):
+    from feast_ray.stages.dedup import _latest_per_key
+
+    tbl = _events(60, seed)
+    got = _latest_per_key(keys, order_by)(tbl)
+    assert got.schema == tbl.schema
+    assert sorted(got["v"].to_pylist()) == sorted(_pandas_latest(tbl, keys, order_by)["v"])
+
+
+@pytest.mark.parametrize("keys,order_by", _KERNEL_CASES)
+def test_keep_latest_blocks_match_pandas(keys, order_by):
+    """Several blocks, one of them 0-row: full ties across blocks go to
+    the later block, as in the concatenated-input pandas reference."""
+    tbl = _events(200, 7)
+    blocks = [tbl.slice(0, 70), tbl.slice(70, 0), tbl.slice(70, 60), tbl.slice(130)]
+    out = keep_latest(ray.data.from_arrow(blocks), keys, order_by[0],
+                      order_by[1] if len(order_by) > 1 else None, num_buckets=4)
+    got = _arrow(out)
+    assert sorted(got["v"].to_pylist()) == sorted(_pandas_latest(tbl, keys, order_by)["v"])
+
+
+def test_latest_kernel_empty_blocks():
+    import pyarrow as pa
+
+    from feast_ray.stages.dedup import _latest_per_key
+
+    kernel = _latest_per_key(["k"], ["ts"])
+    empty = _events(5, 0).slice(0, 0)
+    assert kernel(empty).schema == empty.schema and kernel(empty).num_rows == 0
+    assert kernel(pa.table({})).num_columns == 0
+
+
+def test_keep_latest_preserves_schema():
+    """Column types survive unchanged (no pandas type inference on the
+    way) and the output carries no pandas schema metadata."""
+    import pyarrow as pa
+
+    tbl = pa.Table.from_pandas(pd.DataFrame({"k": ["x", "y", "x", None]}))
+    tbl = tbl.append_column("ts", pa.array([1, 2, 3, 4], pa.timestamp("ms", tz="UTC")))
+    tbl = tbl.append_column("s", pa.array(["a", "b", "c", "d"], pa.large_string()))
+    tbl = tbl.append_column("i", pa.array([1, None, 3, 4], pa.int32()))
+    tbl = tbl.append_column("l", pa.array([[1], [], None, [2, 3]], pa.list_(pa.int16())))
+    tbl = tbl.append_column("b", pa.array([True, False, None, True]))
+    assert tbl.schema.metadata  # pandas metadata on the way in
+    out = _arrow(keep_latest(ray.data.from_arrow(tbl), ["k"], "ts"))
+    assert out.schema == tbl.schema.remove_metadata()
+    assert out.schema.metadata is None
+    assert sorted(out["i"].to_pylist(), key=str) == [3, 4, None]
+
+
+def test_keep_latest_kernels_never_use_pandas(monkeypatch):
+    """The combiner and the reducer run with Table<->DataFrame
+    conversion disabled, so pandas cannot creep back into the kernel."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.pandas_compat
+
+    from feast_ray.stages.dedup import BUCKET_COL, _latest_per_key, add_hash_bucket
+
+    tbl = _events(120, 3)
+    exp = sorted(_pandas_latest(tbl, ["k"], ["ts", "created"])["v"])
+
+    def _no_pandas(*a, **k):
+        raise AssertionError("Table <-> pandas conversion in keep_latest")
+
+    monkeypatch.setattr(pyarrow.pandas_compat, "table_to_dataframe", _no_pandas)
+    monkeypatch.setattr(pyarrow.pandas_compat, "dataframe_to_arrays", _no_pandas)
+    with pytest.raises(AssertionError):
+        tbl.to_pandas()
+    combine = _latest_per_key(["k"], ["ts", "created"])
+    reduce = _latest_per_key(["k"], ["ts", "created"], drop=(BUCKET_COL,))
+    parts = [add_hash_bucket(combine(tbl.slice(i, 40)), ["k"], 3) for i in (0, 40, 80)]
+    bucketed = pa.concat_tables(parts)
+    got = [reduce(bucketed.filter(pc.equal(bucketed[BUCKET_COL], b)))
+           for b in range(3)]
+    assert sorted(pa.concat_tables(got)["v"].to_pylist()) == exp
+
+
 def test_broadcast_join_matches_duckdb(sf_small, duck):
     cust = read_table(sf_small, "customer")
     nat = read_table(sf_small, "nation").to_pandas()
