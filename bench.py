@@ -145,7 +145,7 @@ def run_bench() -> dict:
     import shutil
 
     def _headline() -> None:
-        from feast_ray.pipelines.quality_filter import quality_filter_from_parquet
+        from feast_ray.pipelines.quality_filter import quality_filter
         from feast_ray.sources.webpages import webpages_parquet_dir
 
         # materialize the synthetic page corpus to parquet once
@@ -178,9 +178,10 @@ def run_bench() -> dict:
         for i in range(n_runs):
             shutil.rmtree(out_dir, ignore_errors=True)
             t0 = time.perf_counter()
-            result = quality_filter_from_parquet(
-                pages_dir,
-                override_num_blocks=max(64, 4 * NUM_CPUS),
+            result = quality_filter(
+                ray.data.read_parquet(
+                    pages_dir, override_num_blocks=max(64, 4 * NUM_CPUS)
+                ),
                 validate_input=False,
             )
             result.write_parquet(out_dir)

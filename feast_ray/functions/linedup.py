@@ -13,7 +13,8 @@ Deterministic and order-independent — the q53 oracle recomputes the
 rule in DuckDB with the same Horner+splitmix64 line hash
 (``neardup.word_hashes64``).
 
-Scale shape (two passes, same doctrine as ``keep_latest_sketch``):
+Scale shape (two passes: a thin-pair shuffle that finds the
+boilerplate set, then a broadcast membership filter over the text):
 
 * pass A ships one thin ``(line_hash, doc_bucket-distinct)`` pair per
   distinct (doc, line) — 16 B/row — through ONE bucketed shuffle,

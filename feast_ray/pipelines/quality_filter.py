@@ -152,9 +152,6 @@ def _scorer_task(tbl: pa.Table, text_col: str = "extracted_text") -> pa.Table:
 def quality_filter(
     pages: ray.data.Dataset,
     *,
-    dedup: bool = True,
-    dedup_mode: str = "global",
-    dedup_pairs: "ray.data.Dataset | None" = None,
     keep_only: bool = False,
     validate_input: bool = True,
 ) -> ray.data.Dataset:
@@ -166,38 +163,15 @@ def quality_filter(
     output); the default keeps drop rows too so metrics/F1 can be
     computed downstream from the same stream.
 
-    Dedup mode choice (round-2 measurements, 300k pages, 32 CPUs,
-    post-vectorized-extract: global 5.6 s / sketch 13.5 s; 4→16 CPU
-    scaling: global 0.94):
-    - ``global`` (DEFAULT): ``keep_latest`` — Ray's sort shuffle on a
-      hash bucket between two runs of one Arrow kernel (per block, per
-      bucket) — backpressured, spillable, no driver state; the shuffle
-      carries extracted text only (html is dropped before it).
-    - ``sketch``: barrier-free two-pass dedup whose only shuffle is
-      16-byte (hash, ts) pairs — wins when rows stay FAT through the
-      dedup point (e.g. 50-100 KB html payloads that can't be dropped
-      pre-shuffle); pass A serializes before the main pass, which is
-      what costs it the lead on thin rows. Pass ``dedup_pairs`` (a
-      column-pruned (url, warc_ts) read — see
-      :func:`quality_filter_from_parquet`) so pass A reads megabytes.
+    The url dedup is ``keep_latest``: Ray's sort shuffle on a hash
+    bucket between two runs of one Arrow kernel (per block, per
+    bucket) — backpressured, spillable, no driver state. It runs after
+    extraction, so the shuffle carries extracted text only (html is
+    dropped before it).
     """
-    if dedup_mode not in ("global", "sketch"):
-        raise ValueError(f"quality_filter: unknown dedup_mode {dedup_mode!r}")
     ds = pages
     if validate_input:
         ds = validate_stage(ds, WEBPAGE_SCHEMA, strict=False)
-
-    # latest crawl per url — PIT invariant analog (SURVEY.md §2.2).
-    # Mode trade-offs are measured and documented in the function
-    # docstring above ("global" is the default; "sketch" dedups BEFORE
-    # extraction with a 16 B/row pass A — the fat-row mode). Both
-    # modes tested equivalent. ``dedup_pairs``: optionally a column-pruned
-    # (url, warc_ts) read of the same source, so sketch's pass A reads
-    # megabytes, not the corpus
-    if dedup and dedup_mode == "sketch":
-        from feast_ray.stages.dedup import keep_latest_sketch
-
-        ds = keep_latest_sketch(ds, "url", "warc_ts", pairs_ds=dedup_pairs)
 
     # extract, then drop the fat payload column immediately
     ds = ds.map_batches(
@@ -206,11 +180,11 @@ def quality_filter(
         zero_copy_batch=True,
     )
 
-    if dedup and dedup_mode != "sketch":
-        import ray as _ray
+    # latest crawl per url — PIT invariant analog (SURVEY.md §2.2)
+    import ray as _ray
 
-        ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-        ds = keep_latest(ds, ["url"], "warc_ts", num_buckets=max(64, 8 * ncpu))
+    ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
+    ds = keep_latest(ds, ["url"], "warc_ts", num_buckets=max(64, 8 * ncpu))
 
     # one fused model stage: stats + langid + ppl + rules + scrub
     # (scrub skips dropped rows via only_where="keep"). Stateless tasks
@@ -227,29 +201,6 @@ def quality_filter(
         return pa.table(cols)
 
     return ds.map_batches(_project, batch_format="pyarrow")
-
-
-def quality_filter_from_parquet(
-    pages_path: str,
-    *,
-    override_num_blocks: int | None = None,
-    **kwargs,
-) -> ray.data.Dataset:
-    """Flagship pipeline over a parquet pages directory with the
-    sketch dedup's pass A wired to a COLUMN-PRUNED re-read of the same
-    files — (url, warc_ts) only, megabytes per TB of corpus — so the
-    pipeline is barrier-free end to end and never reads the fat html
-    column twice."""
-    kw = {}
-    if override_num_blocks is not None:
-        kw["override_num_blocks"] = override_num_blocks
-    pages = ray.data.read_parquet(pages_path, **kw)
-    if kwargs.get("dedup", True) and kwargs.get("dedup_mode") == "sketch":
-        kwargs.setdefault(
-            "dedup_pairs",
-            ray.data.read_parquet(pages_path, columns=["url", "warc_ts"]),
-        )
-    return quality_filter(pages, **kwargs)
 
 
 def quality_metrics(result: ray.data.Dataset) -> ray.data.Dataset:

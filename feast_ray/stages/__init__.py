@@ -6,11 +6,7 @@ from feast_ray.stages.transform import (
     transform,
 )
 from feast_ray.stages.filters import filter_mask, ttl_filter
-from feast_ray.stages.dedup import (
-    bucketed_group_reduce,
-    keep_latest,
-    keep_latest_sketch,
-)
+from feast_ray.stages.dedup import bucketed_group_reduce, keep_latest
 from feast_ray.stages.aggregate import AggSpec, grouped_agg, session_agg, windowed_agg
 from feast_ray.stages.join import (
     asof_join,
@@ -41,7 +37,6 @@ __all__ = [
     "filter_mask",
     "ttl_filter",
     "keep_latest",
-    "keep_latest_sketch",
     "AggSpec",
     "grouped_agg",
     "windowed_agg",

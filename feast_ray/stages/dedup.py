@@ -6,8 +6,8 @@ Semantics reproduced: the reference's DedupNode — argmax by
 ``keep_latest`` is exact: a per-block combiner (argmax per key within
 each batch — shrinks the shuffle to ≤ one row per key per block), Ray's
 sort shuffle on a hash bucket, then the same Arrow kernel per bucket.
-``keep_latest_sketch`` is the payload-preserving alternative whose only
-shuffle carries 16-byte (hash, ts) pairs.
+That kernel, ``_latest_per_key``, is the repo's one latest-per-key
+rule: the online store's merge-on-read and upsert run it too.
 
 Scale note: the combiner bounds shuffle volume by (#distinct keys per
 block), so a hot key costs one row per block, not its full row count —
@@ -75,7 +75,7 @@ def bucketed_group_reduce(
     bucket_col: str = "__bg",
 ) -> ray.data.Dataset:
     """THE high-cardinality-safe merge shape (used by grouped_agg,
-    distinct, keep_latest_sketch, count_distinct): shuffle on
+    distinct, count_distinct): shuffle on
     ``hash(keys) % num_buckets`` through the raw bucketed exchange
     (stages/exchange.py — partition-only, no sort) and run
     ``merge_fn`` (a vectorized pandas reduce, typically one groupby
@@ -147,112 +147,3 @@ def keep_latest(
     return bucketed.groupby(BUCKET_COL).map_groups(
         _latest_per_key(keys, order_by, drop=(BUCKET_COL,)), batch_format="pyarrow"
     )
-
-
-def keep_latest_sketch(
-    ds: ray.data.Dataset,
-    key: str,
-    event_ts: str,
-    pairs_ds: "ray.data.Dataset | None" = None,
-) -> ray.data.Dataset:
-    """Exact latest-per-key dedup WITHOUT shuffling full rows.
-
-    Two passes over the (lazy, re-executable) input:
-      A. project (hash64(key), event_ts) — 16 bytes/row — and run a
-         two-phase grouped aggregate keeping only keys that occur
-         MORE THAN ONCE, with their max event_ts. On web corpora the
-         duplicate-bearing key set is a few percent of rows, so this
-         result is small.
-      B. broadcast that map (``ray.put`` once) and stream the input
-         again, keeping a row iff its key is not in the map or its
-         event_ts equals the key's max.
-
-    vs ``keep_latest``: no all-to-all of full rows —
-    the only shuffle carries 16-byte pairs; the price is re-reading
-    (key, ts) (pass ``pairs_ds`` for a column-pruned read) plus pass
-    A's bucketed aggregate, which runs BEFORE the main pass can start.
-
-    Round-2 measurements (32 CPUs, 120k pages × 50 KB html — CC-sized
-    rows): **payload-preserving dedup** (raw pages → dedup → sink,
-    rows stay fat through the shuffle): sketch 14.6 s vs global
-    21.9 s — and on a multi-node cluster the gap is network-bound
-    (global ships the 6 GB corpus through the exchange, sketch ships
-    2 MB of pairs). In the FLAGSHIP pipeline extraction drops the fat
-    html BEFORE the shuffle, so global's streaming shuffle wins there
-    (8.3 s vs 15.7 s — pass A is a serial prefix that buys nothing
-    once rows are thin). Pick sketch when the payload must survive to
-    the sink; pick global when a thinning stage precedes the dedup.
-
-    Assumptions (documented per SURVEY §7.5): (key, event_ts) pairs are
-    unique per crawl record (ties would keep both rows), and the
-    duplicate-key map fits in worker memory — at extreme scale shard
-    pass B by the same hash buckets as the map. 64-bit key hashing;
-    collisions ~n²/2⁶⁵, negligible below 10¹² keys.
-    """
-    def _key_hash(tbl: pa.Table) -> np.ndarray:
-        s = tbl.column(key).to_pandas()
-        return (pd.util.hash_pandas_object(s, index=False).to_numpy() >> 1).astype(np.int64)
-
-    def _project(tbl: pa.Table) -> pa.Table:
-        return pa.table({"__kh": pa.array(_key_hash(tbl)), event_ts: tbl[event_ts]})
-
-    # pass A input: a column-pruned re-read of the source when the
-    # caller can provide one (reads just (key, ts) — megabytes instead
-    # of the full corpus), else the full stream
-    pairs = (pairs_ds if pairs_ds is not None else ds).map_batches(
-        _project, batch_format="pyarrow"
-    )
-
-    # per-block partial (count, max_ts) per key, then a bucketed merge:
-    # shuffle on kh % B and reduce each bucket with ONE vectorized
-    # pandas groupby — Ray's native per-key aggregate pays per-group
-    # overhead that dominated pass A at high key cardinality (measured
-    # 10.3 s → ~2 s for 100k keys)
-    def _partial(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas()
-        g = df.groupby("__kh", sort=False)
-        out = pd.DataFrame({"__cnt": g.size(), "__max": g[event_ts].max()}).reset_index()
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-    partials = pairs.map_batches(_partial, batch_format="pyarrow")
-
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("__kh", sort=False)
-        out = pd.DataFrame(
-            {"__cnt": g["__cnt"].sum(), "__max": g["__max"].max()}
-        ).reset_index()
-        return out[out["__cnt"] > 1]
-
-    dups = bucketed_group_reduce(partials, ["__kh"], _merge).to_pandas()
-    if len(dups) == 0 or "__kh" not in dups.columns:
-        # no duplicate keys anywhere (an empty result Dataset can also
-        # lose its schema) — nothing to filter
-        return ds
-    dups = dups.sort_values("__kh")
-    # broadcast as numpy arrays: plasma reads them zero-copy per task
-    # (a Python dict would deserialize per task — measured seconds per
-    # task at ~1M duplicate keys)
-    dup_keys = np.ascontiguousarray(dups["__kh"].to_numpy())
-    dup_max = np.ascontiguousarray(dups["__max"].to_numpy())
-    import ray as _ray
-
-    ref = _ray.put((dup_keys, dup_max))
-
-    def _filter(tbl: pa.Table) -> pa.Table:
-        keys_arr, max_arr = _ray.get(ref)
-        if len(keys_arr) == 0:
-            return tbl
-        kh = _key_hash(tbl)
-        ts = tbl[event_ts].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(keys_arr, kh)
-        idx = np.clip(idx, 0, len(keys_arr) - 1)
-        is_dup = keys_arr[idx] == kh
-        keymax = max_arr[idx]
-        # a duplicate key whose timestamps are ALL null has max=NaT;
-        # NaT == NaT is False, which silently deleted the whole key —
-        # keep such rows instead (the idempotent last-write-wins sink
-        # collapses them; losing data is never acceptable)
-        keep = ~is_dup | (ts == keymax) | pd.isna(keymax)
-        return tbl.filter(pa.array(keep))
-
-    return ds.map_batches(_filter, batch_format="pyarrow")

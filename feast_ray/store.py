@@ -31,6 +31,7 @@ import os
 import uuid
 from datetime import datetime
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -38,6 +39,7 @@ import ray.data
 
 from feast_ray.sources.parquet import read_table
 from feast_ray.stages.aggregate import grouped_agg, windowed_agg
+from feast_ray.stages.dedup import _latest_per_key, add_hash_bucket
 from feast_ray.stages.filters import filter_mask
 from feast_ray.stages.join import asof_join, cross_join
 from feast_ray.views import FeatureService, OnDemandView, TableSource, View
@@ -57,9 +59,12 @@ class OnlineParquetStore:
     appends). Readers merge base+deltas with last-write-wins by
     (event_ts, created_ts) — the reference's online semantics
     (online_store.py:44-130) — with file sequence breaking exact ties
-    (later upsert wins), exactly the old concat-order behavior. The
-    merge recipe (keys, ordering) persists in ``_meta.json`` per view
-    so name-only readers (``read``, the CLI) can merge."""
+    (later upsert wins). Every last-write-wins step (delta thinning,
+    merge-on-read, compaction, the latest-window pick in ``lookup``)
+    runs ``keep_latest``'s Arrow kernel ``_latest_per_key``, so column
+    types never pass through pandas. The merge recipe (keys, ordering)
+    persists in ``_meta.json`` per view so name-only readers (``read``,
+    the CLI) can merge."""
 
     NUM_BUCKETS = 16
     #: compact a bucket once it holds more than this many files
@@ -123,29 +128,27 @@ class OnlineParquetStore:
         return out
 
     @staticmethod
-    def _merge_files(
-        files: "list[tuple[int, str]]", meta: dict
-    ) -> pd.DataFrame:
+    def _merge_files(files: "list[tuple[int, str]]", meta: dict) -> pa.Table:
         """Merge-on-read: concat in sequence order, last-write-wins.
-        Raises FileNotFoundError if a listed file vanished (a
-        concurrent compaction's os.remove) — the caller re-lists and
-        retries; skipping here would silently drop the rows the
-        compactor folded into a base written AFTER our listing."""
-        frames = []
+        ``permissive`` promotion lets files whose column types drifted
+        (an int64 feature written as double by an older pandas-based
+        writer) still merge. Raises FileNotFoundError if a listed file
+        vanished (a concurrent compaction's os.remove) — the caller
+        re-lists and retries; skipping here would silently drop the
+        rows the compactor folded into a base written AFTER our
+        listing."""
+        tbls = []
         for seq, path in files:
-            df = pq.read_table(path).to_pandas()
+            tbl = pq.read_table(path)
             if not meta["has_ts"]:
                 # no event timestamp: the file sequence IS the ordering
-                df["__mat_gen"] = seq
-            frames.append(df)
-        df = pd.concat(frames, ignore_index=True)
-        df = df.sort_values(meta["order_by"], kind="stable", na_position="first")
-        df = df.drop_duplicates(meta["upsert_keys"], keep="last")
-        if "__mat_gen" in df.columns:
-            df = df.drop(columns="__mat_gen")
-        return df.reset_index(drop=True)
+                tbl = tbl.append_column("__mat_gen", pa.array(np.full(len(tbl), seq)))
+            tbls.append(tbl)
+        tbl = pa.concat_tables(tbls, promote_options="permissive")
+        drop = () if meta["has_ts"] else ("__mat_gen",)
+        return _latest_per_key(meta["upsert_keys"], meta["order_by"], drop=drop)(tbl)
 
-    def _read_bucket(self, bdir: str, meta: dict) -> "pd.DataFrame | None":
+    def _read_bucket(self, bdir: str, meta: dict) -> "pa.Table | None":
         # a concurrent compaction can remove a delta between our
         # listing and its read — re-list and retry (the fresh listing
         # holds the base the compactor wrote first)
@@ -181,8 +184,6 @@ class OnlineParquetStore:
             os.replace(tmp, out)
             return 1
 
-        from feast_ray.stages.dedup import add_hash_bucket
-
         nb = self.NUM_BUCKETS
         # __obid duplicates the bucket id: the raw exchange drops its
         # bucket column before the reduce, but _append_bucket needs the
@@ -204,24 +205,19 @@ class OnlineParquetStore:
         bucket_files = self._bucket_files
         merge_files = self._merge_files
 
-        def _append_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        def _append_bucket(tbl: pa.Table) -> pa.Table:
             """One task per touched bucket: thin the delta to latest-
             per-key, APPEND it as the next sequence-numbered file
             (atomic tmp+rename), compact past the file threshold.
             Never reads the bucket on the append path — write cost is
             O(delta), a full-bucket rewrite happens once per
             COMPACT_FILES appends."""
-            bucket = int(df["__obid"].iloc[0])
-            df = df.drop(
-                columns=[c for c in ("__ob", "__obid") if c in df.columns]
-            )
+            bucket = tbl["__obid"][0].as_py()
             # no-timestamp views order by the FILE sequence (assigned
             # at read) — within a batch, row order breaks ties
-            sort_cols = [c for c in order_by if c in df.columns]
-            if sort_cols:
-                df = df.sort_values(sort_cols, kind="stable", na_position="first")
-            df = df.drop_duplicates(upsert_keys, keep="last")
-            n_new = len(df)
+            sort_cols = [c for c in order_by if c in tbl.column_names]
+            tbl = _latest_per_key(upsert_keys, sort_cols, drop=("__obid",))(tbl)
+            n_new = len(tbl)
             bdir = os.path.join(view_dir, f"bucket={bucket}")
             os.makedirs(bdir, exist_ok=True)
             files = bucket_files(bdir)
@@ -234,7 +230,7 @@ class OnlineParquetStore:
                 bdir, f"delta_{seq:012d}_{uuid.uuid4().hex[:8]}.parquet"
             )
             tmp = path + ".tmp"
-            pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
+            pq.write_table(tbl, tmp)
             os.replace(tmp, path)
             files.append((seq, path))
             if len(files) > compact_files:
@@ -243,16 +239,14 @@ class OnlineParquetStore:
                     bdir, f"base_{seq:012d}_{uuid.uuid4().hex[:8]}.parquet"
                 )
                 tmp = base + ".tmp"
-                pq.write_table(
-                    pa.Table.from_pandas(merged, preserve_index=False), tmp
-                )
+                pq.write_table(merged, tmp)
                 os.replace(tmp, base)
                 # a crash here leaves the merged base beside its inputs
                 # — merge-on-read stays correct (equal values dedup)
                 for _, p in files:
                     if p != base:
                         os.remove(p)
-            return pd.DataFrame({"bucket": [bucket], "rows": [n_new]})
+            return pa.table({"bucket": [bucket], "rows": [n_new]})
 
         from feast_ray.stages.exchange import bucket_exchange
 
@@ -265,10 +259,8 @@ class OnlineParquetStore:
             tbls = [p for p in parts if len(p)]
             if not tbls:
                 return stats_schema.empty_table()
-            df = pa.concat_tables(tbls, promote_options="default").to_pandas()
-            return pa.Table.from_pandas(
-                _append_bucket(df), preserve_index=False
-            ).cast(stats_schema)
+            tbl = pa.concat_tables(tbls, promote_options="default")
+            return _append_bucket(tbl).cast(stats_schema)
 
         stats = bucket_exchange(
             bucketed, "__ob", nb, _append_reduce,
@@ -279,15 +271,13 @@ class OnlineParquetStore:
         return int(stats["rows"].sum())
 
     def read_ds(self, view_name: str) -> "ray.data.Dataset":
-        """DISTRIBUTED merge-on-read: one Dataset over every bucket's
-        base+delta files with the last-write-wins merge running inside
-        the cluster — the shape for views too big to assemble on the
-        driver (e.g. an embedding store behind ANN retrieval). File
-        sequence is recovered from the file PATH column
-        (``include_paths``) and breaks exact order-by ties exactly
-        like the driver-side reader; rows co-locate per bucket through
-        the engine's bucketed reduce keyed on the view's upsert keys
-        (same keys ⇒ same bucket dir ⇒ same reducer)."""
+        """DISTRIBUTED merge-on-read: one Ray task per bucket directory
+        runs ``_read_bucket`` — the driver reader's merge — inside the
+        cluster, so the view never assembles on the driver (e.g. an
+        embedding store behind ANN retrieval). Upsert routes every key
+        to one bucket directory, so buckets merge independently; as in
+        compaction, one bucket must fit in one task. Rows, columns and
+        types equal ``read``'s."""
         d = self._dir(view_name)
         meta = self._meta(view_name)
         bdirs = sorted(
@@ -297,58 +287,14 @@ class OnlineParquetStore:
         )
         if meta is None or not bdirs:
             return ray.data.from_arrow(self.read(view_name))
-        files = [
-            os.path.join(b, f)
-            for b in bdirs
-            for f in sorted(os.listdir(b))
-            if f.endswith(".parquet")
-        ]
-        if not files:
-            return ray.data.from_arrow(self.read(view_name))
-        ds = ray.data.read_parquet(files, include_paths=True)
-        mt = dict(meta)
 
-        def _seq_col(tbl: pa.Table) -> pa.Table:
-            import numpy as np
+        def _merge_bucket(bdir: str) -> pa.Table:
+            tbl = self._read_bucket(bdir, meta)
+            # a bucket emptied after the listing contributes no rows
+            return pa.table({}) if tbl is None else tbl
 
-            paths = tbl["path"].to_pylist()
-            seqs = np.empty(len(paths), dtype=np.int64)
-            for i, p in enumerate(paths):
-                stem = os.path.basename(p)[: -len(".parquet")]
-                # delta_{seq}[_{uuid8}] / base_{seq}[_{uuid8}]: the seq
-                # is the FIRST all-digit token — same rule as
-                # OnlineParquetStore._bucket_files; taking the last
-                # token would read the collision-avoidance uuid suffix
-                # (code-review r4: ValueError on hex, or a bogus huge
-                # seq for the ~2% all-decimal uuids)
-                seqs[i] = next(
-                    (int(tok) for tok in stem.split("_")[1:] if tok.isdigit()),
-                    0,
-                )
-            return tbl.drop_columns(["path"]).append_column(
-                "__seq", pa.array(seqs)
-            )
-
-        from feast_ray.stages.dedup import bucketed_group_reduce
-
-        def _merge(df: pd.DataFrame) -> pd.DataFrame:
-            # (order_by…, seq): equal event/created timestamps resolve
-            # to the later FILE — the driver reader's concat-order
-            # semantics. Each delta is already latest-per-key, so
-            # (key, seq) is unique and the order is total per key.
-            if mt["has_ts"]:
-                order = [c for c in mt["order_by"] if c in df.columns] + ["__seq"]
-            else:
-                order = ["__seq"]
-            df = df.sort_values(order, kind="stable", na_position="first")
-            df = df.drop_duplicates(mt["upsert_keys"], keep="last")
-            return df.drop(columns="__seq")
-
-        return bucketed_group_reduce(
-            ds.map_batches(_seq_col, batch_format="pyarrow"),
-            mt["upsert_keys"],
-            _merge,
-        )
+        task = ray.remote(_merge_bucket)
+        return ray.data.from_arrow_refs([task.remote(b) for b in bdirs])
 
     def read(self, view_name: str) -> pa.Table:
         d = self._dir(view_name)
@@ -362,13 +308,10 @@ class OnlineParquetStore:
             tbl = pq.read_table(d, ignore_prefixes=[".", "_"])
             drop = [c for c in ("bucket", "__mat_gen") if c in tbl.column_names]
             return tbl.drop_columns(drop) if drop else tbl
-        frames = []
-        for b in bdirs:
-            df = self._read_bucket(os.path.join(d, b), meta)
-            if df is not None:
-                frames.append(df)
-        merged = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(merged, preserve_index=False).replace_schema_metadata(None)
+        tbls = [self._read_bucket(os.path.join(d, b), meta) for b in bdirs]
+        return pa.concat_tables(
+            [t for t in tbls if t is not None], promote_options="permissive"
+        )
 
     def lookup(self, view: View, entity_rows: list[dict]) -> pd.DataFrame:
         """Point lookup: entity key dicts → latest feature values.
@@ -386,8 +329,6 @@ class OnlineParquetStore:
             for c in g.columns:
                 req[c] = g.loc[0, c]
             return req
-        from feast_ray.stages.dedup import add_hash_bucket
-
         if view.window:
             # upsert bucketed on (keys, window_start) — probe all
             buckets = list(range(self.NUM_BUCKETS))
@@ -402,22 +343,19 @@ class OnlineParquetStore:
         # same derivation upsert() persists), mirroring read()'s
         # legacy fallback instead of returning all-null features
         meta = self._meta(view.name) or self._view_meta(view)
-        frames = []
+        tbls = []
         for b in buckets:
             bdir = os.path.join(self._dir(view.name), f"bucket={b}")
             if os.path.isdir(bdir):
-                df = self._read_bucket(bdir, meta)
-                if df is not None:
-                    frames.append(df)
-        if not frames:
+                tbl = self._read_bucket(bdir, meta)
+                if tbl is not None:
+                    tbls.append(tbl)
+        if not tbls:
             return req.reindex(columns=list(req.columns) + view.features)
-        tbl = pd.concat(frames, ignore_index=True)
-        if view.window and "window_start" in tbl.columns:
-            tbl = (
-                tbl.sort_values("window_start", kind="stable")
-                .drop_duplicates(view.join_keys, keep="last")
-            )
-        return req.merge(tbl, on=view.join_keys, how="left")
+        tbl = pa.concat_tables(tbls, promote_options="permissive")
+        if view.window and "window_start" in tbl.column_names:
+            tbl = _latest_per_key(view.join_keys, ["window_start"])(tbl)
+        return req.merge(tbl.to_pandas(), on=view.join_keys, how="left")
 
 
 class Store:

@@ -17,8 +17,6 @@ Design recap (why this scales; see BASELINE.md for the measurements):
   with per-block combiner — backpressured, spills, skew-safe) → fused
   scorer (per-worker model cache) → partitioned parquet sink;
 - the dedup shuffle carries extracted text only (html dropped first);
-  for payload-preserving jobs switch --dedup-mode sketch (16 B/row
-  pass A, see stages/dedup.py doctrine);
 - resumability: the run is split into --partitions hash partitions of
   the input; each writes its own `part_id=` directory and a manifest
   row — a killed job resumes by skipping completed partitions
@@ -41,8 +39,6 @@ def main(argv=None) -> int:
     p.add_argument("--output", required=True)
     p.add_argument("--partitions", type=int, default=256,
                    help="resume granularity (one manifest entry each)")
-    p.add_argument("--dedup-mode", default="global",
-                   choices=["global", "sketch"])
     p.add_argument("--keep-only", action="store_true")
     p.add_argument("--no-resume", action="store_true")
     args = p.parse_args(argv)
@@ -61,18 +57,7 @@ def main(argv=None) -> int:
     from feast_ray.state.registry import materialize_resumable
 
     def build(ds: ray.data.Dataset) -> ray.data.Dataset:
-        kw = {}
-        if args.dedup_mode == "sketch":
-            kw["dedup_pairs"] = ray.data.read_parquet(
-                args.input, columns=["url", "warc_ts"]
-            )
-        return quality_filter(
-            ds,
-            dedup_mode=args.dedup_mode,
-            keep_only=args.keep_only,
-            validate_input=False,
-            **kw,
-        )
+        return quality_filter(ds, keep_only=args.keep_only, validate_input=False)
 
     result = materialize_resumable(
         build,

@@ -124,25 +124,6 @@ def test_count_distinct_ignores_nulls(ray_session):
     assert rownull["sx"] == 9.0
 
 
-def test_sketch_dedup_all_null_ts_key_not_lost(ray_session):
-    import pandas as pd
-    import ray.data
-
-    from feast_ray.stages.dedup import keep_latest_sketch
-
-    df = pd.DataFrame(
-        {
-            "k": ["a", "a", "b"],
-            "ts": pd.to_datetime([None, None, "2024-01-01"]),
-        }
-    )
-    out = keep_latest_sketch(
-        ray.data.from_pandas(df), "k", "ts"
-    ).to_pandas()
-    assert "a" in set(out["k"])  # key with all-null ts must survive
-    assert "b" in set(out["k"])
-
-
 def test_simhash_max_hamming_guard(ray_session):
     import pandas as pd
     import pytest as _pytest

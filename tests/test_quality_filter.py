@@ -117,31 +117,36 @@ def test_dedup_picks_edited_recrawl(sf_small):
     assert sub["text_scrubbed"].str.endswith("updated edition").all()
 
 
-def test_sketch_dedup_equivalent(sf_small):
-    """keep_latest_sketch (light two-pass, 16B/row shuffle) must
-    produce exactly the global full-row-shuffle result."""
-    import pandas as pd
+def test_quality_filter_job_smoke(tmp_path, sf_small, capsys):
+    """The production entry point end to end over a parquet pages
+    directory: a keep-only run writes one kept row per url, a second
+    run skips every committed partition, and the removed
+    ``--dedup-mode`` flag is an argparse error."""
+    import json
 
-    a = (
-        quality_filter(synth_webpages(sf_small), dedup_mode="sketch")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    b = (
-        quality_filter(synth_webpages(sf_small), dedup_mode="global")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
+    import pyarrow.parquet as pq
 
+    from feast_ray.sources.webpages import webpages_parquet_dir
+    from jobs.quality_filter_job import main
 
-def test_unknown_dedup_mode_rejected(sf_small):
-    """Only "global" and "sketch" exist; anything else fails fast
-    instead of silently running the default dedup."""
-    with pytest.raises(ValueError, match="dedup_mode"):
-        quality_filter(synth_webpages(sf_small), dedup_mode="exchange")
+    pages = webpages_parquet_dir(sf_small, cache_root=str(tmp_path / "cache"))
+    out = str(tmp_path / "out")
+    argv = ["--input", pages, "--output", out, "--partitions", "2", "--keep-only"]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert first["written"] == [0, 1] and first["skipped"] == []
+    got = pq.read_table(first["out"]).to_pandas()
+    assert len(got) > 0 and got["keep"].all()
+    assert got["url"].is_unique
+
+    assert main(argv) == 0
+    second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert second["skipped"] == [0, 1] and second["written"] == []
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dedup-mode", "sketch"])
+    assert exc.value.code == 2
+    assert "--dedup-mode" in capsys.readouterr().err
 
 
 def test_corpus_export_partitions(tmp_path, sf_small):

@@ -154,12 +154,24 @@ def test_latest_kernel_matches_pandas(keys, order_by, seed):
     assert sorted(got["v"].to_pylist()) == sorted(_pandas_latest(tbl, keys, order_by)["v"])
 
 
-@pytest.mark.parametrize("keys,order_by", _KERNEL_CASES)
+def _crawl_ties():
+    """A key whose timestamps are all null, a key with a full tie and a
+    single-crawl key: the rows a hash-and-timestamp filter keeps twice."""
+    import pyarrow as pa
+
+    t = pa.timestamp("us")
+    return pa.table({"url": ["a", "a", "b", "b", "c"],
+                     "warc_ts": pa.array([None, None, 5, 5, 9], t),
+                     "v": np.arange(5)})
+
+
+@pytest.mark.parametrize("keys,order_by", _KERNEL_CASES + [(["url"], ["warc_ts"])])
 def test_keep_latest_blocks_match_pandas(keys, order_by):
     """Several blocks, one of them 0-row: full ties across blocks go to
     the later block, as in the concatenated-input pandas reference."""
-    tbl = _events(200, 7)
-    blocks = [tbl.slice(0, 70), tbl.slice(70, 0), tbl.slice(70, 60), tbl.slice(130)]
+    tbl = _crawl_ties() if keys == ["url"] else _events(200, 7)
+    a, b = len(tbl) * 7 // 20, len(tbl) * 13 // 20
+    blocks = [tbl.slice(0, a), tbl.slice(a, 0), tbl.slice(a, b - a), tbl.slice(b)]
     out = keep_latest(ray.data.from_arrow(blocks), keys, order_by[0],
                       order_by[1] if len(order_by) > 1 else None, num_buckets=4)
     got = _arrow(out)

@@ -378,7 +378,7 @@ def test_online_read_ds_matches_driver_reader(store):
         .sort_values("user_id")
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+    pd.testing.assert_frame_equal(a, b)
     assert (b[b.user_id == 99]["value"] == 55.0).all()
 
 
@@ -461,3 +461,99 @@ def test_concurrent_upsert_seq_collision_no_lost_write(store):
     # merge-on-read still returns exactly one latest row per key
     got = store.online.read("user_values").to_pandas()
     assert len(got) == 1 and got.loc[0, "value"] == 1.0
+
+
+def _probe_view():
+    return View(name="probe", source=TableSource(name="probe", table="probe"),
+                entities=[USER], features=["n"])
+
+
+def _bucket_parquet(vdir):
+    import os
+
+    return [os.path.join(vdir, b, f) for b in sorted(os.listdir(vdir))
+            if b.startswith("bucket=") for f in os.listdir(os.path.join(vdir, b))]
+
+
+def test_online_int64_with_null_keeps_type(tmp_path):
+    """An int64 feature holding a null stays int64 in every bucket file
+    and through both readers; read_ds returns exactly read's columns
+    (no hive ``bucket`` column)."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from feast_ray.store import OnlineParquetStore
+
+    online = OnlineParquetStore(str(tmp_path / "online"))
+    probe = pa.table({"user_id": [1, 2, 3, 1],
+                      "n": pa.array([10, None, 30, 11], pa.int64())})
+    assert online.upsert(_probe_view(), ray.data.from_arrow(probe)) == 3
+    files = _bucket_parquet(online._dir("probe"))
+    assert len(files) == 3
+    for f in files:
+        assert pq.read_schema(f).field("n").type == pa.int64(), f
+    a = online.read("probe")
+    b = pa.concat_tables(ray.get(online.read_ds("probe").to_arrow_refs()))
+    assert a.schema == b.schema == pa.schema([("user_id", pa.int64()), ("n", pa.int64())])
+    exp = [{"user_id": 1, "n": 11}, {"user_id": 2, "n": None}, {"user_id": 3, "n": 30}]
+    assert sorted(a.to_pylist(), key=lambda r: r["user_id"]) == exp
+    assert sorted(b.to_pylist(), key=lambda r: r["user_id"]) == exp
+
+
+def test_online_merges_older_writer_files(tmp_path):
+    """Files from the earlier pandas-based writer still merge: a bucket
+    holding a double delta (an int64 feature with a null came back from
+    pandas as double) beside an int64 delta, and a pre-LSM
+    ``data.parquet`` bucket, each match the pandas last-write-wins
+    reference."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from feast_ray.store import OnlineParquetStore
+    from tests.test_stages import _pandas_latest
+
+    online = OnlineParquetStore(str(tmp_path / "online"))
+    vdir = online._dir("probe")
+    meta = {"upsert_keys": ["user_id"], "order_by": ["ts"], "has_ts": True}
+    ts = pa.timestamp("us")
+    int64_delta = pa.table({"user_id": [1, 2, 3],
+                            "ts": pa.array([1, 2, 2], ts),
+                            "n": pa.array([10, None, 30], pa.int64())})
+    double_delta = pa.Table.from_pandas(int64_delta.to_pandas(), preserve_index=False)
+    assert double_delta.schema.field("n").type == pa.float64()
+    newer = pa.table({"user_id": [1, 2, 3],
+                      "ts": pa.array([1, 1, None], ts),
+                      "n": pa.array([11, 21, 31], pa.int64())})
+    legacy = pa.table({"user_id": [4, 4, 5, 5],
+                       "ts": pa.array([2, 1, None, None], ts),
+                       "n": pa.array([40, 41, 50, 51], pa.int64())})
+    buckets = {
+        "bucket=0": [("delta_000000000000_0a1b2c3d.parquet", double_delta),
+                     ("delta_000000000001_4e5f6a7b.parquet", newer)],
+        "bucket=1": [("data.parquet", legacy)],
+    }
+    for b, files in buckets.items():
+        os.makedirs(os.path.join(vdir, b))
+        for name, tbl in files:
+            pq.write_table(tbl, os.path.join(vdir, b, name))
+    with open(os.path.join(vdir, "_meta.json"), "w") as f:
+        json.dump(meta, f)
+
+    refs = []
+    for b, files in buckets.items():
+        got = online._read_bucket(os.path.join(vdir, b), meta)
+        src = pa.concat_tables([t for _, t in files], promote_options="permissive")
+        ref = _pandas_latest(src, ["user_id"], ["ts"])
+        ref = ref.sort_values("user_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            got.to_pandas().sort_values("user_id").reset_index(drop=True), ref
+        )
+        refs.append(ref)
+    exp = pd.concat(refs, ignore_index=True)
+    # full tie -> later file; null ts loses; all-null ts -> last row
+    assert exp["n"].fillna(-1).tolist() == [11, -1, 30, 40, 51]
+    merged = online.read("probe").to_pandas().sort_values("user_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(merged, exp)
+
