@@ -1,16 +1,19 @@
-"""Language identification — stateful actor-pool stage.
+"""Language identification — one stateless sub-stage of the fused
+``QualityScorer``.
 
 A fastText-style classifier is not available in the sandbox, so the
 model is a deterministic function-word / script profile classifier
-(the classic n-gram/stopword heuristic). What matters for the engine is
-the *execution shape*, which follows the reference's documented
-stateful-transform pattern (transformation/ray_transformation.py:30-74;
-embedder actors feast/embedder.py:49-120): model tables are built ONCE
-per actor in ``__init__`` and applied per batch in ``__call__``.
+(the classic n-gram/stopword heuristic). Model tables are built ONCE
+per worker process in ``__init__`` (the scorer is cached per process,
+see ``pipelines/quality_filter._SCORER_CACHE``) and applied per batch
+in ``__call__`` — the reference's stateful-transform shape
+(transformation/ray_transformation.py:30-74) without an actor pool.
 
-The batch path is fully vectorized: per-language function-word counts
-are RE2 ``count_substring_regex`` kernels over the whole Arrow column
-(no Python per row); the scalar ``predict()`` applies the identical
+The batch path is the byte path: per-language function-word counts
+come from the batch's shared ``textstats.ByteText`` (one exact Arrow
+probe of the lowercase \\w+ runs against every dictionary word).
+Non-ASCII docs and null columns take the RE2 ``count_substring_regex``
+reference kernels; the scalar ``predict()`` applies the identical
 formula record-at-a-time for the test oracle.
 """
 
@@ -54,23 +57,14 @@ class LangIdModel:
         self.re_patterns = {l: re.compile(p) for l, p in self.patterns.items()}
         self.re_cjk = re.compile(_CJK_PATTERN)
         self.re_tokens = re.compile(r"\S+")
-        # packed uint64 keys per profile for the byte fast path —
-        # non-pure-\w words (e.g. "für") are excluded: they contain a
-        # non-ASCII byte, so they can only match in docs the fast path
-        # already routes to the RE2 fallback
-        from .textstats import is_pure_word, pack_word
+        # per-profile membership masks over textstats.DICT_WORDS for
+        # the byte path — non-pure-\w words (e.g. "für") are excluded:
+        # they contain a non-ASCII byte, so they can only match in docs
+        # the byte path already routes to the RE2 fallback
+        from .textstats import dict_mask
 
-        self._dict_keys = {
-            lang: np.sort(
-                np.array(
-                    [
-                        pack_word(w.encode())
-                        for w in profile.split("|")
-                        if is_pure_word(w.encode())
-                    ],
-                    np.uint64,
-                )
-            )
+        self._dict_masks = {
+            lang: dict_mask(w.encode() for w in profile.split("|"))
             for lang, profile in _PROFILES.items()
         }
 
@@ -104,20 +98,18 @@ class LangIdModel:
         if ctx.view is None:
             langs, conf = self._scores_re2(text)
         else:
-            # byte fast path: function-word counts = packed-key
-            # dictionary hits over \w+ runs (every ASCII profile word
-            # is pure-\w; "für" can only occur in non-ASCII docs,
-            # which are patched below). CJK chars imply non-ASCII, so
-            # cjk = 0 on this path by construction.
+            # byte fast path: function-word counts = dictionary hits
+            # over \w+ runs (every ASCII profile word is pure-\w; "für"
+            # can only occur in non-ASCII docs, which are patched
+            # below). CJK chars imply non-ASCII, so cjk = 0 on this path
+            # by construction.
             buf, offs = ctx.view
             n = len(text)
             n_chars_i, _, _, _, n_words_i = ctx.counts
-            run_doc, keys = ctx.runs
+            hits = ctx.runs
             scores = np.stack(
                 [
-                    count_dict_words(run_doc, keys, self._dict_keys[lang], n).astype(
-                        np.float64
-                    )
+                    count_dict_words(hits, self._dict_masks[lang], n).astype(np.float64)
                     for lang in _LANG_ORDER
                 ]
             )

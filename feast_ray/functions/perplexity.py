@@ -1,4 +1,4 @@
-"""KenLM-style n-gram perplexity — stateful actor-pool stage.
+"""KenLM-style n-gram perplexity — one sub-stage of the fused scorer.
 
 KenLM itself is not in the sandbox; the stand-in is a byte-trigram
 language model with add-one smoothing trained once per actor on a
@@ -125,31 +125,56 @@ class PerplexityModel:
         return float(np.exp(-logp.mean()))
 
     def score_batch(self, texts: list[str]) -> np.ndarray:
-        """Vectorized scoring: ONE trigram/bigram lookup over the
-        concatenated byte stream of the whole batch, then per-document
+        """Reference batch scoring over Python strings: the docs'
+        concatenated UTF-8 bytes through the byte-view scorer."""
+        encoded = [t.encode("utf-8") for t in texts]
+        offs = np.zeros(len(texts) + 1, np.int64)
+        np.cumsum([len(b) for b in encoded], out=offs[1:])
+        return self._score_bytes(np.frombuffer(b"".join(encoded), np.uint8), offs)
+
+    def _score_bytes(self, buf: np.ndarray, offs: np.ndarray) -> np.ndarray:
+        """Vectorized scoring of the docs ``buf[offs[i]:offs[i+1]]``: ONE
+        trigram lookup over the whole byte buffer, then per-document
         segment means via add.reduceat — no per-doc numpy call chain.
         A doc's score is bit-identical whatever batch it is scored in."""
-        encoded = [t.encode("utf-8") for t in texts]
-        lens = np.array([len(b) for b in encoded], dtype=np.int64)
-        out = np.full(len(texts), float(self.V))
-        valid = lens >= 3
-        if not valid.any():
+        lens = np.diff(offs)
+        out = np.full(len(lens), float(self.V))
+        idx = np.flatnonzero(lens >= 3)
+        if not len(idx):
             return out
-        blob = np.frombuffer(b"".join(encoded), dtype=np.uint8).astype(np.uint32)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        tri = (blob[:-2] << 16) | (blob[1:-1] << 8) | blob[2:]
-        logp = self.logp_dense[tri]  # one gather — the add/div/log
-        # chain is baked into the table (bit-identical, see __init__)
-        # segment-sum doc i's trigrams at [starts[i], starts[i]+len-2),
+        tri = np.left_shift(buf[:-2], 16, dtype=np.uint32)
+        tri |= np.left_shift(buf[1:-1], 8, dtype=np.uint32)
+        tri |= buf[2:]
+        # one gather — the add/div/log chain is baked into the table
+        # (bit-identical, see __init__); the spare last slot keeps the
+        # final doc's end bound a valid reduceat index. Trigram ids are
+        # < 2^24 by construction, so "clip" never clips; it only spares
+        # take's buffered bounds check.
+        logp = np.empty(len(tri) + 1)
+        logp[-1] = 0.0
+        np.take(self.logp_dense, tri, out=logp[:-1], mode="clip")
+        # segment-sum doc i's trigrams at [offs[i], offs[i+1]-2),
         # skipping the 2 cross-document boundary trigrams; each sum reads
         # only its own segment, so the rest of the batch cannot change it
-        idx = np.flatnonzero(valid)
-        bounds = np.stack([starts[idx], starts[idx] + lens[idx] - 2], axis=1).ravel()
-        sums = np.add.reduceat(np.append(logp, 0.0), bounds)[::2]
+        bounds = np.stack([offs[idx], offs[idx + 1] - 2], axis=1).ravel()
+        sums = np.add.reduceat(logp, bounds)[::2]
         out[idx] = np.exp(-sums / (lens[idx] - 2))
         return out
 
-    def __call__(self, batch: "pa.Table") -> "pa.Table":
-        # Arrow in / Arrow out (see langid.py note)
-        ppl = self.score_batch(batch[self.text_col].to_pylist())
-        return batch.append_column("ppl", pa.array(ppl))
+    def __call__(self, batch: "pa.Table", ctx=None) -> "pa.Table":
+        """Arrow in / Arrow out. Scores straight off the batch's shared
+        byte view; a column with nulls takes ``score_batch`` over its
+        valid docs and gets a null ppl for each null doc."""
+        from .textstats import ByteText
+
+        if ctx is None:
+            ctx = ByteText(batch[self.text_col])
+        if ctx.view is not None:
+            ppl = pa.array(self._score_bytes(*ctx.view))
+        else:
+            texts = ctx.text.to_pylist()
+            null = np.array([t is None for t in texts], bool)
+            ppl = pa.array(
+                self.score_batch([t or "" for t in texts]), mask=null, type=pa.float64()
+            )
+        return batch.append_column("ppl", ppl)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # (name, pattern, replacement) — ORDER MATTERS and is mirrored in SQL.
 PII_PATTERNS: list[tuple[str, str, str]] = [
@@ -70,12 +72,21 @@ class Scrubber:
     _CANDIDATE_RE = r"[0-9@]"
 
     def __call__(self, batch: "pa.Table") -> "pa.Table":
-        import numpy as np
-        import pyarrow.compute as pc
-
         col = batch[self.text_col].combine_chunks()
         if isinstance(col, pa.ChunkedArray):
             col = col.chunk(0) if col.num_chunks else pa.array([], pa.string())
+        if self.only_where is None:
+            return batch.append_column(self.out_col, self._scrub_column(col))
+        # scrub the kept rows only, then scatter them back: a null take
+        # index gives each dropped row its null
+        keep = pc.fill_null(batch[self.only_where], False).to_numpy(
+            zero_copy_only=False
+        )
+        out = self._scrub_column(col.take(np.flatnonzero(keep)))
+        pos = pa.array(np.cumsum(keep) - 1, mask=~keep)
+        return batch.append_column(self.out_col, out.take(pos))
+
+    def _scrub_column(self, col: pa.Array) -> pa.Array:
         cand = pc.match_substring_regex(col, self._CANDIDATE_RE).to_numpy(
             zero_copy_only=False
         )
@@ -92,25 +103,15 @@ class Scrubber:
         # per candidate row — ~20% of the fused scorer's CPU on the
         # PII-decorated bench corpus where most docs carry digits).
         idx = np.flatnonzero(cand)
-        if len(idx):
-            sub = pc.take(col, pa.array(idx, pa.int64()))
-            for _, pat, repl in PII_PATTERNS:
-                sub = pc.replace_substring_regex(
-                    sub, pattern=pat, replacement=repl
-                )
-            if has_toxic:
-                sub = pc.replace_substring_regex(
-                    sub, pattern=f"(?i:{_TOXIC_PATTERN})", replacement="<TOX>"
-                )
-            mask = np.zeros(len(col), dtype=bool)
-            mask[idx] = True
-            out = pc.replace_with_mask(
-                col, pa.array(mask), sub.combine_chunks()
-                if isinstance(sub, pa.ChunkedArray) else sub
+        if not len(idx):
+            return col
+        sub = pc.take(col, pa.array(idx, pa.int64()))
+        for _, pat, repl in PII_PATTERNS:
+            sub = pc.replace_substring_regex(sub, pattern=pat, replacement=repl)
+        if has_toxic:
+            sub = pc.replace_substring_regex(
+                sub, pattern=f"(?i:{_TOXIC_PATTERN})", replacement="<TOX>"
             )
-        else:
-            out = col
-        if self.only_where is not None:
-            keep = batch[self.only_where]
-            out = pc.if_else(keep, out, pa.scalar(None, pa.string()))
-        return batch.append_column(self.out_col, out)
+        mask = np.zeros(len(col), dtype=bool)
+        mask[idx] = True
+        return pc.replace_with_mask(col, pa.array(mask), sub)

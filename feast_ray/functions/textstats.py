@@ -4,13 +4,14 @@ The Gopher/C4-style heuristic rules of the north rule. Two engines
 compute the same stats:
 
 - a **byte-classification fast path** (numpy over the Arrow string
-  array's raw byte buffer — one classification pass, per-doc counts by
-  cumsum-diff at the offsets) used whenever the column has no nulls;
-  counts are exact for ANY valid UTF-8 input (codepoint starts are the
-  non-continuation bytes; RE2's ``\\s``/``\\w`` classes are ASCII-only,
-  verified: ``\\s`` = {TAB LF FF CR SP}), except the stopword count,
-  where RE2's Unicode case-folding can diverge — non-ASCII docs get
-  their stop_count patched from the RE2 reference path;
+  array's raw byte buffer — one class-code lookup per byte, per-doc
+  counts by ``np.add.reduceat`` at the doc offsets) used whenever the
+  column has no nulls; counts are exact for ANY valid UTF-8 input
+  (codepoint starts are the non-continuation bytes; RE2's
+  ``\\s``/``\\w`` classes are ASCII-only, verified: ``\\s`` = {TAB LF
+  FF CR SP}), except the stopword count, where RE2's Unicode
+  case-folding can diverge — non-ASCII docs get their stop_count
+  patched from the RE2 reference path;
 - the original ``pyarrow.compute`` RE2 path, kept as the reference and
   the fallback (nulls / unusual column types).
 
@@ -37,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .langid import _PROFILES
+
 STOPWORD_PATTERN = r"\b(the|a|and|of|to|in|is|it)\b"
 _STOPWORDS = (b"the", b"a", b"and", b"of", b"to", b"in", b"is", b"it")
 
@@ -48,18 +51,28 @@ MIN_STOPWORDS = 2
 MAX_DIGIT_FRAC = 0.2
 MAX_SYMBOL_FRAC = 0.1
 
-# byte lookup tables mirroring RE2's ASCII character classes
-_WS_LUT = np.zeros(256, np.bool_)
-_WS_LUT[[9, 10, 12, 13, 32]] = True  # RE2 \s — NO \v (0x0b), verified
-_DIGIT_LUT = np.zeros(256, np.bool_)
-_DIGIT_LUT[48:58] = True
-_ALNUM_LUT = _DIGIT_LUT.copy()
-_ALNUM_LUT[65:91] = True
-_ALNUM_LUT[97:123] = True
-_WORD_LUT = _ALNUM_LUT.copy()
-_WORD_LUT[95] = True  # \w = [0-9A-Za-z_]
-_LOWER = np.arange(256, dtype=np.uint8)
-_LOWER[65:91] += 32
+# one class code per byte value, one bit per class: RE2's ASCII classes
+# plus the bytes the byte path must count or route to the reference.
+# _UPPER is bit 5 because that is ASCII's case bit: buf | (cls & 32)
+# lowers A-Z and leaves every other byte alone.
+_WS, _DIGIT, _ALNUM, _WORD, _CONT, _UPPER, _IMPURE = range(7)
+_CLASS = np.zeros(256, np.uint8)
+_CLASS[[9, 10, 12, 13, 32]] |= 1 << _WS  # RE2 \s — NO \v (0x0b), verified
+_CLASS[48:58] |= 1 << _DIGIT
+for _lo, _hi in ((48, 58), (65, 91), (97, 123)):
+    _CLASS[_lo:_hi] |= 1 << _ALNUM | 1 << _WORD
+_CLASS[65:91] |= 1 << _UPPER
+_CLASS[95] |= 1 << _WORD  # \w = [0-9A-Za-z_]
+_CLASS[0x80:0xC0] |= 1 << _CONT  # UTF-8 continuation bytes
+# bytes the \S+ tokenizer can't reproduce: non-ASCII, and VT, which
+# utf8_trim_whitespace would strip at doc edges
+_CLASS[0x80:] |= 1 << _IMPURE
+_CLASS[0x0B] |= 1 << _IMPURE
+
+
+def _has(cls: np.ndarray, bit: int) -> np.ndarray:
+    """Per-byte bool mask of one class bit."""
+    return ((cls >> bit) & 1).view(np.bool_)
 
 
 def _string_view(arr: pa.Array):
@@ -86,110 +99,114 @@ def _string_view(arr: pa.Array):
 
 
 def _segsum(x: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Per-doc sums of a per-byte array via cumsum-diff (empty-doc
-    safe, unlike np.add.reduceat)."""
-    c = np.zeros(len(x) + 1, np.int64)
-    np.cumsum(x, dtype=np.int64, out=c[1:])
-    return c[offs[1:]] - c[offs[:-1]]
+    """Per-doc int64 sums of a per-byte array (``len(x) == offs[-1]``):
+    one ``np.add.reduceat`` over the starts of the non-empty docs, so
+    no full-buffer int64 temporary; empty docs sum to 0."""
+    out = np.zeros(len(offs) - 1, np.int64)
+    full = np.flatnonzero(offs[1:] > offs[:-1])
+    if len(full):
+        out[full] = np.add.reduceat(x, offs[full], dtype=np.int64)
+    return out
 
 
-def _byte_counts(buf: np.ndarray, offs: np.ndarray):
-    """(n_chars, n_nonws, n_digit, n_sym, n_words) per doc, one pass.
+def _run_bounds(mask: np.ndarray, offs: np.ndarray):
+    """(first, last) byte masks of every maximal run of ``mask`` bytes.
+    Doc boundaries split runs (RE2 matches are per string)."""
+    first = mask.copy()
+    first[1:] &= ~mask[:-1]
+    last = mask.copy()
+    last[:-1] &= ~mask[1:]
+    full = offs[1:] > offs[:-1]
+    ds = offs[:-1][full]
+    first[ds] = mask[ds]
+    de = offs[1:][full] - 1
+    last[de] = mask[de]
+    return first, last
+
+
+def _runs_binary(mask: np.ndarray, data: np.ndarray, offs: np.ndarray):
+    """(runs per doc, run array) of every maximal run of ``mask`` bytes:
+    the runs are contiguous slices of the compacted ``data[mask]``, so
+    they wrap as one ``large_binary`` array without copying a string."""
+    first, last = _run_bounds(mask, offs)
+    start = np.flatnonzero(first)
+    run_offs = np.zeros(len(start) + 1, np.int64)
+    np.cumsum(np.flatnonzero(last) + 1 - start, out=run_offs[1:])
+    runs = pa.Array.from_buffers(
+        pa.large_binary(),
+        len(start),
+        [None, pa.py_buffer(run_offs), pa.py_buffer(data[mask])],
+    )
+    return _segsum(first, offs), runs
+
+
+def _byte_counts(buf: np.ndarray, offs: np.ndarray, cls: np.ndarray):
+    """(n_chars, n_nonws, n_digit, n_sym, n_words) per doc.
     Exact for valid UTF-8: every codepoint's start byte is counted
     once; non-ASCII codepoints are neither \\s, [0-9A-Za-z] nor [0-9],
     so they count as symbols — exactly RE2's view."""
-    cp = (buf & 0xC0) != 0x80  # codepoint start bytes
-    ws = _WS_LUT[buf]
-    n_chars = _segsum(cp, offs)
+    n_chars = np.diff(offs) - _segsum(cls >> _CONT & 1, offs)
+    ws = _has(cls, _WS)
     n_ws = _segsum(ws, offs)
-    n_digit = _segsum(_DIGIT_LUT[buf], offs)
-    n_alnum = _segsum(_ALNUM_LUT[buf], offs)
-    N = len(buf)
-    if N:
-        nonws = cp & ~ws
-        prev_ws = np.empty(N, np.bool_)
-        prev_ws[0] = True
-        prev_ws[1:] = ws[:-1]
-        ds = offs[:-1]
-        prev_ws[ds[ds < N]] = True  # doc start = word boundary
-        n_words = _segsum(nonws & prev_ws, offs)
-    else:
-        n_words = np.zeros(len(offs) - 1, np.int64)
+    n_digit = _segsum(cls >> _DIGIT & 1, offs)
+    n_alnum = _segsum(cls >> _ALNUM & 1, offs)
+    # a \S+ match starts at every non-ws byte after ws or a doc start
+    # (a continuation byte always follows a non-ws byte)
+    n_words = _segsum(_run_bounds(~ws, offs)[0], offs)
     return n_chars, n_chars - n_ws, n_digit, n_chars - n_ws - n_alnum, n_words
-
-
-def pack_word(w: bytes) -> int:
-    """Injective uint64 packing of a word of ≤ 8 bytes (little-endian,
-    zero-padded — unambiguous because \\w+ runs never contain NUL)."""
-    v = 0
-    for j, b in enumerate(w[:8]):
-        v |= b << (8 * j)
-    return v
 
 
 def is_pure_word(w: bytes) -> bool:
     """True when every byte is an RE2 \\w char — i.e. ``\\b(w)\\b``
     matches exactly where a maximal \\w+ run equals ``w``."""
-    return len(w) <= 8 and all(_WORD_LUT[b] for b in w)
+    return all(_CLASS[b] >> _WORD & 1 for b in w)
 
 
-_RUN_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)  # 0xFF can't be a \w byte
+# every dictionary the byte path counts words of: the stopwords and the
+# langid profiles' pure-\w words ("für" has a non-ASCII byte, so it can
+# only occur in docs the callers route to RE2)
+_PROFILE_WORDS = [w.encode() for p in _PROFILES.values() for w in p.split("|")]
+DICT_WORDS = pa.array(
+    sorted({*_STOPWORDS, *filter(is_pure_word, _PROFILE_WORDS)}), pa.large_binary()
+)
 
 
-def word_run_keys(buf: np.ndarray, offs: np.ndarray):
-    """(doc id, packed lowercase uint64 key) of every maximal \\w+ run.
+def dict_mask(words) -> np.ndarray:
+    """Membership mask of ``words`` over DICT_WORDS."""
+    return pc.is_in(DICT_WORDS, pa.array(list(words), pa.large_binary())).to_numpy(
+        zero_copy_only=False
+    )
+
+
+def dict_word_hits(buf: np.ndarray, offs: np.ndarray, cls: np.ndarray):
+    """(doc id, DICT_WORDS index) of every maximal lowercase \\w+ run
+    that is a dictionary word.
 
     A ``\\b(word)\\b`` match of a pure-\\w word is EXACTLY a maximal
     \\w+ run equal to it (the boundaries force non-word chars on both
     sides), so dictionary-word counting — stopwords, language
-    function-word profiles — reduces to packed-key equality against
-    these runs. Runs longer than 8 bytes get a sentinel that matches
-    no dictionary word. Doc boundaries split runs (RE2 matches are
-    per-string). ASCII-exact; callers patch non-ASCII docs via RE2."""
-    N = len(buf)
-    if N == 0:
-        return (np.zeros(0, np.int64), np.zeros(0, np.uint64))
-    word = _WORD_LUT[buf]
-    start = word.copy()
-    start[1:] &= ~word[:-1]
-    ds = offs[:-1]
-    ds = ds[ds < N]
-    start[ds] = word[ds]  # doc start begins a run when it's a \w byte
-    end = word.copy()
-    end[:-1] &= ~word[1:]
-    de = offs[1:][offs[1:] > offs[:-1]] - 1
-    end[de] = word[de]  # doc end terminates a run
-    rs = np.flatnonzero(start)
-    re_ = np.flatnonzero(end)
-    rlen = re_ - rs + 1
-    low = _LOWER[buf]
-    keys = np.zeros(len(rs), np.uint64)
-    for j in range(8):
-        m = rlen > j
-        keys[m] |= low[rs[m] + j].astype(np.uint64) << np.uint64(8 * j)
-    keys[rlen > 8] = _RUN_SENTINEL
-    run_doc = np.searchsorted(offs, rs, side="right") - 1
-    return run_doc, keys
+    function-word profiles — reduces to one exact Arrow hash probe of
+    the runs against DICT_WORDS. Doc boundaries split runs (RE2 matches
+    are per-string). ASCII-exact; callers patch non-ASCII docs via
+    RE2."""
+    per_doc, runs = _runs_binary(_has(cls, _WORD), buf | (cls & 1 << _UPPER), offs)
+    code = pc.index_in(runs, value_set=DICT_WORDS).fill_null(-1).to_numpy()
+    hit = code >= 0
+    return np.repeat(np.arange(len(per_doc)), per_doc)[hit], code[hit]
 
 
-def count_dict_words(
-    run_doc: np.ndarray, keys: np.ndarray, sorted_keys: np.ndarray, n: int
-) -> np.ndarray:
-    """Per-doc count of runs whose packed key is in ``sorted_keys``."""
-    if len(sorted_keys) == 0 or len(keys) == 0:
-        return np.zeros(n, np.int64)
-    idx = np.searchsorted(sorted_keys, keys)
-    idx_c = np.minimum(idx, len(sorted_keys) - 1)
-    return np.bincount(run_doc[sorted_keys[idx_c] == keys], minlength=n).astype(
-        np.int64
-    )
+def count_dict_words(hits, member: np.ndarray, n: int) -> np.ndarray:
+    """Per-doc count of the ``hits`` whose word is in ``member`` (a
+    dict_mask)."""
+    doc, code = hits
+    return np.bincount(doc[member[code]], minlength=n).astype(np.int64)
 
 
-# packed stopword keys: count_substring_regex(lower(text), \b(...)\b)
-# becomes a dictionary count over \w+ runs (all stopwords are pure-\w).
-# Exact for ASCII text; non-ASCII docs are patched via RE2 (which
-# case-folds Unicode; the byte path can't).
-_STOP_KEYS = np.sort(np.array([pack_word(w) for w in _STOPWORDS], np.uint64))
+# count_substring_regex(lower(text), \b(...)\b) becomes a dictionary
+# count over \w+ runs (all stopwords are pure-\w). Exact for ASCII
+# text; non-ASCII docs are patched via RE2 (which case-folds Unicode;
+# the byte path can't).
+_STOP_MASK = dict_mask(_STOPWORDS)
 
 
 def _stats_columns(n_chars, n_words, n_nonws, n_digit, n_sym, stop_count):
@@ -209,11 +226,12 @@ def _stats_columns(n_chars, n_words, n_nonws, n_digit, n_sym, stop_count):
 
 
 class ByteText:
-    """Shared per-batch byte-path context: the string view plus lazily
-    cached byte counts and \\w+ run keys. Fused pipelines (the
-    QualityScorer) build ONE of these per batch so textstats, stopword
-    counting, and langid classify the byte buffer once instead of
-    once per stage. ``view`` is None when the fast path can't apply
+    """Shared per-batch byte-path context: the string view, its byte
+    class codes, and lazily cached byte counts and dictionary-word
+    hits. Fused pipelines (the QualityScorer) build ONE of these per
+    batch so textstats, repetition, stopword counting, langid and
+    perplexity read the byte buffer through one classification instead
+    of once per stage. ``view`` is None when the fast path can't apply
     (nulls / non-string column) — consumers fall back to RE2."""
 
     def __init__(self, text):
@@ -221,6 +239,7 @@ class ByteText:
             text = text.combine_chunks()
         self.text = text
         self.view = _string_view(text)
+        self.cls = None if self.view is None else _CLASS[self.view[0]]
         self._counts = None
         self._runs = None
 
@@ -228,14 +247,14 @@ class ByteText:
     def counts(self):
         """(n_chars, n_nonws, n_digit, n_sym, n_words) per doc."""
         if self._counts is None:
-            self._counts = _byte_counts(*self.view)
+            self._counts = _byte_counts(*self.view, self.cls)
         return self._counts
 
     @property
     def runs(self):
-        """(run_doc, packed keys) of every \\w+ run."""
+        """(doc id, DICT_WORDS index) of every dictionary-word run."""
         if self._runs is None:
-            self._runs = word_run_keys(*self.view)
+            self._runs = dict_word_hits(*self.view, self.cls)
         return self._runs
 
 
@@ -254,8 +273,7 @@ def compute_textstats(
     buf, offs = view
     n = len(text)
     n_chars, n_nonws, n_digit, n_sym, n_words = ctx.counts
-    run_doc, keys = ctx.runs
-    stop = count_dict_words(run_doc, keys, _STOP_KEYS, n)
+    stop = count_dict_words(ctx.runs, _STOP_MASK, n)
     # RE2 (?i) does Unicode case-folding that ASCII lowering can't
     # reproduce (e.g. Kelvin sign → k): patch non-ASCII docs from the
     # reference kernel. byte_len == n_chars ⇔ pure ASCII.
@@ -430,84 +448,30 @@ def repetition_stats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return _rep_from_codes(codes, doc, lens, n)
 
 
-_POW_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _powers(base: int, upto: int) -> np.ndarray:
-    """[base^0 .. base^(upto-1)] mod 2^64 (natural uint64 wrap)."""
-    cur = _POW_CACHE.get((base, 0))
-    if cur is None or len(cur) < upto:
-        size = max(upto, 256)
-        p = np.full(size, np.uint64(base), np.uint64)
-        p[0] = 1
-        np.multiply.accumulate(p, out=p)
-        _POW_CACHE[(base, 0)] = cur = p
-    return cur
-
-
-def _repetition_fast(text: pa.Array, view) -> tuple[np.ndarray, np.ndarray]:
-    """Byte-path repetition stats: tokenize \\S+ runs straight off the
-    byte buffer (no Python string objects), double-64-bit polynomial
-    hash per token, hash-factorize by lexsort, then the shared
-    counting core. Tokens are byte-identical to the reference path for
-    pure-ASCII docs without VT (0x0b, which utf8_trim_whitespace would
-    strip at doc edges); other docs are patched from the reference."""
+def _repetition_fast(
+    text: pa.Array, view, cls: "np.ndarray | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Byte-path repetition stats: the \\S+ tokens are slices of the
+    compacted non-ws bytes, wrapped as one ``large_binary`` array whose
+    Arrow ``dictionary_encode`` gives exact dense token codes (bytes
+    compared, no hash collisions), then the shared counting core.
+    Tokens are byte-identical to the reference path for pure-ASCII docs
+    without VT (0x0b, which utf8_trim_whitespace would strip at doc
+    edges); other docs are patched from the reference."""
     buf, offs = view
     n = len(text)
-    N = len(buf)
-    if N == 0:
+    if cls is None:
+        cls = _CLASS[buf]
+    nonws = ~_has(cls, _WS)
+    lens, toks = _runs_binary(nonws, buf, offs)
+    if len(toks) == 0:
         return np.zeros(n), np.zeros(n)
-    ws = _WS_LUT[buf]
-    nonws = ~ws
-    prev_ws = np.empty(N, np.bool_)
-    prev_ws[0] = True
-    prev_ws[1:] = ws[:-1]
-    ds = offs[:-1]
-    prev_ws[ds[ds < N]] = True
-    next_ws = np.empty(N, np.bool_)
-    next_ws[-1] = True
-    next_ws[:-1] = ws[1:]
-    de = offs[1:][offs[1:] > offs[:-1]] - 1
-    next_ws[de] = True  # doc end terminates a token
-    tok_start = nonws & prev_ws
-    tok_end = nonws & next_ws
-    s_idx = np.flatnonzero(tok_start)
-    if len(s_idx) == 0:
-        return np.zeros(n), np.zeros(n)
-    e_idx = np.flatnonzero(tok_end)
-    tlen = e_idx - s_idx + 1
-
-    # compact token bytes = every non-ws byte, in order
-    compact = buf[nonws].astype(np.uint64)
-    cstart = np.zeros(len(tlen), np.int64)
-    np.cumsum(tlen[:-1], out=cstart[1:])
-    pos = np.arange(len(compact), dtype=np.int64) - np.repeat(cstart, tlen)
-    mx = int(tlen.max())
-    h = []
-    for base in (1099511628211, 0x100000001B3 ^ 0x9E3779B9):
-        pw = _powers(base, mx)
-        c = np.zeros(len(compact) + 1, np.uint64)
-        np.cumsum(compact * pw[pos], out=c[1:])
-        hh = c[cstart + tlen] - c[cstart]
-        h.append(hh * np.uint64(1000003) + tlen.astype(np.uint64))
-    h1, h2 = h
-
-    # hash-factorize (h1, h2) → dense int codes
-    order = np.lexsort((h2, h1))
-    new = np.empty(len(order), bool)
-    new[0] = True
-    h1s, h2s = h1[order], h2[order]
-    new[1:] = (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])
-    codes = np.empty(len(order), np.int64)
-    codes[order] = np.cumsum(new) - 1
-
-    lens = _segsum(tok_start, offs)  # tokens per doc
+    codes = pc.dictionary_encode(toks).indices.to_numpy().astype(np.int64)
     doc = np.repeat(np.arange(n, dtype=np.int64), lens)
     dup2, topw = _rep_from_codes(codes, doc, lens, n)
 
     # patch docs the byte tokenizer can't reproduce exactly
-    impure = _segsum((buf >= 0x80) | (buf == 0x0B), offs) > 0
-    idx = np.flatnonzero(impure)
+    idx = np.flatnonzero(_segsum(cls >> _IMPURE & 1, offs))
     if len(idx):
         sub = text.take(pa.array(idx, pa.int64())).to_pylist()
         d2, tw = repetition_stats(sub)
@@ -525,6 +489,6 @@ def add_repetition_stats(
     if view is None:
         dup2, topw = repetition_stats(text.to_pylist())
     else:
-        dup2, topw = _repetition_fast(text, view)
+        dup2, topw = _repetition_fast(text, view, ctx.cls)
     tbl = tbl.append_column("dup_2gram_frac", pa.array(dup2))
     return tbl.append_column("top_word_frac", pa.array(topw))

@@ -3,12 +3,18 @@
 compare row count + column set + order-insensitive values.
 
 Usage: python scripts/check_correctness.py [sf_dir] [query ...]
+
+The verdict is one ``SUMMARY <ok> OK, <fail> FAIL`` line; the exit
+status is 1 when any query failed, 0 otherwise. It is printed before
+``ray.shutdown()``, and a shutdown that hangs is cut short after
+SHUTDOWN_TIMEOUT_S with the same status.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 import warnings
 
@@ -16,6 +22,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np
 import pandas as pd
+
+SHUTDOWN_TIMEOUT_S = 60.0
 
 
 def to_pandas(obj) -> pd.DataFrame:
@@ -121,7 +129,7 @@ def main() -> int:
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
-    n_fail = 0
+    n_ok = n_fail = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -135,6 +143,7 @@ def main() -> int:
         dt = time.time() - t0
         if name not in oracles:
             print(f"ok   {name}: rows={len(got)} cols={len(got.columns)} ({dt:.1f}s, rows-only)")
+            n_ok += 1
             continue
         exp = con.execute(oracles[name]).fetchdf()
         problems = compare(name, got, exp)
@@ -145,8 +154,17 @@ def main() -> int:
                 print(f"   - {p}")
         else:
             print(f"OK   {name}: rows={len(got)} ({dt:.1f}s)")
+            n_ok += 1
+    status = 1 if n_fail else 0
+    print(f"SUMMARY {n_ok} OK, {n_fail} FAIL", flush=True)
+    sys.stderr.flush()
+    # the verdict is out; a hung shutdown must not swallow the status
+    timer = threading.Timer(SHUTDOWN_TIMEOUT_S, os._exit, [status])
+    timer.daemon = True
+    timer.start()
     ray.shutdown()
-    return 1 if n_fail else 0
+    timer.cancel()
+    return status
 
 
 if __name__ == "__main__":

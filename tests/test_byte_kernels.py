@@ -1,5 +1,5 @@
 """Parity pins for the byte-classification fast paths (textstats,
-repetition, langid) against their RE2 reference kernels.
+repetition, langid, perplexity) against their reference kernels.
 
 The fast paths must be BIT-identical — the driver's DuckDB oracle
 shares RE2 with the reference path, so any divergence here would break
@@ -17,6 +17,7 @@ import pytest
 
 from feast_ray.functions import textstats as ts
 from feast_ray.functions.langid import LangIdModel
+from feast_ray.functions.perplexity import PerplexityModel
 
 STAT_COLS = [
     "n_chars",
@@ -171,14 +172,64 @@ def test_langid_byte_vs_re2_parity():
     assert np.array_equal(fast["lang_conf"].to_numpy(), ref_c)
 
 
-def test_word_run_keys_boundaries():
-    # runs must split at doc boundaries and ignore >8-byte words
-    arr = pa.array(["the", "xthe yit", "", "and"], pa.string())
-    run_doc, keys = ts.word_run_keys(*ts._string_view(arr))
-    the = ts.pack_word(b"the")
-    assert ts.count_dict_words(
-        run_doc, keys, np.array([the], np.uint64), 4
-    ).tolist() == [1, 0, 0, 0]
+def test_dict_word_hits_boundaries():
+    # runs split at doc boundaries, 9+ byte words never match, and
+    # matching is on the lowered run
+    arr = pa.array(
+        ["the", "xthe yit", "", "and", "the", "thethethe", "IT The tHe x_it"],
+        pa.string(),
+    )
+    hits = ts.ByteText(arr).runs
+    the = ts.dict_mask([b"the"])
+    assert ts.count_dict_words(hits, the, 7).tolist() == [1, 0, 0, 0, 1, 0, 2]
+    stop = ts.count_dict_words(hits, ts._STOP_MASK, 7)
+    assert stop.tolist() == [1, 0, 0, 1, 1, 0, 3]
+
+
+def _segsum_ref(x, offs):
+    c = np.zeros(len(x) + 1, np.int64)
+    np.cumsum(x, dtype=np.int64, out=c[1:])
+    return c[offs[1:]] - c[offs[:-1]]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        pa.array(["", "ab 1 c", "", "x9", "", "", "a\tb", ""], pa.string()),
+        pa.array(["", "", ""], pa.string()),  # all empty: a zero-byte buffer
+        pa.array([], pa.string()),
+        pa.array(_rand_docs(3, 300), pa.string()).slice(41, 150),
+        pa.array(_rand_docs(5, 100), pa.large_string()),
+    ],
+)
+def test_segsum_matches_cumsum_diff(arr):
+    buf, offs = ts._string_view(arr)
+    cls = ts._CLASS[buf]
+    for bit in (ts._WS, ts._DIGIT, ts._ALNUM, ts._CONT, ts._IMPURE):
+        x = cls >> bit & 1
+        assert np.array_equal(ts._segsum(x, offs), _segsum_ref(x, offs)), bit
+    assert np.array_equal(ts._segsum(cls, offs), _segsum_ref(cls, offs))
+
+
+def test_perplexity_byte_view_matches_score_batch():
+    m = PerplexityModel(text_col="text")
+    short = ["", "a", "ab", "abc", "é", "ab", "", "abcd"]
+    docs = _rand_docs(17, 500) + short
+    cases = [
+        pa.array(docs, pa.string()),
+        pa.array(docs, pa.string()).slice(123, 250),
+        pa.array(docs, pa.large_string()),
+        pa.array(short, pa.string()),
+    ]
+    for arr in cases:
+        got = m(pa.table({"text": arr}))["ppl"].to_numpy()
+        assert np.array_equal(got, m.score_batch(arr.to_pylist()))
+    # a column with nulls takes the score_batch fallback
+    nulls = pa.array(["the quick fox", None, "ab", None, "abcabc"], pa.string())
+    got = m(pa.table({"text": nulls}))["ppl"]
+    assert got.null_count == 2
+    valid = [t for t in nulls.to_pylist() if t is not None]
+    assert got.drop_null().to_pylist() == m.score_batch(valid).tolist()
 
 
 def test_shared_bytetext_context_matches_unshared():
