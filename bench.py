@@ -294,21 +294,21 @@ def run_bench() -> dict:
             ), 3)
 
         def _spandup() -> None:
-            # span-dedup beyond-broadcast regime over the same corpus
-            # (the r2 weak point: 192 s; raw exchange target <60 s)
+            # span dedup (broadcast dup-gram table, 128-bit gram keys)
+            # over the same corpus
             from feast_ray.functions.neardup import word_hashes64
             from feast_ray.functions.spandup import remove_duplicate_spans
 
             def _iid(t):
                 import numpy as _np
 
-                h = word_hashes64(t["url"].to_pylist()).view(_np.int64)
+                h = word_hashes64(t["url"]).view(_np.int64)
                 return t.append_column("doc_iid", _pa.array(h, _pa.int64()))
 
             corpus_iid = corpus.map_batches(_iid, batch_format="pyarrow").materialize()
-            timings["spandup_copartition_corpus"] = round(_best_of(
+            timings["spandup_corpus"] = round(_best_of(
                 lambda: remove_duplicate_spans(
-                    corpus_iid, "doc_iid", "text", n=8, mode="copartition"
+                    corpus_iid, "doc_iid", "text", n=8
                 ).count()
             ), 3)
 
@@ -832,7 +832,7 @@ def run_bench() -> dict:
         _stage("minhash_dedup_corpus", _minhash)
         _stage("bm25_corpus", _bm25)
         _stage("simhash_dups_corpus", _simhash)
-        _stage("spandup_copartition_corpus", _spandup)
+        _stage("spandup_corpus", _spandup)
         _stage("embed_pages", _embed)
         _stage("stream_ingest_1m", _stream)
         _stage("ann_ivfpq_corpus", _ann)

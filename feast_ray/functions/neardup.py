@@ -399,7 +399,7 @@ def minhash_dedup(
 
 
 # 64-bit word digest = splitmix64 finalizer over a polynomial byte
-# hash (both mod-2^64) — vectorizable in numpy by word-length groups
+# hash (both mod-2^64) — vectorizable in numpy as one segment sum
 # AND expressible in SQL HUGEINT arithmetic (q26's oracle); round 1
 # used blake2b, which SQL cannot reproduce. Avalanche comes from the
 # splitmix finalizer, so the weak-mixing polynomial underneath is fine.
@@ -415,33 +415,42 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
-def word_hashes64(words: "list[str] | list[bytes]") -> np.ndarray:
-    """Vectorized 64-bit digests for a word/bytes list: polynomial hash
-    over UTF-8 bytes (grouped by length so each group is one
-    matrix-vector multiply in uint64 wraparound), splitmix64-mixed."""
-    n = len(words)
-    out = np.zeros(n, dtype=np.uint64)
+def word_hashes64(
+    words: "pa.Array | pa.ChunkedArray | list[str] | list[bytes]",
+) -> np.ndarray:
+    """Vectorized 64-bit digests, splitmix64-mixed polynomial hashes of
+    each value's UTF-8 bytes. Reads an Arrow string/binary array's
+    offsets and data buffers in place; a list is converted once with
+    ``pa.array``. Every byte contributes ``b * B^(bytes after it)``
+    (uint64 wraparound) and one ``np.add.reduceat`` sums each value."""
+    arr = words if isinstance(words, (pa.Array, pa.ChunkedArray)) else pa.array(words)
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    n = len(arr)
     if n == 0:
-        return out
-    encoded = [
-        w if isinstance(w, (bytes, bytearray)) else w.encode("utf-8")
-        for w in words
-    ]
-    lens = np.array([len(b) for b in encoded], dtype=np.int64)
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8).astype(np.uint64)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    with np.errstate(over="ignore"):
-        for L in np.unique(lens):
-            idx = np.flatnonzero(lens == L)
-            if L == 0:
-                continue
-            powers = np.full(L, _POLY_B, dtype=np.uint64)
-            powers[0] = np.uint64(1)
-            powers = np.cumprod(powers)[::-1]  # uint64 wraparound
-            offs = starts[idx][:, None] + np.arange(L)[None, :]
-            out[idx] = (blob[offs] * powers[None, :]).sum(
-                axis=1, dtype=np.uint64
-            )
+        return np.zeros(0, dtype=np.uint64)
+    if pa.types.is_string(arr.type) or pa.types.is_binary(arr.type):
+        odt = np.int32
+    elif pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type):
+        odt = np.int64
+    else:
+        raise TypeError(f"word_hashes64 needs string or binary values, got {arr.type}")
+    if arr.null_count:
+        raise ValueError("word_hashes64 got null values")
+    _, obuf, dbuf = arr.buffers()
+    width = np.dtype(odt).itemsize
+    offs = np.frombuffer(obuf, odt, n + 1, arr.offset * width).astype(np.int64)
+    lens = np.diff(offs)
+    out = np.zeros(n, dtype=np.uint64)
+    nz = lens > 0
+    if nz.any():
+        blob = np.frombuffer(dbuf, dtype=np.uint8)[offs[0] : offs[-1]].astype(np.uint64)
+        powers = np.full(int(lens.max()), _POLY_B, dtype=np.uint64)
+        powers[0] = np.uint64(1)
+        with np.errstate(over="ignore"):
+            powers = np.cumprod(powers)  # B^k, uint64 wraparound
+            after = np.repeat(offs[1:] - 1, lens) - np.arange(offs[0], offs[-1])
+            out[nz] = np.add.reduceat(blob * powers[after], (offs[:-1] - offs[0])[nz])
     return _splitmix64(out)
 
 

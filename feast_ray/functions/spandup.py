@@ -18,72 +18,104 @@ n-grams:
   (whitespace is normalized as a side effect, exactly like the SQL
   oracle's ``\\S+`` tokenization).
 
+Gram key: every token gets one ``neardup.word_hashes64`` digest, read
+straight from the Arrow token buffer, and a gram is keyed by two uint64
+halves chained through ``splitmix64`` over its n token digests — a
+128-bit key in which token boundaries take part ("ab c" and "a bc"
+differ). No gram string is ever built. Two distinct grams merge their
+dup/survivor decisions only if their keys collide (odds about
+(#grams)²/2^128) or two distinct tokens share a 64-bit digest (about
+(#distinct tokens)²/2^64).
+
 Scale design — two thin passes, same doctrine as ``linedup.py``:
 
-* pass A ships only per-block DISTINCT (gram, n_docs_partial,
-  min_doc) rows (a doc's text lives in one row = one block, so
-  distinct-doc counts sum across blocks); the wide step is ONE
-  vectorized ``bucketed_group_reduce`` over the gram;
-* the surviving dup-gram table (gram → survivor) broadcasts via
-  ``ray.put`` as SORTED numpy arrays probed with ``searchsorted``
-  (the dedup.py:223 doctrine — no per-task set deserialization);
-* pass B is block-local: positional gram formation over the flat
-  token buffer (ngrams.py's shape), one searchsorted, interval
-  marking by a +1/-1 diff + cumsum, one grouped join per block.
+* pass A ships only per-block DISTINCT (key, n_docs_partial, min_doc)
+  rows, two Arrow ``group_by``s per block (a doc's text lives in one
+  row = one block, so distinct-doc counts sum across blocks); the wide
+  step is ONE auto-sized ``bucketed_group_reduce`` over the key — the
+  per-block distinct is the skew remedy for hot boilerplate grams;
+* the surviving dup-gram table (key → survivor) broadcasts via
+  ``ray.put`` as a ``fixed_size_binary(16)`` key set plus a survivor
+  array. Partitioning assumption: it fits the object store
+  (boilerplate vocabularies grow sublinearly in corpus size — the
+  spans are duplicated by definition); past ``MAX_BROADCAST_ROWS`` the
+  call raises;
+* pass B is block-local: the same gram keys, one ``pc.index_in`` probe
+  (its hash table is rebuilt per block, O(#dup grams)), interval
+  marking by a +1/-1 diff + cumsum, and ``pc.binary_join`` over the
+  kept tokens.
 
-Partitioning assumption (``mode="broadcast"``): the dup-gram table
-fits the object store (boilerplate vocabularies grow sublinearly in
-corpus size — the spans are duplicated by definition);
-``max_broadcast_rows`` guards it. Past the cap, ``mode="copartition"``
-keeps the dup table distributed: occurrences are Bloom-prefiltered
-in-block (bits broadcast, not strings) and verified by an exact
-partitioned hash join — see :func:`_strip_copartitioned`.
-
-Matching: pass A and broadcast-mode pass B are exact n-gram STRINGS
-(FP-free, SQL-oracle-checkable — q63); copartition-mode pass B keys
-its exchange on 64-bit gram digests (collision odds ~(#grams)²/2^64 —
-see :func:`remove_duplicate_spans`). Reference has no analog
-(SURVEY.md §2 extension surface).
+Reference has no analog (SURVEY.md §2 extension surface).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
+from feast_ray.functions.neardup import _splitmix64, word_hashes64
+
+# dup-gram rows past which the broadcast table would crowd the object
+# store (24 bytes a row)
+MAX_BROADCAST_ROWS = 50_000_000
+
+_K2_SEED = np.uint64(0x6A09E667F3BCC909)
+_PARTIAL = pa.schema(
+    [("k1", pa.uint64()), ("k2", pa.uint64()), ("nd", pa.int64()), ("md", pa.int64())]
+)
+_DUP = pa.schema([("k1", pa.uint64()), ("k2", pa.uint64()), ("md", pa.int64())])
+
 
 def _tokenize_block(tbl: pa.Table, text_col: str):
-    """flat token buffer + list offsets, ngrams.py's normalization
-    (trim + collapse + single-space split ≡ SQL ``\\S+`` extraction,
-    modulo the single empty token an empty doc produces — which can
-    never join a gram and rejoins to '')."""
+    """Flat token buffer + per-row offsets from 0, ngrams.py's
+    normalization (trim + collapse + single-space split ≡ SQL ``\\S+``
+    extraction, modulo the single empty token an empty doc produces —
+    which can never join a gram and rejoins to ''). A null text holds
+    no tokens."""
     txt = pc.utf8_trim_whitespace(
         pc.replace_substring_regex(tbl[text_col], r"\s+", " ")
     )
     la = pc.split_pattern(txt, " ").combine_chunks()
-    flat = la.flatten().to_pandas().to_numpy(dtype=object)
-    offs = la.offsets.to_numpy()
-    return flat, offs
+    offs = la.offsets.to_numpy().astype(np.int64)
+    return la.values.slice(offs[0], offs[-1] - offs[0]), offs - offs[0]
 
 
-def _gram_starts(flat: np.ndarray, offs: np.ndarray, n: int) -> np.ndarray:
+def _gram_starts(offs: np.ndarray, n: int) -> np.ndarray:
     """Token positions where an n-gram fits inside its own doc."""
-    lens = np.diff(offs)
-    ends = np.repeat(offs[1:], lens)
-    idx = np.arange(len(flat))
+    ends = np.repeat(offs[1:], np.diff(offs))
+    idx = np.arange(offs[-1])
     return idx[idx + (n - 1) < ends]
 
 
-def _gram_strings(flat: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
-    grams = flat[start]
-    for j in range(1, n):
-        grams = grams + " "
-        grams = grams + flat[start + j]
-    return grams
+def _owners(tbl: pa.Table, id_col: str, offs: np.ndarray, start: np.ndarray):
+    """int64 ``id_col`` of the doc each gram start lies in."""
+    ids = tbl[id_col].to_numpy().astype(np.int64, copy=False)
+    return ids[np.searchsorted(offs, start, side="right") - 1]
+
+
+def _gram_keys(flat: pa.Array, start: np.ndarray, n: int):
+    """The two uint64 halves of each gram's 128-bit key, chained over
+    the gram's n token digests (the second over their 32-bit
+    rotations, from another seed)."""
+    th = word_hashes64(flat)
+    k1 = np.zeros(len(start), dtype=np.uint64)
+    k2 = np.full(len(start), _K2_SEED, dtype=np.uint64)
+    for j in range(n):
+        t = th[start + j]
+        k1 = _splitmix64(k1 ^ t)
+        k2 = _splitmix64(k2 ^ ((t << np.uint64(32)) | (t >> np.uint64(32))))
+    return k1, k2
+
+
+def _key16(k1: np.ndarray, k2: np.ndarray) -> pa.Array:
+    """(k1, k2) as one fixed_size_binary(16) array."""
+    buf = np.column_stack([k1, k2]).tobytes()
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(16), len(k1), [None, pa.py_buffer(buf)]
+    )
 
 
 def remove_duplicate_spans(
@@ -94,30 +126,16 @@ def remove_duplicate_spans(
     n: int = 4,
     min_docs: int = 2,
     out_col: str = "text_despanned",
-    num_buckets: int = 64,
-    max_broadcast_rows: int = 50_000_000,
-    mode: str = "broadcast",
-    bloom_bits: int = 1 << 24,
 ) -> ray.data.Dataset:
     """Append ``out_col``: the text with cross-document duplicated
     n-gram spans removed everywhere except the lowest-``id_col``
-    containing doc. Triggers execution of pass A (the dup-gram
-    reduce) at call time; pass B streams.
+    containing doc (a null text becomes ""). Triggers execution of
+    pass A (the dup-gram reduce) at call time; pass B streams.
 
-    ``mode="broadcast"`` (default): the dup-gram table collects to
-    sorted arrays and broadcasts — right up to ``max_broadcast_rows``.
-    ``mode="copartition"``: the beyond-broadcast regime. The dup table
-    stays a distributed Dataset; pass B emits gram occurrences keyed
-    by their 64-bit DIGEST (~4× fewer bytes than gram strings),
-    prefiltered in-block by a Bloom filter built over the dup-gram
-    digests (bits broadcast, not strings — false positives only add
-    join rows, the partitioned digest join removes them), joins them
-    with the dup table, reduces to per-doc cut lists, and joins those
-    back to the docs. Three extra exchanges, none carrying document
-    text more than once. Digest-collision caveat: two distinct grams
-    sharing a 64-bit digest merge decisions (odds ~(#grams)²/2^64);
-    broadcast mode stays string-exact (parity-tested on dup-bearing
-    corpora)."""
+    Grams are matched on 128-bit token-digest keys (see the module
+    docstring for the collision odds). The dup-gram table is broadcast
+    to every pass-B task; more than ``MAX_BROADCAST_ROWS`` dup grams
+    raise ``ValueError``."""
     from feast_ray.stages.dedup import bucketed_group_reduce
 
     if n < 2:
@@ -126,249 +144,82 @@ def remove_duplicate_spans(
         raise ValueError(f"span n-gram size must be >= 2, got {n}")
 
     def _partial(tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "gram": pa.array([], pa.string()),
-                "nd": pa.array([], pa.int64()),
-                "md": pa.array([], pa.int64()),
-            }
-        )
         if len(tbl) == 0:
-            return empty
+            return _PARTIAL.empty_table()
         flat, offs = _tokenize_block(tbl, text_col)
-        start = _gram_starts(flat, offs, n)
+        start = _gram_starts(offs, n)
         if len(start) == 0:
-            return empty
-        lens = np.diff(offs)
-        owner = np.repeat(tbl[id_col].to_numpy(), lens)[start]
-        df = pd.DataFrame(
-            {"gram": _gram_strings(flat, start, n), "doc": owner}
-        ).drop_duplicates()
-        agg = df.groupby("gram", sort=False)["doc"].agg(["size", "min"])
+            return _PARTIAL.empty_table()
+        k1, k2 = _gram_keys(flat, start, n)
+        occ = pa.table({"k1": k1, "k2": k2, "doc": _owners(tbl, id_col, offs, start)})
+        docs = occ.group_by(["k1", "k2", "doc"]).aggregate([])
+        agg = docs.group_by(["k1", "k2"]).aggregate(
+            [("doc", "count"), ("doc", "min")]
+        )
         return pa.table(
-            {
-                "gram": pa.array(agg.index.to_numpy(dtype=object), pa.string()),
-                "nd": pa.array(agg["size"].to_numpy(), pa.int64()),
-                "md": pa.array(agg["min"].to_numpy(), pa.int64()),
-            }
+            [agg["k1"], agg["k2"], agg["doc_count"], agg["doc_min"]],
+            schema=_PARTIAL,
         )
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "gram" not in df.columns:
-            return pd.DataFrame({"gram": [], "nd": [], "md": []})
-        g = df.groupby("gram", as_index=False, sort=False).agg(
-            nd=("nd", "sum"), md=("md", "min")
-        )
-        return g[g["nd"] >= min_docs]
+    def _merge(df) -> pa.Table:
+        if "k1" not in df.columns:  # the whole exchange was empty
+            return _DUP.empty_table()
+        t = pa.Table.from_pandas(df, schema=_PARTIAL, preserve_index=False)
+        g = t.group_by(["k1", "k2"]).aggregate([("nd", "sum"), ("md", "min")])
+        g = g.filter(pc.greater_equal(g["nd_sum"], min_docs))
+        return pa.table({"k1": g["k1"], "k2": g["k2"], "md": g["md_min"]})
 
     dup = bucketed_group_reduce(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        ["gram"],
-        _merge,
-        num_buckets=num_buckets,
+        ds.map_batches(_partial, batch_format="pyarrow"), ["k1", "k2"], _merge
     )
-    if mode == "copartition":
-        return _strip_copartitioned(
-            ds, dup, id_col, text_col, n, out_col, num_buckets, bloom_bits
-        )
-    ddf = dup.to_pandas()  # the reduced dup-gram table only
-    if "gram" not in ddf.columns:  # gram-free corpus (all docs < n tokens)
-        ddf = pd.DataFrame({"gram": [], "md": []})
-    if len(ddf) > max_broadcast_rows:
+    parts = [t for t in ray.get(dup.to_arrow_refs()) if t.num_rows]
+    d = pa.concat_tables(parts) if parts else _DUP.empty_table()
+    if len(d) > MAX_BROADCAST_ROWS:
         raise ValueError(
-            f"{len(ddf)} duplicated grams exceeds the broadcast cap; "
-            "co-partition grams and docs by gram hash (join.py doctrine)"
+            f"{len(d)} duplicated grams exceed the broadcast cap of "
+            f"{MAX_BROADCAST_ROWS}"
         )
-    order = np.argsort(ddf["gram"].to_numpy(dtype=object))
-    grams_ref = ray.put(ddf["gram"].to_numpy(dtype=object)[order])
-    surv_ref = ray.put(ddf["md"].to_numpy(dtype=np.int64)[order])
+    keys_ref = ray.put(_key16(d["k1"].to_numpy(), d["k2"].to_numpy()))
+    surv_ref = ray.put(d["md"].to_numpy())
 
     def _strip(tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return tbl.append_column(out_col, pa.array([], pa.string()))
-        G = ray.get(grams_ref)
-        S = ray.get(surv_ref)
+        keys, surv = ray.get(keys_ref), ray.get(surv_ref)
         flat, offs = _tokenize_block(tbl, text_col)
-        lens = np.diff(offs)
-        start = _gram_starts(flat, offs, n)
-        s_sel = np.zeros(0, dtype=np.int64)
-        if len(start) and len(G):
-            grams = _gram_strings(flat, start, n)
-            ix = np.searchsorted(G, grams)
-            ix_c = np.minimum(ix, len(G) - 1)
-            owner = np.repeat(tbl[id_col].to_numpy(), lens)[start]
-            hit = (G[ix_c] == grams) & (S[ix_c] != owner)
-            s_sel = start[hit]
-        return _mark_and_rejoin(tbl, text_col, out_col, n, flat, offs, s_sel)
+        start = _gram_starts(offs, n)
+        s_sel = start[:0]
+        if len(start) and len(keys):
+            k1, k2 = _gram_keys(flat, start, n)
+            ix = pc.index_in(_key16(k1, k2), value_set=keys)
+            ix = pc.fill_null(ix, -1).to_numpy()
+            hit = np.flatnonzero(ix >= 0)
+            owner = _owners(tbl, id_col, offs, start[hit])
+            s_sel = start[hit[surv[ix[hit]] != owner]]
+        return _mark_and_rejoin(tbl, out_col, n, flat, offs, s_sel)
 
     return ds.map_batches(_strip, batch_format="pyarrow")
 
 
 def _mark_and_rejoin(
     tbl: pa.Table,
-    text_col: str,
     out_col: str,
     n: int,
-    flat: np.ndarray,
+    flat: pa.Array,
     offs: np.ndarray,
     s_sel: np.ndarray,
 ) -> pa.Table:
-    """Shared pass-B tail: mark [s, s+n) intervals over the flat token
-    buffer (absolute token positions) and rejoin kept tokens per row."""
-    lens = np.diff(offs)
-    covered = np.zeros(len(flat), dtype=bool)
+    """Pass-B tail: mark [s, s+n) intervals over the flat token buffer
+    (absolute token positions), filter the token list to the unmarked
+    tokens and rejoin each row with single spaces."""
+    keep = np.ones(offs[-1], dtype=bool)
     if len(s_sel):
-        diff = np.zeros(len(flat) + 1, dtype=np.int64)
+        diff = np.zeros(offs[-1] + 1, dtype=np.int64)
         np.add.at(diff, s_sel, 1)
-        np.add.at(diff, np.minimum(s_sel + n, len(flat)), -1)
-        covered = np.cumsum(diff[:-1]) > 0
-    keep = ~covered
-    owner_row = np.repeat(np.arange(len(tbl)), lens)[keep]
-    joined = pd.Series(flat[keep]).groupby(owner_row, sort=True).agg(" ".join)
-    out = joined.reindex(np.arange(len(tbl))).fillna("").to_numpy(dtype=object)
-    return tbl.append_column(out_col, pa.array(out, pa.string()))
-
-
-def _strip_copartitioned(
-    ds: ray.data.Dataset,
-    dup: ray.data.Dataset,
-    id_col: str,
-    text_col: str,
-    n: int,
-    out_col: str,
-    num_buckets: int,
-    bloom_bits: int,
-) -> ray.data.Dataset:
-    """Pass B without broadcasting the dup-gram table — see
-    :func:`remove_duplicate_spans` (mode="copartition")."""
-    from feast_ray.functions.bloom import bloom_build
-    from feast_ray.stages.dedup import bucketed_group_reduce
-    from feast_ray.stages.join import hash_join
-
-    dup_m = dup.materialize()  # consumed twice: bloom build + the join
-    from feast_ray.functions.neardup import word_hashes64
-
-    # the exchange is keyed on the 64-bit gram DIGEST, not the gram
-    # string — ~4× fewer bytes per occurrence row through both the
-    # prefilter and the join. Collision cost: two distinct grams
-    # sharing a digest merge their dup/survivor decisions; odds
-    # ~(#grams)²/2^64 (≈1e-8 even at 10^9 distinct grams) —
-    # broadcast mode stays string-exact for the oracle-checked path.
-    def _gh_col(t: pa.Table) -> pa.Table:
-        if "gram" not in t.column_names:  # dup-free corpus: empty block
-            return pa.schema(
-                [("gh", pa.uint64()), ("md", pa.int64())]
-            ).empty_table()
-        gh = word_hashes64(t["gram"].to_pylist())
-        return pa.table(
-            {"gh": pa.array(gh, pa.uint64()), "md": t["md"]}
-        )
-
-    dup_sel = dup_m.map_batches(_gh_col, batch_format="pyarrow")
-    bf = bloom_build(
-        dup_sel, "gh", m_bits=bloom_bits, k=4, prehashed=True,
-        # honor any power-of-two bloom_bits ≥ 64 without surfacing
-        # bloom_build's m_bits % (64*segments) == 0 constraint
-        num_segments=max(1, min(32, bloom_bits // 64)),
-    )
-    bits_ref = ray.put(bf.bits)
-    bm, bk = bf.m, bf.k
-
-    def _occ(tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "gh": pa.array([], pa.uint64()),
-                "doc": pa.array([], pa.int64()),
-                "s": pa.array([], pa.int64()),
-            }
-        )
-        if len(tbl) == 0:
-            return empty
-        flat, offs = _tokenize_block(tbl, text_col)
-        start = _gram_starts(flat, offs, n)
-        if len(start) == 0:
-            return empty
-        lens = np.diff(offs)
-        owner = np.repeat(tbl[id_col].to_numpy(), lens)[start]
-        # WITHIN-doc token index so cut positions survive re-tokenizing
-        rel = start - np.repeat(offs[:-1], lens)[start]
-        gh = word_hashes64(list(_gram_strings(flat, start, n)))
-        # in-block Bloom prefilter on the digests: only probable dup
-        # occurrences enter the exchange
-        from feast_ray.functions.bloom import BloomFilter
-
-        keep = BloomFilter(
-            m=bm, k=bk, bits=ray.get(bits_ref)
-        ).contains_hashes(gh)
-        return pa.table(
-            {
-                "gh": pa.array(gh[keep], pa.uint64()),
-                "doc": pa.array(owner[keep], pa.int64()),
-                "s": pa.array(rel[keep], pa.int64()),
-            }
-        )
-
-    occ = ds.map_batches(_occ, batch_format="pyarrow")
-    hits = hash_join(
-        occ,
-        dup_sel,
-        on="gh",
-        num_buckets=num_buckets,
-        left_schema=pa.schema(
-            [("gh", pa.uint64()), ("doc", pa.int64()), ("s", pa.int64())]
-        ),
-        right_schema=pa.schema([("gh", pa.uint64()), ("md", pa.int64())]),
-    )
-    cuts = hits.map_batches(
-        lambda t: t.filter(
-            pc.invert(pc.equal(t["doc"], t["md"]))
-        ).select(["doc", "s"]),
-        batch_format="pyarrow",
-    )
-
-    def _enc(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "doc" not in df.columns:
-            return pd.DataFrame({id_col: pd.array([], dtype="int64"),
-                                 "__cuts": pd.array([], dtype=object)})
-        g = df.groupby("doc", sort=False)["s"].agg(
-            lambda x: ",".join(map(str, sorted(set(x))))
-        )
-        return pd.DataFrame({id_col: g.index.to_numpy(dtype=np.int64),
-                             "__cuts": g.to_numpy(dtype=object)})
-
-    cuts_enc = bucketed_group_reduce(
-        cuts.map_batches(
-            lambda t: t.rename_columns(["doc", "s"]), batch_format="pyarrow"
-        ),
-        ["doc"],
-        _enc,
-        num_buckets=num_buckets,
-    )
-    joined = hash_join(
-        ds,
-        cuts_enc,
-        on=id_col,
-        how="left",
-        num_buckets=num_buckets,
-        right_schema=pa.schema([(id_col, pa.int64()), ("__cuts", pa.string())]),
-    )
-
-    def _strip(tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            t = tbl.append_column(out_col, pa.array([], pa.string()))
-            return t.drop_columns(["__cuts"])
-        flat, offs = _tokenize_block(tbl, text_col)
-        cuts_col = tbl["__cuts"].to_pylist()
-        sel = []
-        for i, c in enumerate(cuts_col):
-            if c:
-                sel.append(
-                    np.array(c.split(","), dtype=np.int64) + offs[i]
-                )
-        s_sel = (
-            np.concatenate(sel) if sel else np.zeros(0, dtype=np.int64)
-        )
-        out = _mark_and_rejoin(tbl, text_col, out_col, n, flat, offs, s_sel)
-        return out.drop_columns(["__cuts"])
-
-    return joined.map_batches(_strip, batch_format="pyarrow")
+        np.add.at(diff, s_sel + n, -1)
+        keep = np.cumsum(diff[:-1]) == 0
+    kept_offs = np.concatenate([[0], np.cumsum(keep)])[offs]
+    kept = pa.ListArray.from_arrays(
+        pa.array(kept_offs, pa.int32()), flat.filter(pa.array(keep))
+    )  # no validity bitmap: a null text rejoins to ""
+    return tbl.append_column(out_col, pc.binary_join(kept, " ").cast(pa.string()))

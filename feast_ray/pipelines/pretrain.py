@@ -168,7 +168,7 @@ def pretraining_corpus(
 
             from feast_ray.functions.neardup import word_hashes64
 
-            h = word_hashes64(tbl["url"].to_pylist()).view(np.int64)
+            h = word_hashes64(tbl["url"]).view(np.int64)
             return tbl.append_column("doc_iid", pa.array(h, pa.int64()))
 
         ds = ds.map_batches(_iid, batch_format="pyarrow")

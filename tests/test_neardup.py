@@ -110,3 +110,37 @@ def test_minhash_distributed_verify_matches_driver(corpus):
     assert list(a["id_a"]) == list(b["id_a"])
     assert list(a["id_b"]) == list(b["id_b"])
     assert len(a) > 0
+
+
+def _ref_digest(b: bytes) -> int:
+    """Pure-Python word digest: Horner polynomial over the bytes
+    (base = FNV-64 prime, mod 2^64), then the splitmix64 finalizer."""
+    m = (1 << 64) - 1
+    h = 0
+    for c in b:
+        h = (h * 1099511628211 + c) & m
+    h = (h + 0x9E3779B97F4A7C15) & m
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & m
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & m
+    return h ^ (h >> 31)
+
+
+def test_word_hashes64_matches_python_reference():
+    import pyarrow as pa
+
+    from feast_ray.functions.neardup import word_hashes64
+
+    words = ["", "a", "ab", "straße", "日本語テキスト", "", "x" * 70, "ünï cödé", "z"]
+    want = [_ref_digest(w.encode()) for w in words]
+    assert word_hashes64(words).tolist() == want
+    assert word_hashes64([w.encode() for w in words]).tolist() == want
+    for typ in (pa.string(), pa.large_string(), pa.binary()):
+        arr = pa.array(words, typ)
+        assert word_hashes64(arr).tolist() == want
+        # a slice starts mid-buffer: offsets must be read from its offset
+        assert word_hashes64(arr.slice(2, 5)).tolist() == want[2:7]
+    chunked = pa.chunked_array([pa.array(words[:4]), pa.array(words[4:])])
+    assert word_hashes64(chunked).tolist() == want
+    assert word_hashes64([]).dtype == np.uint64 and len(word_hashes64([])) == 0
+    with pytest.raises(ValueError):
+        word_hashes64(pa.array(["a", None]))

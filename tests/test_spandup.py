@@ -1,8 +1,10 @@
 """Duplicate-span removal (cross-doc n-gram spans, keep-first)."""
 
 import pandas as pd
+import pytest
 import ray.data
 
+from feast_ray.functions import spandup
 from feast_ray.functions.spandup import remove_duplicate_spans
 
 
@@ -87,6 +89,8 @@ def test_distributed_blocks_match_single_block():
         rows.append(
             {"doc_id": i, "text": f"w{i}a w{i}b w{i}c {boiler} t{i}x t{i}y"}
         )
+    rows.append({"doc_id": 40, "text": ""})  # empty doc
+    rows.append({"doc_id": 41, "text": "too short"})  # sub-n doc
     df = pd.DataFrame(rows)
     one = _run(df, n=4)
     many = (
@@ -98,54 +102,46 @@ def test_distributed_blocks_match_single_block():
         .tolist()
     )
     assert one == many
+    assert one[40:] == ["", "too short"]
     # survivors are exactly doc_ids 0,1,2 (lowest per boilerplate variant)
-    for i, t in enumerate(one):
+    for i, t in enumerate(one[:40]):
         if i in (0, 1, 2):
             assert "subscribe to channel" in t
         else:
             assert "subscribe" not in t
 
 
-def test_copartition_mode_matches_broadcast():
-    import ray.data
-
-    rows = []
-    for i in range(60):
-        boiler = f"subscribe to channel {i % 3} now today please"
-        rows.append(
-            {"doc_id": i, "text": f"w{i}a w{i}b w{i}c {boiler} t{i}x t{i}y"}
-        )
-    rows.append({"doc_id": 60, "text": ""})          # empty doc
-    rows.append({"doc_id": 61, "text": "too short"})  # sub-n doc
-    df = pd.DataFrame(rows)
-    ds = ray.data.from_pandas(df).repartition(8)
-    a = (
-        remove_duplicate_spans(ds, "doc_id", "text", n=4)
-        .to_pandas().sort_values("doc_id")["text_despanned"].tolist()
-    )
-    b = (
-        remove_duplicate_spans(
-            ds, "doc_id", "text", n=4, mode="copartition",
-            num_buckets=8, bloom_bits=1 << 12,
-        )
-        .to_pandas().sort_values("doc_id")["text_despanned"].tolist()
-    )
-    assert a == b
-
-
-def test_copartition_mode_no_dups_corpus():
-    import ray.data
-
+def test_dup_free_corpus_returns_text_unchanged():
     df = pd.DataFrame(
-        {"doc_id": [1, 2], "text": ["only one doc here", "something else x"]}
+        {
+            "doc_id": [1, 2, 3],
+            "text": ["only one doc here", "something else x", "tiny"],
+        }
     )
-    out = (
-        remove_duplicate_spans(
-            ray.data.from_pandas(df), "doc_id", "text", n=4,
-            mode="copartition", num_buckets=4,
-        )
-        .to_pandas().sort_values("doc_id")
+    assert _run(df, n=4) == ["only one doc here", "something else x", "tiny"]
+
+
+def test_token_boundaries_are_part_of_the_gram_key():
+    # same characters, different split: a key over the concatenated
+    # bytes would call the 4-grams shared and cut doc 2
+    df = pd.DataFrame({"doc_id": [1, 2], "text": ["x ab c d e", "x a bc d e"]})
+    assert _run(df, n=4) == ["x ab c d e", "x a bc d e"]
+
+
+def test_null_text_rejoins_to_empty_string():
+    df = pd.DataFrame(
+        {
+            "doc_id": [1, 2, 3],
+            "text": ["a b c d e", None, "z a b c d"],
+        }
     )
-    assert out["text_despanned"].tolist() == [
-        "only one doc here", "something else x"
-    ]
+    assert _run(df, n=4) == ["a b c d e", "", "z"]
+
+
+def test_broadcast_cap_raises(monkeypatch):
+    monkeypatch.setattr(spandup, "MAX_BROADCAST_ROWS", 1)
+    df = pd.DataFrame(
+        {"doc_id": [1, 2], "text": ["a b c d e f", "a b c d e f"]}
+    )  # three dup 4-grams
+    with pytest.raises(ValueError, match="broadcast cap"):
+        _run(df, n=4)
