@@ -33,7 +33,7 @@ from feast_ray.functions.textstats import (
     compute_textstats,
 )
 from feast_ray.schema import WEBPAGE_SCHEMA, Schema
-from feast_ray.stages.aggregate import AggSpec, grouped_agg
+from feast_ray.stages.aggregate import AggSpec, GroupedAgg
 from feast_ray.stages.dedup import keep_latest
 from feast_ray.stages.validate import validate_stage
 
@@ -203,29 +203,30 @@ def quality_filter(
     return ds.map_batches(_project, batch_format="pyarrow")
 
 
-def quality_metrics(result: ray.data.Dataset) -> ray.data.Dataset:
-    """Per-(domain, drop_reason) lineage metrics over the pipeline
-    output — the reference's monitoring/registry records
-    (monitoring_utils.py:24-60) as a grouped aggregate. Two-phase agg
-    makes the hot domain cost one partial row per block (skew-safe)."""
+def _add_domain(tbl: pa.Table) -> pa.Table:
+    return pa.table({
+        "domain": domain_of(tbl["url"]),
+        "drop_reason": pc.fill_null(tbl["drop_reason"], "kept"),
+        "n_words": tbl["n_words"],
+        "ppl": tbl["ppl"],
+    })
 
-    def _add_domain(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.append_column("domain", domain_of(tbl["url"]))
-        reason = pc.fill_null(tbl["drop_reason"], "kept")
-        return tbl.set_column(
-            tbl.schema.get_field_index("drop_reason"), "drop_reason", reason
-        )
 
-    with_domain = result.map_batches(_add_domain, batch_format="pyarrow")
-    return grouped_agg(
-        with_domain,
-        ["domain", "drop_reason"],
-        [
-            AggSpec(None, "count", "n_docs"),
-            AggSpec("n_words", "sum", "total_words"),
-            AggSpec("ppl", "mean", "avg_ppl"),
-        ],
-    )
+# Per-(domain, drop_reason) lineage metrics over the pipeline output —
+# the reference's monitoring/registry records (monitoring_utils.py:24-60)
+# as a grouped aggregate. ``quality_metrics(ds)`` runs it distributed
+# (two-phase: the hot domain costs one partial row per block, skew-safe);
+# ``materialize_resumable(metrics_fn=quality_metrics)`` computes the
+# partials inside its write tasks and merges them once on the driver.
+quality_metrics = GroupedAgg(
+    ("domain", "drop_reason"),
+    (
+        AggSpec(None, "count", "n_docs"),
+        AggSpec("n_words", "sum", "total_words"),
+        AggSpec("ppl", "mean", "avg_ppl"),
+    ),
+    prepare=_add_domain,
+)
 
 
 PIPELINE_VERSION = f"quality_filter/1.0.0+extractor-{EXTRACTOR_VERSION}"

@@ -1017,7 +1017,11 @@ def _minhash_common_ctes() -> str:
     """Shared CTE chain (dw → shingles → sh → perms → sigv → sigs →
     bandchunks) for every MinHash oracle (q25 dedup, q51 components) —
     SINGLE source of truth, generated from the engine's own
-    permutation constants. Returned without the leading WITH."""
+    permutation constants. Returned without the leading WITH.
+
+    ``sigs`` is ``AS MATERIALIZED`` (a planner hint only, no result
+    changes): DuckDB 1.0 inlines CTEs, so every reference to it
+    recomputed the signatures."""
     from feast_ray.functions.neardup import (
         BANDS,
         ROWS_PER_BAND,
@@ -1049,7 +1053,7 @@ sigv as (
         % {_MERSENNE}::HUGEINT) as v
   from sh cross join perms p
   group by doc_id, j),
-sigs as (
+sigs as materialized (
   select doc_id, list(v order by j) as sig from sigv group by doc_id),
 bandchunks as (
   select doc_id, bb.b,
@@ -1106,7 +1110,10 @@ select node as doc_id, min(comp) as component from cc group by node
 def _minhash_components_ctes() -> str:
     """CTE chain through the recursive components fixpoint (``cc``) —
     shared by the q51 labeling oracle and the q54 best-per-cluster
-    dedup oracle. Returned without the leading WITH RECURSIVE."""
+    dedup oracle. Returned without the leading WITH RECURSIVE.
+
+    ``vp`` is ``AS MATERIALIZED`` for the same reason as ``sigs``: the
+    recursive ``cc`` references it through ``nodes`` and ``edges``."""
     from feast_ray.functions.neardup import NUM_PERM
 
     return f"""{_minhash_common_ctes()},
@@ -1123,7 +1130,7 @@ cand as (
   select distinct s.mn as ida, c.doc_id as idb
   from bstats s join bandchunks c on c.b = s.b and c.chunk = s.chunk
   where s.n > 16 and c.doc_id > s.mn),
-vp as (
+vp as materialized (
   select c.ida, c.idb
   from cand c
   join sigs a on a.doc_id = c.ida

@@ -11,8 +11,14 @@ feature_store.py:2546-2630) and its monitoring metric records
   partitions (+ pipeline/extractor version, so a version bump
   invalidates the checkpoint);
 - **partitioned Parquet output**: one ``part_id=…`` directory per hash
-  partition of the key, written by the workers;
-- metrics rows appended as Parquet.
+  partition of the key, written by the workers through one Datasink
+  (``_PartitionedSink``) whose write tasks compute ``part_id``
+  themselves and return their rows per partition;
+- metrics rows appended as Parquet, computed in the same pass: each
+  write task returns a partial of ``metrics_fn`` over the rows it
+  wrote, and the driver merges the partials once (at most one row per
+  write task and metrics key, e.g. per (domain, drop_reason) for
+  ``quality_metrics``). The output is never read back.
 
 Resume contract: a rerun loads the manifest, prunes already-completed
 partitions from the stream (at real scale the pruning unit is the
@@ -32,7 +38,13 @@ import uuid
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 MANIFEST_NAME = "manifest.json"
 
@@ -77,19 +89,12 @@ class Registry:
         )
         self.save(m)
 
-    def append_metrics(self, metrics: ray.data.Dataset | pd.DataFrame, name: str = "metrics") -> str:
+    def append_metrics(self, metrics: pa.Table | pd.DataFrame, name: str = "metrics") -> str:
         path = os.path.join(self.out_dir, name)
         os.makedirs(path, exist_ok=True)
         if isinstance(metrics, pd.DataFrame):
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            pq.write_table(
-                pa.Table.from_pandas(metrics, preserve_index=False),
-                os.path.join(path, f"{uuid.uuid4().hex[:12]}.parquet"),
-            )
-        else:
-            metrics.write_parquet(path)
+            metrics = pa.Table.from_pandas(metrics, preserve_index=False)
+        pq.write_table(metrics, os.path.join(path, f"{uuid.uuid4().hex[:12]}.parquet"))
         return path
 
 
@@ -98,8 +103,6 @@ def _partition_by_key(key_col: str, num_partitions: int):
     # slower over pandas blocks) and never round-trips binary columns
     # (html payloads) through pandas
     def _add(tbl):
-        import pyarrow as pa
-
         keys = pd.Series(tbl[key_col].to_pylist(), dtype=str)
         h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
         return tbl.append_column(
@@ -107,6 +110,43 @@ def _partition_by_key(key_col: str, num_partitions: int):
         )
 
     return _add
+
+
+class _PartitionedSink(Datasink):
+    """The write task of ``materialize_resumable``: tag the task's rows
+    with ``part_id``, write them as hive ``part_id=<p>/`` parquet files
+    (the ``pyarrow.dataset.write_dataset`` call, layout and file schema
+    of Ray's ``write_parquet(partition_cols=["part_id"])``), and return
+    the rows per ``part_id`` plus the task's ``metrics_fn.partial``."""
+
+    def __init__(self, data_dir: str, key_col: str, num_partitions: int, metrics_fn):
+        self.data_dir = data_dir
+        self.add_part_id = _partition_by_key(key_col, num_partitions)
+        self.metrics_fn = metrics_fn
+        self.uuid = uuid.uuid4().hex
+        self.returns: list = []
+
+    def write(self, blocks, ctx) -> tuple[dict[int, int], pa.Table | None]:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return {}, None
+        tbl = self.add_part_id(pa.concat_tables(tables, promote_options="default"))
+        pads.write_dataset(
+            tbl,
+            self.data_dir,
+            format="parquet",
+            partitioning=["part_id"],
+            partitioning_flavor="hive",
+            basename_template=f"{self.uuid}_{ctx.task_idx:06}_{{i}}.parquet",
+            existing_data_behavior="overwrite_or_ignore",
+        )
+        counts = pc.value_counts(tbl["part_id"])
+        rows = dict(zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist()))
+        return rows, self.metrics_fn.partial(tbl) if self.metrics_fn else None
+
+    def on_write_complete(self, write_result) -> None:
+        self.returns = write_result.write_returns
 
 
 def materialize_resumable(
@@ -123,12 +163,23 @@ def materialize_resumable(
 ) -> dict:
     """Run ``build_pipeline(partitioned_source_ds)`` and write its output
     partitioned by ``part_id``, skipping partitions already committed in
-    the manifest. Returns a summary dict.
+    the manifest. Returns a summary dict whose ``rows_out`` maps each
+    written partition to its row count (0 for an empty one).
 
     The partition id is ``hash(key_col) % num_partitions`` — computed
-    on the source for pruning and recomputed on the result for the
-    partitioned write, so the pipeline does not need to carry it
+    on the source for pruning and recomputed inside the write task for
+    the partitioned write, so the pipeline does not need to carry it
     (the hash is a pure function of the key).
+
+    ``metrics_fn`` (``quality_metrics``, or any ``GroupedAgg``): each
+    write task returns ``metrics_fn.partial`` of the rows it wrote; the
+    driver merges the partials of this run's fresh partitions once
+    (``metrics_fn.merge``) and appends the table under ``metrics/``. The
+    merge holds at most one partial row per (write task, metrics key)
+    on the driver; for ``quality_metrics`` that is one row per (task,
+    domain, drop_reason). At crawl scale (millions of domains) that
+    outgrows the driver, and a heavy-hitter sketch of domains per
+    drop_reason is the bounded replacement.
 
     ``chunk_size``: process and COMMIT that many partitions per
     pipeline run instead of all pending at once — a kill loses at most
@@ -137,8 +188,6 @@ def materialize_resumable(
     chunk maps to an input file group so chunking prunes at the read)."""
     import shutil
 
-    import pyarrow.parquet as pq
-
     reg = Registry(out_dir)
     done = reg.completed_partitions(version) if resume else set()
     all_parts = set(range(num_partitions))
@@ -146,24 +195,13 @@ def materialize_resumable(
     if not pending:
         return {"skipped": sorted(done), "written": [], "rows": 0}
     data_dir = os.path.join(out_dir, "data")
-
-    def _part_files(p: int) -> list[str]:
-        pdir = os.path.join(data_dir, f"part_id={p}")
-        if not os.path.isdir(pdir):
-            return []
-        return [
-            os.path.join(pdir, f)
-            for f in sorted(os.listdir(pdir))
-            if f.endswith(".parquet")
-        ]
+    os.makedirs(data_dir, exist_ok=True)  # ``out`` exists even when no row is written
+    partials: list[pa.Table] = []
 
     def _run_chunk(chunk: list[int]) -> dict[int, int]:
         keep = sorted(chunk)
 
         def _prune(tbl):
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
             mask = pc.is_in(tbl["part_id"], value_set=pa.array(keep, pa.int64()))
             return tbl.filter(mask)
 
@@ -172,21 +210,19 @@ def materialize_resumable(
         )
         if set(keep) != all_parts:
             ds = ds.map_batches(_prune, batch_format="pyarrow")
-        result = build_pipeline(ds)
-        result = result.map_batches(
-            _partition_by_key(key_col, num_partitions), batch_format="pyarrow"
-        )
         # idempotence: a partition is rewritten WHOLE — clear any orphan
         # files a killed previous run left in the uncommitted partitions
         for p in keep:
             shutil.rmtree(os.path.join(data_dir, f"part_id={p}"), ignore_errors=True)
-        result.write_parquet(data_dir, partition_cols=["part_id"])
-        # per-partition lineage: row counts from parquet footers
-        # (metadata only — no data read), recorded in the commit
-        rows = {
-            p: sum(pq.read_metadata(f).num_rows for f in _part_files(p))
-            for p in keep
-        }
+        sink = _PartitionedSink(data_dir, key_col, num_partitions, metrics_fn)
+        build_pipeline(ds).write_datasink(sink)
+        # per-partition lineage, counted by the write tasks themselves
+        rows = dict.fromkeys(keep, 0)
+        for task_rows, partial in sink.returns:
+            for p, n in task_rows.items():
+                rows[p] += n
+            if partial is not None:
+                partials.append(partial)
         reg.commit_partitions(keep, version, stats={"rows_out": rows})
         return rows
 
@@ -195,16 +231,10 @@ def materialize_resumable(
     for i in range(0, len(pending), step):
         part_rows.update(_run_chunk(pending[i : i + step]))
 
-    if metrics_fn is not None and pending:
-        # metrics over ONLY the freshly written partitions — reading
-        # the whole data_dir double-counted already-committed
-        # partitions on every resumed run (code-review r2 finding).
-        # Pass their FILES: Ray 2.49's read_parquet rejects a list of
-        # several partition directories ("... is a directory")
-        fresh_files = [f for p in pending for f in _part_files(p)]
-        if fresh_files:
-            written = ray.data.read_parquet(fresh_files)
-            reg.append_metrics(metrics_fn(written))
+    if partials:
+        # metrics over ONLY this run's fresh partitions: a resumed run
+        # never recounts the partitions committed before it
+        reg.append_metrics(metrics_fn.merge(partials))
     return {
         "skipped": sorted(done),
         "written": pending,

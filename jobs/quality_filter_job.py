@@ -53,7 +53,7 @@ def main(argv=None) -> int:
 
     import ray.data
 
-    from feast_ray.pipelines.quality_filter import quality_filter
+    from feast_ray.pipelines.quality_filter import PIPELINE_VERSION, quality_filter
     from feast_ray.state.registry import materialize_resumable
 
     def build(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -65,6 +65,7 @@ def main(argv=None) -> int:
         args.output,
         key_col="url",
         num_partitions=args.partitions,
+        version=PIPELINE_VERSION,
         resume=not args.no_resume,
     )
     print(json.dumps(result))

@@ -117,17 +117,24 @@ def test_dedup_picks_edited_recrawl(sf_small):
     assert sub["text_scrubbed"].str.endswith("updated edition").all()
 
 
-def test_quality_filter_job_smoke(tmp_path, sf_small, capsys):
+def test_quality_filter_job_smoke(tmp_path, sf_small, capsys, monkeypatch):
     """The production entry point end to end over a parquet pages
-    directory: a keep-only run writes one kept row per url, a second
-    run skips every committed partition, and the removed
-    ``--dedup-mode`` flag is an argparse error."""
+    directory: a keep-only run writes one kept row per url and stamps
+    the manifest with ``PIPELINE_VERSION``, a second run skips every
+    committed partition, a pipeline version bump rewrites every
+    partition, and the removed ``--dedup-mode`` flag is an argparse
+    error."""
+    import importlib
     import json
+    import os
 
     import pyarrow.parquet as pq
 
     from feast_ray.sources.webpages import webpages_parquet_dir
     from jobs.quality_filter_job import main
+
+    # the package re-exports the function under the module's name
+    qf_module = importlib.import_module("feast_ray.pipelines.quality_filter")
 
     pages = webpages_parquet_dir(sf_small, cache_root=str(tmp_path / "cache"))
     out = str(tmp_path / "out")
@@ -138,10 +145,18 @@ def test_quality_filter_job_smoke(tmp_path, sf_small, capsys):
     got = pq.read_table(first["out"]).to_pandas()
     assert len(got) > 0 and got["keep"].all()
     assert got["url"].is_unique
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert json.load(f)["version"] == qf_module.PIPELINE_VERSION
 
     assert main(argv) == 0
     second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert second["skipped"] == [0, 1] and second["written"] == []
+
+    monkeypatch.setattr(qf_module, "PIPELINE_VERSION", qf_module.PIPELINE_VERSION + "+bump")
+    assert main(argv) == 0
+    third = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert third["written"] == [0, 1] and third["skipped"] == []
+    assert pq.read_table(third["out"]).num_rows == len(got)  # rewritten, not appended
 
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--dedup-mode", "sketch"])

@@ -4,8 +4,10 @@ feature_view.py:482-491 apply_materialization,
 feature_store.py:2546-2630 materialize_incremental)."""
 
 import os
+import shutil
 
 import pyarrow.parquet as pq
+import pytest
 
 from feast_ray.pipelines import quality_filter
 from feast_ray.sources import synth_webpages
@@ -143,3 +145,121 @@ print("FULLY_DONE")
     tbl = pq.read_table(_os.path.join(out, "data"))
     urls = tbl["url"].to_pylist()
     assert len(urls) == len(set(urls)) == 500
+
+
+# --- the one-pass write: row counts, file layout and metrics come from
+# the write tasks, and must equal what a read-back of the files gives
+
+
+_METRIC_KEYS = ["domain", "drop_reason"]
+
+
+def _data_files(out: str, parts=None) -> list[str]:
+    import glob
+
+    files = sorted(glob.glob(os.path.join(out, "data", "part_id=*", "*.parquet")))
+    if parts is None:
+        return files
+    return [f for f in files if int(f.split("part_id=")[1].split(os.sep)[0]) in parts]
+
+
+def _assert_metrics_equal(got, exp):
+    import numpy as np
+    import pandas as pd
+
+    got = got.sort_values(_METRIC_KEYS).reset_index(drop=True)
+    exp = exp.sort_values(_METRIC_KEYS).reset_index(drop=True)
+    assert list(got.columns) == list(exp.columns)
+    assert (got.dtypes == exp.dtypes).all()
+    exact = _METRIC_KEYS + ["n_docs", "total_words"]
+    pd.testing.assert_frame_equal(got[exact], exp[exact])
+    np.testing.assert_allclose(got["avg_ppl"], exp["avg_ppl"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2])
+def test_write_pass_metrics_match_read_back(tmp_path, sf_small, chunk_size):
+    """The metrics the write tasks compute equal ``quality_metrics``
+    over a read-back of the written files; a resumed run counts only
+    its fresh partitions."""
+    import ray.data
+
+    from feast_ray.pipelines import quality_metrics
+
+    out = str(tmp_path / "mat")
+    mat = dict(num_partitions=4, metrics_fn=quality_metrics, chunk_size=chunk_size)
+    materialize_resumable(_build, synth_webpages(sf_small), out, **mat)
+    got = pq.read_table(os.path.join(out, "metrics")).to_pandas()
+    exp = quality_metrics(ray.data.read_parquet(_data_files(out))).to_pandas()
+    _assert_metrics_equal(got, exp)
+
+    reg = Registry(out)
+    m = reg.load()
+    m["completed_partitions"] = [0, 1]
+    reg.save(m)
+    shutil.rmtree(os.path.join(out, "metrics"))
+    res = materialize_resumable(_build, synth_webpages(sf_small), out, **mat)
+    assert res["written"] == [2, 3]
+    got = pq.read_table(os.path.join(out, "metrics")).to_pandas()
+    exp = quality_metrics(ray.data.read_parquet(_data_files(out, {2, 3}))).to_pandas()
+    _assert_metrics_equal(got, exp)
+    assert int(got["n_docs"].sum()) == res["rows_out"][2] + res["rows_out"][3]
+
+
+def test_rows_out_match_footers_and_empty_partition(tmp_path, sf_small):
+    """``rows_out[p]`` equals the parquet footer count of partition p; a
+    partition the pipeline leaves empty counts 0 and gets no directory."""
+    import pyarrow.compute as pc
+
+    def build(ds):
+        ds = ds.map_batches(
+            lambda t: t.filter(pc.not_equal(t["part_id"], 2)), batch_format="pyarrow"
+        )
+        return quality_filter(ds, validate_input=False)
+
+    out = str(tmp_path / "mat")
+    res = materialize_resumable(build, synth_webpages(sf_small), out, num_partitions=4)
+    assert res["rows_out"][2] == 0
+    assert not os.path.exists(os.path.join(out, "data", "part_id=2"))
+    for p in (0, 1, 3):
+        footer = sum(pq.read_metadata(f).num_rows for f in _data_files(out, {p}))
+        assert res["rows_out"][p] == footer > 0
+
+
+def test_partitioned_files_match_write_parquet(tmp_path, sf_small):
+    """The files hold no ``part_id`` column, and their hive read-back
+    equals Ray's ``write_parquet(partition_cols=["part_id"])`` of the
+    same rows."""
+    from feast_ray.state.registry import _partition_by_key
+
+    out = str(tmp_path / "mat")
+    materialize_resumable(_build, synth_webpages(sf_small), out, num_partitions=4)
+    assert all("part_id" not in pq.read_schema(f).names for f in _data_files(out))
+
+    ref = str(tmp_path / "ref")
+    _build(synth_webpages(sf_small)).map_batches(
+        _partition_by_key("url", 4), batch_format="pyarrow"
+    ).write_parquet(ref, partition_cols=["part_id"])
+    got = pq.read_table(os.path.join(out, "data")).sort_by("url")
+    exp = pq.read_table(ref).sort_by("url")
+    assert got.schema == exp.schema
+    assert got.equals(exp)
+
+
+def test_keep_only_nothing_kept_writes_nothing(tmp_path, sf_small):
+    """A keep-only run that keeps no row commits every partition with 0
+    rows and writes no data file and no metrics file."""
+    from feast_ray.pipelines import quality_metrics
+
+    def build(ds):
+        return quality_filter(ds, keep_only=True, validate_input=False).map_batches(
+            lambda t: t.slice(0, 0), batch_format="pyarrow"
+        )
+
+    out = str(tmp_path / "mat")
+    res = materialize_resumable(
+        build, synth_webpages(sf_small), out, num_partitions=4, metrics_fn=quality_metrics
+    )
+    assert res["rows_out"] == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert Registry(out).completed_partitions("v1") == {0, 1, 2, 3}
+    assert _data_files(out) == []
+    assert not os.path.exists(os.path.join(out, "metrics"))
