@@ -74,12 +74,11 @@ def connected_components(
     out_comp: str = "component",
     driver_max_edges: int = 5_000_000,
     max_iters: int = 50,
-    num_buckets: int = 32,
 ) -> ray.data.Dataset:
     """(node, component=min reachable id) for every node in ``pairs``.
 
-    ``num_buckets`` sizes the per-iteration join/reduce shuffle of the
-    distributed path — scale with the pair-graph size."""
+    The distributed path's per-iteration join and reduce size their
+    bucket counts from the input's bytes."""
     n_edges = pairs.count()
     if n_edges == 0:
         empty = pa.table(
@@ -98,7 +97,7 @@ def connected_components(
         )
     return _connected_components_distributed(
         pairs, id_a, id_b, out_node=out_node, out_comp=out_comp,
-        max_iters=max_iters, num_buckets=num_buckets,
+        max_iters=max_iters,
     )
 
 
@@ -110,7 +109,6 @@ def _connected_components_distributed(
     out_node: str,
     out_comp: str,
     max_iters: int,
-    num_buckets: int,
 ) -> ray.data.Dataset:
     """Iterative distributed label propagation (see module docstring)."""
     from feast_ray.stages.dedup import bucketed_group_reduce
@@ -143,7 +141,6 @@ def _connected_components_distributed(
         ),
         [out_node],
         _merge_min,
-        num_buckets=num_buckets,
     ).materialize()
 
     def _label_sum(ds: ray.data.Dataset) -> int:
@@ -162,13 +159,13 @@ def _connected_components_distributed(
             lambda t: pa.table({"src": t[out_node], "__msg": t[out_comp]}),
             batch_format="pyarrow",
         )
-        joined = hash_join(edges, lab_r, on="src", num_buckets=num_buckets)
+        joined = hash_join(edges, lab_r, on="src")
         msgs = joined.map_batches(
             lambda t: pa.table({out_node: t["dst"], out_comp: t["__msg"]}),
             batch_format="pyarrow",
         )
         labels_new = bucketed_group_reduce(
-            labels.union(msgs), [out_node], _merge_min, num_buckets=num_buckets
+            labels.union(msgs), [out_node], _merge_min
         ).materialize()
         total_new = _label_sum(labels_new)
         labels = labels_new

@@ -67,7 +67,6 @@ def common_line_hashes(
     id_col: str,
     text_col: str = "text",
     min_docs: int = 2,
-    num_buckets: int = 64,
 ) -> np.ndarray:
     """Sorted int64 hashes of lines occurring in ≥ min_docs docs."""
     from feast_ray.stages.dedup import bucketed_group_reduce
@@ -89,7 +88,7 @@ def common_line_hashes(
         )
         return g[g["n"] >= min_docs][["h"]]
 
-    common = bucketed_group_reduce(pairs, ["h"], _count, num_buckets=num_buckets)
+    common = bucketed_group_reduce(pairs, ["h"], _count)
     cdf = common.to_pandas()
     if "h" not in cdf.columns:  # no line met the threshold anywhere
         return np.array([], dtype=np.int64)
@@ -102,13 +101,12 @@ def line_dedup(
     text_col: str = "text",
     min_docs: int = 2,
     out_col: str | None = None,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Remove corpus-repeated lines from every document (see module
     docstring). Output column ``out_col`` (default: replace
     ``text_col``)."""
     out = out_col or text_col
-    common = common_line_hashes(ds, id_col, text_col, min_docs, num_buckets)
+    common = common_line_hashes(ds, id_col, text_col, min_docs)
     common_ref = ray.put(common)
 
     def _strip(tbl: pa.Table) -> pa.Table:

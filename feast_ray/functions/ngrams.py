@@ -20,8 +20,9 @@ Scale design — the explode-and-count shape done right:
   global sort.
 
 Partitioning assumption: distinct grams of one hash bucket fit in a
-worker's heap; scale ``num_buckets`` with vocabulary size (n-gram
-vocabularies grow sublinearly in corpus size past a few TB).
+worker's heap; the exchange sizes its bucket count from the input's
+bytes (n-gram vocabularies grow sublinearly in corpus size past a few
+TB).
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def ngram_top(
     text_col: str = "text",
     n: int = 3,
     k: int = 20,
-    *,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Global top-``k`` word ``n``-grams with counts, deterministic
     tie-break (count desc, gram asc)."""
@@ -94,7 +93,5 @@ def ngram_top(
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("gram", as_index=False, sort=False)["n"].sum()
 
-    counts = bucketed_group_reduce(
-        partial, ["gram"], _merge, num_buckets=num_buckets
-    )
+    counts = bucketed_group_reduce(partial, ["gram"], _merge)
     return topk(counts, ["n", "gram"], k, descending=[True, False])

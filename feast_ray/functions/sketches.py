@@ -207,7 +207,6 @@ def heavy_hitters(
     k: int = 10,
     *,
     capacity: int = 1024,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """EXACT global top-``k`` of an UNBOUNDED-vocabulary column in
     bounded memory — the frequent-items complement of the HLL/quantile
@@ -270,7 +269,6 @@ def heavy_hitters(
         lambda df: df.groupby("item", as_index=False, sort=False)["n"].sum()
         if "item" in df.columns and len(df)
         else pd.DataFrame({"item": [], "n": []}),
-        num_buckets=num_buckets,
     )
     cand = topk(
         counts1, ["n", "item"], max(2 * capacity, k), descending=[True, False]

@@ -81,7 +81,6 @@ def tfidf_top_terms(
     text_col: str = "text",
     k: int = 3,
     *,
-    num_buckets: int = 64,
     broadcast_max_terms: int = 50_000_000,
 ) -> ray.data.Dataset:
     """Each doc's top-``k`` terms by tf-idf (tie-break term asc).
@@ -107,13 +106,10 @@ def tfidf_top_terms(
         partial,
         ["term"],
         lambda d: d.groupby("term", as_index=False, sort=False)["df"].sum(),
-        num_buckets=num_buckets,
     ).materialize()
     n_terms = df_ds.count()
     if n_terms > broadcast_max_terms:
-        return _tfidf_distributed(
-            mat, df_ds, n_docs, id_col, text_col, k, num_buckets
-        )
+        return _tfidf_distributed(mat, df_ds, n_docs, id_col, text_col, k)
     df_pdf = df_ds.to_pandas()
     df_ref = ray.put(
         pd.Series(df_pdf["df"].to_numpy(), index=df_pdf["term"]).sort_index()
@@ -146,7 +142,6 @@ def _tfidf_distributed(
     id_col: str,
     text_col: str,
     k: int,
-    num_buckets: int,
 ) -> ray.data.Dataset:
     """Beyond-the-broadcast-cap tf-idf: df stays a distributed table.
 
@@ -174,7 +169,6 @@ def _tfidf_distributed(
         pairs,
         df_ds,
         on="term",
-        num_buckets=num_buckets,
         left_schema=pa.schema(
             [("doc_id", id_type), ("term", pa.string()), ("tf", pa.int64())]
         ),
@@ -192,5 +186,4 @@ def _tfidf_distributed(
         pruned,
         ["doc_id"],
         lambda d: _score_topk(d, n_docs, k),
-        num_buckets=num_buckets,
     )

@@ -181,10 +181,7 @@ def quality_filter(
     )
 
     # latest crawl per url — PIT invariant analog (SURVEY.md §2.2)
-    import ray as _ray
-
-    ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-    ds = keep_latest(ds, ["url"], "warc_ts", num_buckets=max(64, 8 * ncpu))
+    ds = keep_latest(ds, ["url"], "warc_ts")
 
     # one fused model stage: stats + langid + ppl + rules + scrub
     # (scrub skips dropped rows via only_where="keep"). Stateless tasks

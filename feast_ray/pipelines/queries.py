@@ -1,7 +1,12 @@
 """The engine's query catalog: every implemented operator/pipeline as a
-callable over an sf_dir, each paired (where SQL-expressible) with a
-DuckDB oracle in ``oracle_sql()`` — the reference's golden-oracle test
-pattern (tests/utils/feature_records.py) wired into the driver contract.
+callable over an sf_dir, each paired with a DuckDB oracle in
+``oracle_sql()`` — the reference's golden-oracle test pattern
+(tests/utils/feature_records.py) wired into the driver contract.
+
+A query is registered by its name: ``QUERIES`` holds every module-level
+``q<NN>_<what>`` function in id order, and its oracle is the SQL source
+with the same number, ``_Q<NN>_SQL`` or ``_q<NN>_sql()``. Import fails
+if a query has no source, a source has no query, or a number repeats.
 
 Float determinism convention (bit-exact across engines): aggregate
 sums over decimal columns are computed on integer "cents"
@@ -15,6 +20,7 @@ formulas on both sides.
 from __future__ import annotations
 
 import os
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -4481,6 +4487,10 @@ def q90_ann_ivfpq_opq(sf_dir: str):
     return _ivfpq_query(sf_dir, opq=True)
 
 
+def _q90_sql() -> str:
+    return _q81_sql("ivfpq_opq")
+
+
 def _ivfpq_query(sf_dir: str, *, opq: bool, joint: bool = False):
     import shutil
 
@@ -8367,6 +8377,10 @@ def q135_ann_ivfpq_opq_joint(sf_dir: str):
     byte-identical to q81/q90 and the same dump-doctrine SQL oracle
     applies with ``ivfpq_opqj_*`` files."""
     return _ivfpq_query(sf_dir, opq=True, joint=True)
+
+
+def _q135_sql() -> str:
+    return _q81_sql("ivfpq_opqj")
 
 
 def q136_bfs_levels(sf_dir: str):
@@ -17076,538 +17090,42 @@ from f group by lang
 """
 
 
-QUERIES = {
-    "q01_pricing_summary": q01_pricing_summary,
-    "q02_revenue_by_nation": q02_revenue_by_nation,
-    "q03_top_customers": q03_top_customers,
-    "q04_filter_orders": q04_filter_orders,
-    "q05_distinct_segments": q05_distinct_segments,
-    "q06_union_nationkeys": q06_union_nationkeys,
-    "q07_latest_event_per_user": q07_latest_event_per_user,
-    "q08_asof_click_before_purchase": q08_asof_click_before_purchase,
-    "q09_pit_ttl_join": q09_pit_ttl_join,
-    "q10_hourly_user_activity": q10_hourly_user_activity,
-    "q11_event_type_stats": q11_event_type_stats,
-    "q12_users_per_type": q12_users_per_type,
-    "q13_sliding_activity": q13_sliding_activity,
-    "q14_revenue_by_region_segment": q14_revenue_by_region_segment,
-    "q15_doc_stats": q15_doc_stats,
-    "q16_quality_filter_docs": q16_quality_filter_docs,
-    "q17_tokens_by_source": q17_tokens_by_source,
-    "q18_lang_stats": q18_lang_stats,
-    "q19_exact_dedup_docs": q19_exact_dedup_docs,
-    "q20_pii_scrub_docs": q20_pii_scrub_docs,
-    "q21_ann_cosine_topk": q21_ann_cosine_topk,
-    "q22_embedding_neardup": q22_embedding_neardup,
-    "q23_langid_docs": q23_langid_docs,
-    "q24_perplexity_docs": q24_perplexity_docs,
-    "q25_minhash_dedup_docs": q25_minhash_dedup_docs,
-    "q26_simhash_dups_docs": q26_simhash_dups_docs,
-    "q27_fingerprints_docs": q27_fingerprints_docs,
-    "q28_quality_pipeline_pages": q28_quality_pipeline_pages,
-    "q29_ann_ivf": q29_ann_ivf,
-    "q30_multimodal_decode": q30_multimodal_decode,
-    "q31_hash_join_lineitem_orders": q31_hash_join_lineitem_orders,
-    "q32_copartitioned_asof": q32_copartitioned_asof,
-    "q33_chunk_docs": q33_chunk_docs,
-    "q34_chunk_embed": q34_chunk_embed,
-    "q35_dqm_profile": q35_dqm_profile,
-    "q36_store_pit_retrieval": q36_store_pit_retrieval,
-    "q37_semi_join_orders": q37_semi_join_orders,
-    "q38_anti_join_orders": q38_anti_join_orders,
-    "q39_top_sources": q39_top_sources,
-    "q40_approx_distinct_users": q40_approx_distinct_users,
-    "q41_approx_value_quantiles": q41_approx_value_quantiles,
-    "q42_regex_search_docs": q42_regex_search_docs,
-    "q43_budget_sample_docs": q43_budget_sample_docs,
-    "q44_delta_events": q44_delta_events,
-    "q45_read_sql_orders": q45_read_sql_orders,
-    "q46_sql_transform_events": q46_sql_transform_events,
-    "q47_interval_join_attribution": q47_interval_join_attribution,
-    "q48_decontaminate_docs": q48_decontaminate_docs,
-    "q49_store_pit_distributed": q49_store_pit_distributed,
-    "q50_stratified_sample": q50_stratified_sample,
-    "q51_minhash_components": q51_minhash_components,
-    "q52_canonical_urls": q52_canonical_urls,
-    "q53_line_dedup": q53_line_dedup,
-    "q54_minhash_dedup_best": q54_minhash_dedup_best,
-    "q55_host_quota": q55_host_quota,
-    "q56_pack_sequences": q56_pack_sequences,
-    "q57_normalize_text": q57_normalize_text,
-    "q58_top_trigrams": q58_top_trigrams,
-    "q59_tfidf_top_terms": q59_tfidf_top_terms,
-    "q60_pii_audit": q60_pii_audit,
-    "q61_paragraph_dedup": q61_paragraph_dedup,
-    "q62_bloom_incremental_dedup": q62_bloom_incremental_dedup,
-    "q63_duplicate_span_removal": q63_duplicate_span_removal,
-    "q64_rebalance_mix": q64_rebalance_mix,
-    "q65_shard_shuffle": q65_shard_shuffle,
-    "q66_domain_blocklist": q66_domain_blocklist,
-    "q67_pretraining_corpus": q67_pretraining_corpus,
-    "q68_bloom_partitioned": q68_bloom_partitioned,
-    "q69_heavy_hitters": q69_heavy_hitters,
-    "q70_priority_with_discounted_lines": q70_priority_with_discounted_lines,
-    "q71_rich_customers_without_orders": q71_rich_customers_without_orders,
-    "q72_supplier_variety_by_brand": q72_supplier_variety_by_brand,
-    "q73_fine_slide_activity": q73_fine_slide_activity,
-    "q74_session_windows": q74_session_windows,
-    "q75_expectation_suite": q75_expectation_suite,
-    "q76_substrait_transform": q76_substrait_transform,
-    "q77_priority_lines_by_flag": q77_priority_lines_by_flag,
-    "q78_disjunctive_predicates": q78_disjunctive_predicates,
-    "q79_top_supplier": q79_top_supplier,
-    "q80_real_embed": q80_real_embed,
-    "q81_ann_ivfpq": q81_ann_ivfpq,
-    "q82_large_volume_orders": q82_large_volume_orders,
-    "q83_lone_late_supplier": q83_lone_late_supplier,
-    "q84_rag_retrieval": q84_rag_retrieval,
-    "q85_dense_slide_metrics": q85_dense_slide_metrics,
-    "q86_local_supplier_volume": q86_local_supplier_volume,
-    "q87_returned_item_customers": q87_returned_item_customers,
-    "q88_ann_ivfpq_rerank": q88_ann_ivfpq_rerank,
-    "q89_video_frame_sampling": q89_video_frame_sampling,
-    "q90_ann_ivfpq_opq": q90_ann_ivfpq_opq,
-    "q91_semantic_dedup": q91_semantic_dedup,
-    "q92_dsir_selection": q92_dsir_selection,
-    "q93_quality_classifier": q93_quality_classifier,
-    "q94_bpe_tokenize": q94_bpe_tokenize,
-    "q95_langid_classifier": q95_langid_classifier,
-    "q96_bpe_pack": q96_bpe_pack,
-    "q97_ccnet_perplexity": q97_ccnet_perplexity,
-    "q98_temperature_mix": q98_temperature_mix,
-    "q99_ann_sq8": q99_ann_sq8,
-    "q100_compressibility": q100_compressibility,
-    "q101_wet_ingest": q101_wet_ingest,
-    "q102_trained_quality_pipeline": q102_trained_quality_pipeline,
-    "q103_audio_decode": q103_audio_decode,
-    "q104_ann_hnsw": q104_ann_hnsw,
-    "q105_pagerank": q105_pagerank,
-    "q106_leakage_safe_split": q106_leakage_safe_split,
-    "q107_cdc_dedup": q107_cdc_dedup,
-    "q108_c4_span_dedup": q108_c4_span_dedup,
-    "q109_topp_calibration": q109_topp_calibration,
-    "q110_rollup": q110_rollup,
-    "q111_window_funcs": q111_window_funcs,
-    "q112_audio_legacy": q112_audio_legacy,
-    "q113_audio_flac": q113_audio_flac,
-    "q114_cube": q114_cube,
-    "q115_pivot": q115_pivot,
-    "q116_full_outer_join": q116_full_outer_join,
-    "q117_grouping_sets": q117_grouping_sets,
-    "q118_window_rank": q118_window_rank,
-    "q119_grouped_percentile": q119_grouped_percentile,
-    "q120_inverted_index": q120_inverted_index,
-    "q121_bm25_search": q121_bm25_search,
-    "q122_fuzzy_ed1_join": q122_fuzzy_ed1_join,
-    "q123_orc_source": q123_orc_source,
-    "q124_phrase_search": q124_phrase_search,
-    "q125_dictionary_tag": q125_dictionary_tag,
-    "q126_funnel": q126_funnel,
-    "q127_jaccard_join": q127_jaccard_join,
-    "q128_scd2_intervals": q128_scd2_intervals,
-    "q129_triangle_count": q129_triangle_count,
-    "q130_json_extract": q130_json_extract,
-    "q131_drift_psi": q131_drift_psi,
-    "q132_global_sort_rank": q132_global_sort_rank,
-    "q133_user_journey": q133_user_journey,
-    "q134_hybrid_rrf": q134_hybrid_rrf,
-    "q135_ann_ivfpq_opq_joint": q135_ann_ivfpq_opq_joint,
-    "q136_bfs_levels": q136_bfs_levels,
-    "q137_weighted_sample": q137_weighted_sample,
-    "q138_intersect_except": q138_intersect_except,
-    "q139_zscore": q139_zscore,
-    "q140_feature_corr": q140_feature_corr,
-    "q141_iqr_outliers": q141_iqr_outliers,
-    "q142_grouped_percentile_cont": q142_grouped_percentile_cont,
-    "q143_grouped_mode": q143_grouped_mode,
-    "q144_window_pct": q144_window_pct,
-    "q145_spearman": q145_spearman,
-    "q146_transition_matrix": q146_transition_matrix,
-    "q147_cohort_retention": q147_cohort_retention,
-    "q148_ipc_source": q148_ipc_source,
-    "q149_ewma": q149_ewma,
-    "q150_salted_skew_join": q150_salted_skew_join,
-    "q151_watermark_filter": q151_watermark_filter,
-    "q152_mad_robust": q152_mad_robust,
-    "q153_trend_slope": q153_trend_slope,
-    "q154_entity_resolution": q154_entity_resolution,
-    "q155_chi_square": q155_chi_square,
-    "q156_ks_test": q156_ks_test,
-    "q157_registrable_domains": q157_registrable_domains,
-    "q158_zorder_layout": q158_zorder_layout,
-    "q159_zonemap_scan": q159_zonemap_scan,
-    "q160_roc_auc": q160_roc_auc,
-    "q161_schema_evolution": q161_schema_evolution,
-    "q162_dim_stats": q162_dim_stats,
-    "q163_unpivot": q163_unpivot,
-    "q164_bloom_join": q164_bloom_join,
-    "q165_iceberg_events": q165_iceberg_events,
-    "q166_seq_pattern": q166_seq_pattern,
-    "q167_cov_block": q167_cov_block,
-    "q168_robots_policy": q168_robots_policy,
-    "q169_kmeans": q169_kmeans,
-    "q170_source_overlap": q170_source_overlap,
-    "q171_nearest_asof": q171_nearest_asof,
-    "q172_cooccurrence": q172_cooccurrence,
-    "q173_weighted_median": q173_weighted_median,
-    "q174_count_min": q174_count_min,
-    "q175_skyline": q175_skyline,
-    "q176_interval_islands": q176_interval_islands,
-    "q177_apportion": q177_apportion,
-    "q178_snapshot_diff": q178_snapshot_diff,
-    "q179_filtered_ann": q179_filtered_ann,
-    "q180_sequence_gaps": q180_sequence_gaps,
-    "q181_mmr_rerank": q181_mmr_rerank,
-    "q182_maxsim_retrieval": q182_maxsim_retrieval,
-    "q183_trimmed_mean": q183_trimmed_mean,
-    "q184_kendall": q184_kendall,
-    "q185_log_histogram": q185_log_histogram,
-    "q186_proportional_sample": q186_proportional_sample,
-    "q187_resample_lerp": q187_resample_lerp,
-    "q188_spatial_join": q188_spatial_join,
-    "q189_corpus_digest": q189_corpus_digest,
-    "q190_join_cardinality": q190_join_cardinality,
-    "q191_welch_ttest": q191_welch_ttest,
-    "q192_lexical_diversity": q192_lexical_diversity,
-    "q193_assoc_rules": q193_assoc_rules,
-    "q194_containment_join": q194_containment_join,
-    "q195_incremental_view": q195_incremental_view,
-    "q196_benford": q196_benford,
-    "q197_ann_recall_eval": q197_ann_recall_eval,
-    "q198_neardup_eval": q198_neardup_eval,
-    "q199_cusum_changepoint": q199_cusum_changepoint,
-    "q200_curation_funnel": q200_curation_funnel,
-    "q201_multi_ols": q201_multi_ols,
-    "q202_rows_frame_window": q202_rows_frame_window,
-    "q203_range_frame_window": q203_range_frame_window,
-    "q204_value_window_funcs": q204_value_window_funcs,
-    "q205_anova_f": q205_anova_f,
-    "q206_hellinger_sources": q206_hellinger_sources,
-    "q207_wilson_keep_rate": q207_wilson_keep_rate,
-    "q208_bootstrap_ci": q208_bootstrap_ci,
-    "q209_token_budget_select": q209_token_budget_select,
-    "q210_hits": q210_hits,
-    "q211_clf_calibration": q211_clf_calibration,
-    "q212_ffd_packing": q212_ffd_packing,
-    "q213_partition_balance": q213_partition_balance,
-    "q214_neyman_allocation": q214_neyman_allocation,
-    "q215_linear_attribution": q215_linear_attribution,
-    "q216_neighbor_smoothing": q216_neighbor_smoothing,
-    "q217_jl_projection": q217_jl_projection,
-    "q218_vocab_coverage": q218_vocab_coverage,
-    "q219_oov_rate": q219_oov_rate,
-    "q220_interarrival": q220_interarrival,
-    "q221_coverage_select": q221_coverage_select,
-    "q222_source_minhash_sim": q222_source_minhash_sim,
-    "q223_fk_integrity": q223_fk_integrity,
-    "q224_cumulative_users": q224_cumulative_users,
-    "q225_rule_clf_agreement": q225_rule_clf_agreement,
-    "q226_time_to_convert": q226_time_to_convert,
-    "q227_dup_cluster_sizes": q227_dup_cluster_sizes,
-    "q228_session_length_dist": q228_session_length_dist,
-    "q229_churned_users": q229_churned_users,
-    "q230_late_fulfilment": q230_late_fulfilment,
-    "q231_gini_revenue": q231_gini_revenue,
-    "q232_rolling_anomaly": q232_rolling_anomaly,
-    "q233_heaps_curve": q233_heaps_curve,
-    "q234_degree_assortativity": q234_degree_assortativity,
-    "q235_label_centroids": q235_label_centroids,
-    "q236_markov_stationary": q236_markov_stationary,
-    "q237_cross_source_dups": q237_cross_source_dups,
-    "q238_diurnal_profile": q238_diurnal_profile,
-    "q239_rfm_segments": q239_rfm_segments,
-    "q240_term_drift": q240_term_drift,
-    "q241_brand_return_rates": q241_brand_return_rates,
-    "q242_session_type_affinity": q242_session_type_affinity,
-    "q243_cocitation": q243_cocitation,
-    "q244_bib_coupling": q244_bib_coupling,
-    "q245_usable_tokens_by_lang": q245_usable_tokens_by_lang,
-}
+# ------------------------------------------------------------- catalog
+# (registration by name: see the module docstring)
 
-# Driver-gate ordering (VERDICT r3 #1, rotated per r4 #3): the
-# driver's correctness gate records a hard cap of 50 entries per
-# round, taken from the FRONT of this dict. Rotate each round so the
-# 50-entry window always covers the queries with the least recent
-# driver-side evidence. Round-5 rotation: q13–q50 first (no r4 driver
-# record — completes the rolling driver check of q01–q88), then q73
-# (the fixed r4 dtype regression — its green hash must land in
-# CORRECTNESS_r05) and q80 (newly oracled this round). The remaining
-# slots go to the round-5 queries (q89+, none ever driver-checked);
-# since there are more of them than slots, a stride-7 sample
-# (q89, q96, …, q152 — exactly the 10 free slots) fills the window
-# first so the driver artifact spans the ENTIRE new surface end to
-# end rather than just its head.
-# Within each tier, ascending id keeps runs reproducible.
-import re as _re
+_QUERY_NAME = re.compile(r"q(\d+)_\w+")
+_SQL_NAME = re.compile(r"_Q(\d+)_SQL|_q(\d+)_sql")
 
 
-def _gate_priority(k: str) -> tuple:
-    n = int(_re.match(r"q(\d+)", k).group(1))
-    if 13 <= n <= 50:
-        tier = 0
-    elif n in (73, 80):
-        tier = 1
-    elif n >= 89:
-        tier = 1 if (n - 89) % 7 == 0 else 2
-    elif n >= 51:
-        tier = 3
-    else:
-        tier = 4
-    return (tier, n)
+def _by_number(ns: dict, pattern: re.Pattern, what: str) -> dict[int, str]:
+    out: dict[int, str] = {}
+    for name in ns:
+        m = pattern.fullmatch(name)
+        if m is None:
+            continue
+        n = int(next(g for g in m.groups() if g is not None))
+        if n in out:
+            raise RuntimeError(f"{what} {out[n]} and {name} share the number {n}")
+        out[n] = name
+    return out
 
 
-QUERIES = {k: QUERIES[k] for k in sorted(QUERIES, key=_gate_priority)}
+def _catalog(ns: dict) -> tuple[dict, dict]:
+    """(queries, SQL sources) from a module namespace, both keyed by
+    query name in id order. Raises when a query has no SQL source, two
+    queries or two sources share a number, or a source has no query."""
+    qs = _by_number(ns, _QUERY_NAME, "queries")
+    srcs = _by_number(ns, _SQL_NAME, "SQL sources")
+    if missing := sorted(qs.keys() - srcs.keys()):
+        raise RuntimeError(f"no _Q<NN>_SQL or _q<NN>_sql for {[qs[n] for n in missing]}")
+    if orphans := sorted(srcs.keys() - qs.keys()):
+        raise RuntimeError(f"SQL sources with no query: {[srcs[n] for n in orphans]}")
+    ids = sorted(qs)
+    return {qs[n]: ns[qs[n]] for n in ids}, {qs[n]: ns[srcs[n]] for n in ids}
+
+
+QUERIES, _SQL_SOURCES = _catalog(globals())
 
 
 def oracle_sql() -> dict[str, str]:
-    sql = {
-        "q01_pricing_summary": _Q01_SQL,
-        "q02_revenue_by_nation": _Q02_SQL,
-        "q03_top_customers": _Q03_SQL,
-        "q04_filter_orders": _Q04_SQL,
-        "q05_distinct_segments": _Q05_SQL,
-        "q06_union_nationkeys": _Q06_SQL,
-        "q07_latest_event_per_user": _Q07_SQL,
-        "q08_asof_click_before_purchase": _Q08_SQL,
-        "q09_pit_ttl_join": _Q09_SQL,
-        "q10_hourly_user_activity": _Q10_SQL,
-        "q11_event_type_stats": _Q11_SQL,
-        "q12_users_per_type": _Q12_SQL,
-        "q13_sliding_activity": _Q13_SQL,
-        "q14_revenue_by_region_segment": _Q14_SQL,
-        "q15_doc_stats": _Q15_SQL,
-        "q16_quality_filter_docs": _Q16_SQL,
-        "q17_tokens_by_source": _Q17_SQL,
-        "q18_lang_stats": _Q18_SQL,
-        "q19_exact_dedup_docs": _Q19_SQL,
-        "q20_pii_scrub_docs": _q20_sql(),
-        "q21_ann_cosine_topk": _Q21_SQL,
-        "q22_embedding_neardup": _Q22_SQL,
-        "q23_langid_docs": _q23_sql(),
-        "q24_perplexity_docs": _q24_sql(),
-        "q25_minhash_dedup_docs": _q25_sql(),
-        "q26_simhash_dups_docs": _q26_sql(),
-        "q27_fingerprints_docs": _q27_sql(),
-        "q28_quality_pipeline_pages": _q28_sql(),
-        "q29_ann_ivf": _q29_sql(),
-        "q30_multimodal_decode": _q30_sql(),
-        "q80_real_embed": _q80_sql(),
-        "q81_ann_ivfpq": _q81_sql(),
-        "q82_large_volume_orders": _Q82_SQL,
-        "q83_lone_late_supplier": _Q83_SQL,
-        "q84_rag_retrieval": _q84_sql(),
-        "q85_dense_slide_metrics": _Q85_SQL,
-        "q86_local_supplier_volume": _Q86_SQL,
-        "q87_returned_item_customers": _Q87_SQL,
-        "q88_ann_ivfpq_rerank": _Q88_SQL,
-        "q89_video_frame_sampling": _q89_sql(),
-        "q90_ann_ivfpq_opq": _q81_sql("ivfpq_opq"),
-        "q91_semantic_dedup": _Q91_SQL,
-        "q92_dsir_selection": _q92_sql(),
-        "q93_quality_classifier": _q93_sql(),
-        "q94_bpe_tokenize": _q94_sql(),
-        "q95_langid_classifier": _q95_sql(),
-        "q96_bpe_pack": _q96_sql(),
-        "q97_ccnet_perplexity": _q97_sql(),
-        "q98_temperature_mix": _q98_sql(),
-        "q99_ann_sq8": _q99_sql(),
-        "q100_compressibility": _q100_sql(),
-        "q101_wet_ingest": _Q101_SQL,
-        "q102_trained_quality_pipeline": _q102_sql(),
-        "q103_audio_decode": _q103_sql(),
-        "q104_ann_hnsw": _q104_sql(),
-        "q105_pagerank": _q105_sql(),
-        "q106_leakage_safe_split": _q106_sql(),
-        "q107_cdc_dedup": _q107_sql(),
-        "q108_c4_span_dedup": _Q108_SQL,
-        "q109_topp_calibration": _Q109_SQL,
-        "q110_rollup": _Q110_SQL,
-        "q111_window_funcs": _Q111_SQL,
-        "q112_audio_legacy": _q112_sql(),
-        "q113_audio_flac": _q113_sql(),
-        "q114_cube": _Q114_SQL,
-        "q115_pivot": _Q115_SQL,
-        "q116_full_outer_join": _Q116_SQL,
-        "q117_grouping_sets": _Q117_SQL,
-        "q118_window_rank": _Q118_SQL,
-        "q119_grouped_percentile": _Q119_SQL,
-        "q120_inverted_index": _Q120_SQL,
-        "q121_bm25_search": _Q121_SQL,
-        "q122_fuzzy_ed1_join": _Q122_SQL,
-        "q123_orc_source": _Q123_SQL,
-        "q124_phrase_search": _Q124_SQL,
-        "q125_dictionary_tag": _Q125_SQL,
-        "q126_funnel": _Q126_SQL,
-        "q127_jaccard_join": _Q127_SQL,
-        "q128_scd2_intervals": _Q128_SQL,
-        "q129_triangle_count": _Q129_SQL,
-        "q130_json_extract": _Q130_SQL,
-        "q131_drift_psi": _Q131_SQL,
-        "q132_global_sort_rank": _Q132_SQL,
-        "q133_user_journey": _Q133_SQL,
-        "q134_hybrid_rrf": _Q134_SQL,
-        "q135_ann_ivfpq_opq_joint": _q81_sql(tag="ivfpq_opqj"),
-        "q136_bfs_levels": _Q136_SQL,
-        "q137_weighted_sample": _q137_sql(),
-        "q138_intersect_except": _Q138_SQL,
-        "q139_zscore": _Q139_SQL,
-        "q140_feature_corr": _Q140_SQL,
-        "q141_iqr_outliers": _Q141_SQL,
-        "q142_grouped_percentile_cont": _Q142_SQL,
-        "q143_grouped_mode": _Q143_SQL,
-        "q144_window_pct": _Q144_SQL,
-        "q145_spearman": _Q145_SQL,
-        "q146_transition_matrix": _Q146_SQL,
-        "q147_cohort_retention": _Q147_SQL,
-        "q148_ipc_source": _Q148_SQL,
-        "q149_ewma": _Q149_SQL,
-        "q150_salted_skew_join": _Q150_SQL,
-        "q151_watermark_filter": _Q151_SQL,
-        "q152_mad_robust": _Q152_SQL,
-        "q153_trend_slope": _Q153_SQL,
-        "q154_entity_resolution": _Q154_SQL,
-        "q155_chi_square": _Q155_SQL,
-        "q156_ks_test": _Q156_SQL,
-        "q157_registrable_domains": _Q157_SQL,
-        "q158_zorder_layout": _q158_sql(),
-        "q159_zonemap_scan": _Q159_SQL,
-        "q160_roc_auc": _Q160_SQL,
-        "q161_schema_evolution": _Q161_SQL,
-        "q162_dim_stats": _Q162_SQL,
-        "q163_unpivot": _Q163_SQL,
-        "q164_bloom_join": _Q164_SQL,
-        "q165_iceberg_events": _Q165_SQL,
-        "q166_seq_pattern": _Q166_SQL,
-        "q167_cov_block": _q167_sql(),
-        "q168_robots_policy": _Q168_SQL,
-        "q169_kmeans": _q169_sql(),
-        "q170_source_overlap": _Q170_SQL,
-        "q171_nearest_asof": _Q171_SQL,
-        "q172_cooccurrence": _Q172_SQL,
-        "q173_weighted_median": _Q173_SQL,
-        "q174_count_min": _q174_sql(),
-        "q175_skyline": _Q175_SQL,
-        "q176_interval_islands": _Q176_SQL,
-        "q177_apportion": _Q177_SQL,
-        "q178_snapshot_diff": _Q178_SQL,
-        "q179_filtered_ann": _Q179_SQL,
-        "q180_sequence_gaps": _Q180_SQL,
-        "q181_mmr_rerank": _Q181_SQL,
-        "q182_maxsim_retrieval": _q182_sql(),
-        "q183_trimmed_mean": _Q183_SQL,
-        "q184_kendall": _Q184_SQL,
-        "q185_log_histogram": _Q185_SQL,
-        "q186_proportional_sample": _q186_sql(),
-        "q187_resample_lerp": _Q187_SQL,
-        "q188_spatial_join": _Q188_SQL,
-        "q189_corpus_digest": _q189_sql(),
-        "q190_join_cardinality": _q190_sql(),
-        "q191_welch_ttest": _Q191_SQL,
-        "q192_lexical_diversity": _Q192_SQL,
-        "q193_assoc_rules": _Q193_SQL,
-        "q194_containment_join": _Q194_SQL,
-        "q195_incremental_view": _Q195_SQL,
-        "q196_benford": _Q196_SQL,
-        "q197_ann_recall_eval": _q197_sql(),
-        "q198_neardup_eval": _q198_sql(),
-        "q199_cusum_changepoint": _Q199_SQL,
-        "q200_curation_funnel": _Q200_SQL,
-        "q201_multi_ols": _Q201_SQL,
-        "q202_rows_frame_window": _Q202_SQL,
-        "q203_range_frame_window": _Q203_SQL,
-        "q204_value_window_funcs": _Q204_SQL,
-        "q205_anova_f": _Q205_SQL,
-        "q206_hellinger_sources": _Q206_SQL,
-        "q207_wilson_keep_rate": _Q207_SQL,
-        "q208_bootstrap_ci": _q208_sql(),
-        "q209_token_budget_select": _Q209_SQL,
-        "q210_hits": _q210_sql(),
-        "q211_clf_calibration": _q211_sql(),
-        "q212_ffd_packing": _q212_sql(),
-        "q213_partition_balance": _q213_sql(),
-        "q214_neyman_allocation": _Q214_SQL,
-        "q215_linear_attribution": _Q215_SQL,
-        "q216_neighbor_smoothing": _Q216_SQL,
-        "q217_jl_projection": _q217_sql(),
-        "q218_vocab_coverage": _Q218_SQL,
-        "q219_oov_rate": _Q219_SQL,
-        "q220_interarrival": _Q220_SQL,
-        "q221_coverage_select": _q221_sql(),
-        "q222_source_minhash_sim": _q222_sql(),
-        "q223_fk_integrity": _Q223_SQL,
-        "q224_cumulative_users": _Q224_SQL,
-        "q225_rule_clf_agreement": _q225_sql(),
-        "q226_time_to_convert": _Q226_SQL,
-        "q227_dup_cluster_sizes": _q227_sql(),
-        "q228_session_length_dist": _Q228_SQL,
-        "q229_churned_users": _Q229_SQL,
-        "q230_late_fulfilment": _Q230_SQL,
-        "q231_gini_revenue": _Q231_SQL,
-        "q232_rolling_anomaly": _Q232_SQL,
-        "q233_heaps_curve": _Q233_SQL,
-        "q234_degree_assortativity": _Q234_SQL,
-        "q235_label_centroids": _Q235_SQL,
-        "q236_markov_stationary": _q236_sql(),
-        "q237_cross_source_dups": _Q237_SQL,
-        "q238_diurnal_profile": _Q238_SQL,
-        "q239_rfm_segments": _Q239_SQL,
-        "q240_term_drift": _Q240_SQL,
-        "q241_brand_return_rates": _Q241_SQL,
-        "q242_session_type_affinity": _Q242_SQL,
-        "q243_cocitation": _Q243_SQL,
-        "q244_bib_coupling": _Q244_SQL,
-        "q245_usable_tokens_by_lang": _Q245_SQL,
-        "q31_hash_join_lineitem_orders": _Q31_SQL,
-        "q32_copartitioned_asof": _Q32_SQL,
-        "q33_chunk_docs": _Q33_SQL,
-        "q34_chunk_embed": _q34_sql(),
-        "q35_dqm_profile": _Q35_SQL,
-        "q36_store_pit_retrieval": _Q36_SQL,
-        "q37_semi_join_orders": _Q37_SQL,
-        "q38_anti_join_orders": _Q38_SQL,
-        "q39_top_sources": _Q39_SQL,
-        "q40_approx_distinct_users": _q40_sql(),
-        "q41_approx_value_quantiles": _Q41_SQL,
-        "q42_regex_search_docs": _Q42_SQL,
-        "q43_budget_sample_docs": _Q43_SQL,
-        "q44_delta_events": _Q44_SQL,
-        "q45_read_sql_orders": _Q45_SQL,
-        "q46_sql_transform_events": _Q46_SQL,
-        "q47_interval_join_attribution": _Q47_SQL,
-        "q48_decontaminate_docs": _q48_sql(),
-        "q49_store_pit_distributed": _Q49_SQL,
-        "q50_stratified_sample": _q50_sql(),
-        "q51_minhash_components": _q51_sql(),
-        "q52_canonical_urls": _q52_sql(),
-        "q53_line_dedup": _Q53_SQL,
-        "q54_minhash_dedup_best": _q54_sql(),
-        "q55_host_quota": _Q55_SQL,
-        "q56_pack_sequences": _Q56_SQL,
-        "q57_normalize_text": _Q57_SQL,
-        "q58_top_trigrams": _Q58_SQL,
-        "q59_tfidf_top_terms": _Q59_SQL,
-        "q60_pii_audit": _q60_sql(),
-        "q61_paragraph_dedup": _Q61_SQL,
-        "q62_bloom_incremental_dedup": _q62_sql(),
-        "q63_duplicate_span_removal": _Q63_SQL,
-        "q64_rebalance_mix": _q64_sql(),
-        "q65_shard_shuffle": _q65_sql(),
-        "q66_domain_blocklist": _q66_sql(),
-        "q67_pretraining_corpus": _q67_sql(),
-        "q68_bloom_partitioned": _q68_sql(),
-        "q69_heavy_hitters": _Q69_SQL,
-        "q70_priority_with_discounted_lines": _Q70_SQL,
-        "q71_rich_customers_without_orders": _Q71_SQL,
-        "q72_supplier_variety_by_brand": _Q72_SQL,
-        "q73_fine_slide_activity": _Q73_SQL,
-        "q74_session_windows": _Q74_SQL,
-        "q75_expectation_suite": _Q75_SQL,
-        "q76_substrait_transform": _Q76_SQL,
-        "q77_priority_lines_by_flag": _Q77_SQL,
-        "q78_disjunctive_predicates": _Q78_SQL,
-        "q79_top_supplier": _Q79_SQL,
-        # q23..q30: model/sketch/pipeline ops — not SQL-expressible;
-        # the driver records rows-only checks for these.
-    }
-    # mirror the catalog's newest-first gate order
-    return {k: sql[k] for k in QUERIES if k in sql}
+    return {k: s() if callable(s) else s for k, s in _SQL_SOURCES.items()}

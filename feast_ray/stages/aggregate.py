@@ -852,7 +852,6 @@ def session_agg(
     *,
     start_col: str = "session_start",
     end_col: str = "session_end",
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Gap-based SESSION windows: per key, consecutive events closer
     than ``gap`` belong to one session; a strictly larger gap starts a
@@ -871,10 +870,10 @@ def session_agg(
     cumsum session ids, one grouped aggregate. Within a session every
     row is local, so mean/std/count_distinct are computed exactly — no
     IR needed. Partitioning assumption: one key-bucket fits a worker's
-    heap (scale ``num_buckets`` with key cardinality); a single
-    pathological key with more rows than a heap needs a time-coarse
-    pre-split, which gap semantics forbid automating (sessions may
-    cross any fixed boundary).
+    heap (the exchange sizes its bucket count from the input's bytes);
+    a single pathological key with more rows than a heap needs a
+    time-coarse pre-split, which gap semantics forbid automating
+    (sessions may cross any fixed boundary).
     """
     from feast_ray.stages.dedup import bucketed_group_reduce
 
@@ -908,7 +907,7 @@ def session_agg(
         ).agg(**agg_kwargs)
         return out.drop(columns="__sid")
 
-    return bucketed_group_reduce(ds, keys, _sessions, num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, keys, _sessions)
 
 
 def rollup_agg(

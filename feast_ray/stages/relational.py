@@ -146,8 +146,6 @@ def group_limit(
     n: int,
     order_by: list[str] | str,
     ascending: bool | list[bool] = True,
-    *,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-group quota: keep at most ``n`` rows of each group, ranked
     by ``order_by`` — the Common-Crawl-style "max N pages per host"
@@ -158,10 +156,10 @@ def group_limit(
     Scale design: the top-n of a union is the top-n of per-part
     top-ns, so each BLOCK is pre-limited to ≤ n rows per group before
     any data moves; the wide step is the bucketed grouped rank filter
-    (hash(group) % num_buckets shuffle, ONE vectorized sort + cumcount
-    per bucket — never a Python call per group). Partitioning
-    assumption: n × (groups in one bucket) rows fit in a worker's
-    heap; scale ``num_buckets`` with group cardinality.
+    (hash(group) bucket shuffle, ONE vectorized sort + cumcount per
+    bucket — never a Python call per group). Partitioning assumption:
+    n × (groups in one bucket) rows fit in a worker's heap; the
+    exchange sizes its bucket count from the input's bytes.
     """
     from feast_ray.stages.dedup import bucketed_group_reduce
 
@@ -185,7 +183,7 @@ def group_limit(
         ).replace_schema_metadata(None)
 
     pre = ds.map_batches(_block_limit, batch_format="pyarrow")
-    return bucketed_group_reduce(pre, group_cols, _limit, num_buckets=num_buckets)
+    return bucketed_group_reduce(pre, group_cols, _limit)
 
 
 def window_row_funcs(

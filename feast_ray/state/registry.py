@@ -163,8 +163,9 @@ def materialize_resumable(
 ) -> dict:
     """Run ``build_pipeline(partitioned_source_ds)`` and write its output
     partitioned by ``part_id``, skipping partitions already committed in
-    the manifest. Returns a summary dict whose ``rows_out`` maps each
-    written partition to its row count (0 for an empty one).
+    the manifest. Returns ``{"skipped", "written", "out", "rows_out"}``,
+    where ``rows_out`` maps each written partition to its row count (0
+    for an empty one; ``{}`` when every partition was already committed).
 
     The partition id is ``hash(key_col) % num_partitions`` — computed
     on the source for pruning and recomputed inside the write task for
@@ -192,9 +193,9 @@ def materialize_resumable(
     done = reg.completed_partitions(version) if resume else set()
     all_parts = set(range(num_partitions))
     pending = sorted(all_parts - done)
-    if not pending:
-        return {"skipped": sorted(done), "written": [], "rows": 0}
     data_dir = os.path.join(out_dir, "data")
+    if not pending:
+        return {"skipped": sorted(done), "written": [], "out": data_dir, "rows_out": {}}
     os.makedirs(data_dir, exist_ok=True)  # ``out`` exists even when no row is written
     partials: list[pa.Table] = []
 

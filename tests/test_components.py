@@ -89,7 +89,7 @@ def test_cc_distributed_parity():
     )
     drv = _as_dict(connected_components(_pairs_ds(edges)))
     dist = _as_dict(
-        connected_components(_pairs_ds(edges), driver_max_edges=0, num_buckets=4)
+        connected_components(_pairs_ds(edges), driver_max_edges=0)
     )
     assert dist == drv
 

@@ -151,6 +151,9 @@ def test_quality_filter_job_smoke(tmp_path, sf_small, capsys, monkeypatch):
     assert main(argv) == 0
     second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert second["skipped"] == [0, 1] and second["written"] == []
+    # a fully resumed run reports the same keys as a writing run
+    assert second.keys() == first.keys()
+    assert second["out"] == first["out"] and second["rows_out"] == {}
 
     monkeypatch.setattr(qf_module, "PIPELINE_VERSION", qf_module.PIPELINE_VERSION + "+bump")
     assert main(argv) == 0

@@ -5,6 +5,7 @@ feature_store.py:2546-2630 materialize_incremental)."""
 
 import os
 import shutil
+from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from feast_ray.pipelines import quality_filter
 from feast_ray.sources import synth_webpages
 from feast_ray.state import Registry, materialize_resumable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _build(ds):
@@ -93,7 +96,7 @@ ray.init(address="local", num_cpus=2, include_dashboard=False,
          logging_level="ERROR", log_to_driver=False)
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-import sys; sys.path.insert(0, "/root/repo")
+import sys; sys.path.insert(0, "{ROOT}")
 from feast_ray.pipelines.quality_filter import quality_filter
 from feast_ray.sources import synth_webpages
 from feast_ray.state import materialize_resumable
@@ -105,7 +108,7 @@ print("FULLY_DONE")
 '''
     proc = subprocess.Popen(
         [sys.executable, "-c", code], stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True, cwd="/root/repo",
+        stderr=subprocess.DEVNULL, text=True, cwd=ROOT,
     )
     # kill once the first chunk has committed but before completion
     import os as _os
