@@ -53,6 +53,8 @@ import ray
 import ray.data
 
 from feast_ray.functions.neardup import word_hashes64
+from feast_ray.stages.dedup import bucketed_group_reduce
+from feast_ray.stages.exchange import bucket_exchange
 
 
 def positions_from_hashes(h: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -111,6 +113,20 @@ class BloomFilter:
         ) / self.m
 
 
+def _pack_segments(df: pd.DataFrame, keys: list[str], seg_bits: int) -> pd.DataFrame:
+    """One packed bit segment per ``keys`` group of distinct ``pos``
+    rows (the last key is the segment id) — a reduce call may hold
+    several segments, or none."""
+    rows = []
+    for kv, g in df.groupby(keys, sort=False):
+        kv = kv if isinstance(kv, tuple) else (kv,)
+        pos = np.unique(g["pos"].to_numpy(dtype=np.int64))
+        seg = int(kv[-1])
+        rows.append((*map(int, kv), _pack(pos - seg * seg_bits, seg_bits).tobytes()))
+    out = pd.DataFrame(rows, columns=[*keys, "bits"])
+    return out.astype({**dict.fromkeys(keys, "int64"), "bits": object})
+
+
 def bloom_build(
     ds: ray.data.Dataset,
     key_col: str,
@@ -156,25 +172,14 @@ def bloom_build(
             )
         return pa.table({"pos": pa.array(pos, pa.int64())})
 
-    def _pack_segment(df: pd.DataFrame) -> pd.DataFrame:
-        pos = np.unique(df["pos"].to_numpy(dtype=np.int64))
-        seg = int(pos[0]) // seg_bits
-        arr = _pack(pos - seg * seg_bits, seg_bits)
-        return pd.DataFrame({"seg": [seg], "bits": [arr.tobytes()]})
-
-    from feast_ray.stages.dedup import bucketed_group_reduce
-
     parts = ds.map_batches(_partial, batch_format="pyarrow").map_batches(
-        # segment id doubles as the shuffle bucket: positions of one
-        # segment land together, so each pack sees a contiguous range
         lambda t: t.append_column(
             "seg", pa.array(t["pos"].to_numpy() // seg_bits, pa.int64())
         ),
         batch_format="pyarrow",
     )
-    segs = parts.groupby("seg").map_groups(
-        lambda g: _pack_segment(g.drop(columns="seg")),
-        batch_format="pandas",
+    segs = bucketed_group_reduce(
+        parts, ["seg"], lambda df: _pack_segments(df, ["seg"], seg_bits)
     )
     bits = np.zeros(m_bits // 64, dtype=np.uint64)
     words = seg_bits // 64
@@ -319,29 +324,14 @@ def bloom_build_partitioned(
             }
         )
 
-    def _pack_seg(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates()
-        p = int(df["p"].iloc[0])
-        pos = np.unique(df["pos"].to_numpy(dtype=np.int64))
-        seg = int(pos[0]) // seg_bits
-        arr = _pack(pos - seg * seg_bits, seg_bits)
-        return pd.DataFrame(
-            {"p": [p], "seg": [seg], "bits": [arr.tobytes()]}
-        )
-
     parts = ds.map_batches(_partial, batch_format="pyarrow").map_batches(
         lambda t: t.append_column(
-            "pseg",
-            pa.array(
-                t["p"].to_numpy() * num_segments
-                + t["pos"].to_numpy() // seg_bits,
-                pa.int64(),
-            ),
+            "seg", pa.array(t["pos"].to_numpy() // seg_bits, pa.int64())
         ),
         batch_format="pyarrow",
     )
-    segs = parts.groupby("pseg").map_groups(
-        lambda g: _pack_seg(g.drop(columns="pseg")), batch_format="pandas"
+    segs = bucketed_group_reduce(
+        parts, ["p", "seg"], lambda df: _pack_segments(df, ["p", "seg"], seg_bits)
     )
     arrays = {
         p: np.zeros(m_bits_per // 64, dtype=np.uint64)
@@ -367,8 +357,9 @@ def bloom_filter_new_partitioned(
     member_col: str | None = None,
 ) -> ray.data.Dataset:
     """Probe side, CO-PARTITIONED: rows shuffle to their key's
-    partition and each group task ``ray.get``s only that partition's
-    bit array — the filter family is never assembled in one place.
+    partition through ``bucket_exchange`` (one reduce task per
+    partition) and each task ``ray.get``s only that partition's bit
+    array — the filter family is never assembled in one place.
     Semantics identical to the single-filter probe (members and
     false positives drop; ``member_col`` flips to audit mode)."""
     m, k, P, refs = pb.m, pb.k, pb.num_partitions, pb.refs
@@ -379,18 +370,24 @@ def bloom_filter_new_partitioned(
             "__bp", pa.array(_partition_of(h, P), pa.int64())
         )
 
-    def _probe(df: pd.DataFrame) -> pd.DataFrame:
-        p = int(df["__bp"].iloc[0])
-        bf = BloomFilter(m=m, k=k, bits=ray.get(refs[p]))
-        member = bf.contains(df[key_col].tolist())
-        df = df.drop(columns="__bp")
+    def _probe(parts: list) -> pa.Table:
+        # one reduce call per partition: its id is recomputed from the
+        # rows (the exchange drops the bucket column)
+        typed = [t for t in parts if t.num_columns]
+        if not typed:
+            return pa.table({})
+        tbl = pa.concat_tables(typed, promote_options="permissive")
+        keys = tbl[key_col].to_pylist()
+        if keys:
+            p = int(_partition_of(word_hashes64(keys[:1]), P)[0])
+            member = BloomFilter(m=m, k=k, bits=ray.get(refs[p])).contains(keys)
+        else:
+            member = np.zeros(0, dtype=bool)
         if member_col is not None:
-            df[member_col] = member
-            return df
-        return df[~member]
+            return tbl.append_column(member_col, pa.array(member, pa.bool_()))
+        return tbl.filter(pa.array(~member))
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(_probe, batch_format="pandas")
+    return bucket_exchange(
+        ds.map_batches(_tag, batch_format="pyarrow"), "__bp", P, _probe,
+        fallback=lambda: ray.data.from_arrow(_probe([])),
     )

@@ -32,7 +32,6 @@ def funnel_converted_users(
     user_col: str = "user_id",
     type_col: str = "event_type",
     ts_col: str = "ts",
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Dataset(user_id) — users with an ordered 3-step conversion
     inside ``window_s`` seconds. Exactly three steps (the searchsorted
@@ -72,5 +71,4 @@ def funnel_converted_users(
                 out.append(uid)
         return pd.DataFrame({user_col: pd.Series(out, dtype="int64")})
 
-    return bucketed_group_reduce(thin, [user_col], _per_bucket,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(thin, [user_col], _per_bucket)

@@ -95,7 +95,6 @@ def ed1_self_join(
     ds: ray.data.Dataset,
     id_col: str,
     str_col: str,
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Dataset(id1, id2, ed) — every pair id1 < id2 with
     Levenshtein(s1, s2) <= 1 (ed in {0, 1}). See module docstring."""
@@ -173,8 +172,7 @@ def ed1_self_join(
             "s2": np.concatenate(out_sb),
         })
 
-    cand = bucketed_group_reduce(keyed, ["key"], _pairs,
-                                 num_buckets=num_buckets)
+    cand = bucketed_group_reduce(keyed, ["key"], _pairs)
 
     def _verify(df: pd.DataFrame) -> pd.DataFrame:
         # candidates reach this bucket keyed by (id1, id2) — each pair
@@ -198,5 +196,4 @@ def ed1_self_join(
 
     # a pair can surface from several segment keys (possibly in
     # different buckets) — ONE exchange on the pair key dedups exactly
-    return bucketed_group_reduce(cand, ["id1", "id2"], _verify,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(cand, ["id1", "id2"], _verify)

@@ -194,7 +194,6 @@ def triangle_count(
     *,
     src_col: str = "src",
     dst_col: str = "dst",
-    num_buckets: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Exact distributed triangle count over an undirected simple
     graph (self-loops dropped, multi-edges collapsed) — the
@@ -236,8 +235,7 @@ def triangle_count(
     def _dedup(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(["u", "v"])
 
-    uniq = bucketed_group_reduce(und, ["u", "v"], _dedup,
-                                 num_buckets=num_buckets).materialize()
+    uniq = bucketed_group_reduce(und, ["u", "v"], _dedup).materialize()
 
     def _ends(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -285,8 +283,7 @@ def triangle_count(
                .rename(columns={"size": "w"}))
         return out.astype("int64")
 
-    wedges = bucketed_group_reduce(oriented, ["a"], _wedges,
-                                   num_buckets=num_buckets)
+    wedges = bucketed_group_reduce(oriented, ["a"], _wedges)
 
     def _edge_rows(t: pa.Table) -> pa.Table:
         # oriented edges keyed like wedges, w = -1 marks "edge"
@@ -311,8 +308,7 @@ def triangle_count(
         m = wed.merge(has_edge, on=["x", "y"], how="inner")
         return pd.DataFrame({"n_triangles": [int(m["w"].sum())]})
 
-    tri = bucketed_group_reduce(wedges.union(closing), ["x", "y"], _close,
-                                num_buckets=num_buckets)
+    tri = bucketed_group_reduce(wedges.union(closing), ["x", "y"], _close)
     n_tri = sum(r["n_triangles"] for r in tri.take_all())
     n_edges = uniq.count()
     return ray.data.from_items([{"n_edges": n_edges,
@@ -346,6 +342,9 @@ def bfs_levels(
     from feast_ray.stages.join import hash_join, semi_join
     from feast_ray.stages.relational import distinct
 
+    # every hop joins the edges: run their pipeline once, not per hop
+    # (plus a schema probe per hop)
+    edges = edges.materialize()
     levels = ray.data.from_items(
         [{"node": int(source), "level": 0}]).materialize()
     frontier = levels

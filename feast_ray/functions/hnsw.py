@@ -9,9 +9,9 @@ implementation, NOT a binding: the corpus is hash-sharded by
 ``splitmix64(vec_id) % n_shards`` (content-independent, so the layout
 is partition-invariant), one navigable-small-world graph is built PER
 SHARD in parallel (each build is a stateful sequential insert loop —
-exactly the thing the Dataset API can't express, so it runs inside
-``groupby(shard).map_groups``), and a search fans out to every shard
-graph and merges per-query top-k. That is the standard scale shape for
+exactly the thing the Dataset API can't express, so it runs as one
+``bucket_exchange`` reduce task per shard), and a search fans out to
+every shard graph and merges per-query top-k. That is the standard scale shape for
 graph indexes (FAISS/Vespa shard HNSW the same way): build cost and
 graph memory stay per-shard-bounded at 100 TB while searches stay
 O(n_shards · ef · log n_shard) instead of a corpus scan.
@@ -40,6 +40,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
+
+from feast_ray.stages.exchange import bucket_exchange
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -256,10 +258,10 @@ def hnsw_build(
 ) -> dict:
     """Build one HNSW graph per hash shard, in parallel, persisted as
     ``{path}/vectors/shard=S.parquet`` + ``{path}/graph/shard=S.parquet``
-    + ``{path}/meta.json``. The sequential insert loop runs inside
-    ``map_groups`` — the per-shard stateful stage the Dataset API can't
-    express as a batch transform (prompt doctrine: actor/group state
-    only where genuinely needed)."""
+    + ``{path}/meta.json``. The sequential insert loop runs in the
+    shard's one reduce task — the per-shard stateful stage the Dataset
+    API can't express as a batch transform (prompt doctrine:
+    actor/group state only where genuinely needed)."""
     os.makedirs(os.path.join(path, "vectors"), exist_ok=True)
     os.makedirs(os.path.join(path, "graph"), exist_ok=True)
 
@@ -267,10 +269,17 @@ def hnsw_build(
         ids = tbl[id_col].to_numpy(zero_copy_only=False)
         return tbl.append_column("__shard", pa.array(shard_of(ids, n_shards)))
 
-    def _build(df: pd.DataFrame) -> pd.DataFrame:
-        s = int(df["__shard"].iloc[0])
-        ids = df[id_col].to_numpy(dtype=np.int64)
-        vecs = np.stack(df[vec_col].to_numpy())
+    def _build(parts: list) -> pa.Table:
+        # one reduce call per shard: its id is recomputed from the rows
+        # (the exchange drops the bucket column); an empty shard builds
+        # nothing
+        parts = [t for t in parts if len(t)]
+        if not parts:
+            return pa.table({})
+        tbl = pa.concat_tables(parts, promote_options="permissive")
+        ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = int(shard_of(ids[:1], n_shards)[0])
+        vecs = np.stack(tbl[vec_col].to_numpy(zero_copy_only=False))
         g = ShardHNSW(ids, vecs, m=m, ef_construction=ef_construction)
         edges, meta = g.to_tables()
         pq.write_table(edges, os.path.join(path, "graph", f"shard={s}.parquet"))
@@ -281,15 +290,13 @@ def hnsw_build(
         # routing centroid: mean of the shard's unit vectors (float32
         # round-tripped so driver routing == any recompute)
         cent = g.vecs.mean(axis=0).astype(np.float32).astype(np.float64)
-        return pd.DataFrame([{"shard": s, **meta,
-                              "centroid": [cent.tolist()]}])
+        return pa.Table.from_pylist([{"shard": s, **meta,
+                                      "centroid": [cent.tolist()]}])
 
-    metas = (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(_build, batch_format="pandas")
-        .to_pandas()
-    )
+    metas = bucket_exchange(
+        ds.map_batches(_tag, batch_format="pyarrow"), "__shard", n_shards,
+        _build, fallback=lambda: ray.data.from_arrow(pa.table({})),
+    ).to_pandas()
     info = {"n_shards": n_shards, "m": m, "ef_construction": ef_construction,
             "shards": {int(r["shard"]): {"entry": int(r["entry"]),
                                          "top": int(r["top"]),

@@ -7,9 +7,9 @@ are process-stable (zlib.crc32 / blake2b — never Python ``hash()``).
 
 Scale shapes (per the Ray Data guide's sketch pattern):
 - exact: content-hash column in a vectorized ``map_batches`` →
-  ``groupby(hash)`` keep-min-id. Shuffle carries only (hash, id).
+  keep-min-id per hash in ``bucketed_group_reduce``.
 - MinHash-LSH: per-batch signatures → explode to (band, band_hash, id,
-  sig) rows → ``groupby(band, band_hash)`` buckets → verified candidate
+  sig) rows → (band, band_hash) LSH buckets → verified candidate
   pairs (estimated Jaccard from signatures) → drop the larger id.
   One LSH pass approximates connected components by representative
   min-id — documented approximation, same as common web-dedup practice.
@@ -28,6 +28,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from feast_ray.stages.dedup import bucketed_group_reduce
+
 # ---------------------------------------------------------------- exact
 
 def add_content_hash(tbl: pa.Table, text_col: str = "text", out_col: str = "content_hash") -> pa.Table:
@@ -42,36 +44,26 @@ def add_content_hash(tbl: pa.Table, text_col: str = "text", out_col: str = "cont
     return tbl.append_column(out_col, pa.array(h, pa.int64()))
 
 
-def exact_dedup(
-    ds: ray.data.Dataset, text_col: str, id_col: str, num_buckets: int = 64
-) -> ray.data.Dataset:
+def exact_dedup(ds: ray.data.Dataset, text_col: str, id_col: str) -> ray.data.Dataset:
     """Keep the min-id row per distinct text: content-hash column →
-    per-block combine → hash-bucket shuffle (small int key — cheap
-    sort, vectorized per-bucket reduce)."""
-    import pyarrow.compute as pc
+    per-block combine → ``bucketed_group_reduce`` on the hash."""
 
-    hashed = ds.map_batches(lambda t: add_content_hash(t, text_col), batch_format="pyarrow")
+    def _min_id(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(id_col, kind="stable").drop_duplicates(
+            "content_hash", keep="first"
+        )
 
     def _combine(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas()
-        df = df.sort_values(id_col, kind="stable").drop_duplicates("content_hash", keep="first")
         return pa.Table.from_pandas(
-            df, preserve_index=False, schema=tbl.schema
+            _min_id(tbl.to_pandas()), preserve_index=False, schema=tbl.schema
         ).replace_schema_metadata(None)
 
-    pre = hashed.map_batches(_combine, batch_format="pyarrow")
-    bucketed = pre.map_batches(
-        lambda t: t.append_column(
-            "__bucket", pc.cast(pc.bit_wise_and(t["content_hash"], num_buckets - 1), pa.int64())
-        ),
-        batch_format="pyarrow",
+    pre = ds.map_batches(
+        lambda t: add_content_hash(t, text_col), batch_format="pyarrow"
+    ).map_batches(_combine, batch_format="pyarrow")
+    return bucketed_group_reduce(
+        pre, ["content_hash"], lambda df: _min_id(df).drop(columns=["content_hash"])
     )
-
-    def _per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(id_col, kind="stable").drop_duplicates("content_hash", keep="first")
-        return df.drop(columns=["__bucket", "content_hash"])
-
-    return bucketed.groupby("__bucket").map_groups(_per_bucket, batch_format="pandas")
 
 
 # ------------------------------------------------------------- minhash
@@ -199,20 +191,6 @@ def minhash_candidate_pairs(
         lambda t: _explode_bands(t, id_col), batch_format="pyarrow"
     )
 
-    # shuffle by a SMALL INT bucket of the band hash; inside each bucket
-    # a vectorized pandas groupby visits only multi-member LSH buckets
-    num_buckets = 64
-
-    def _add_bucket(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        h = pc.add(
-            pc.multiply(tbl["band_hash"], pa.scalar(31, pa.int64())), tbl["band"]
-        )
-        return tbl.append_column(
-            "__bucket", pc.cast(pc.bit_wise_and(h, num_buckets - 1), pa.int64())
-        )
-
     def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         """Pairs within multi-member LSH buckets. Buckets larger than
         ``star_threshold`` switch from all-pairs to the STAR pattern
@@ -246,10 +224,10 @@ def minhash_candidate_pairs(
             {"id_a": np.concatenate(ia), "id_b": np.concatenate(ib)}
         ).drop_duplicates()
 
-    raw_pairs = (
-        band_rows.map_batches(_add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_bucket_pairs, batch_format="pandas")
+    # one reduce call holds many LSH buckets; it visits only the
+    # multi-member ones
+    raw_pairs = bucketed_group_reduce(
+        band_rows, ["band", "band_hash"], _bucket_pairs
     ).materialize()  # small: one row per LSH collision pair
 
     if raw_pairs.count() <= driver_verify_max:
@@ -295,7 +273,7 @@ def minhash_candidate_pairs(
     # table fits the object store comfortably (512 B/doc → ~0.5 GB per
     # million docs), put it once (plasma, read zero-copy by every
     # verify task) and check pairs per batch with two searchsorted
-    # gathers — avoids shipping signatures through TWO sort shuffles
+    # gathers — avoids shipping signatures through TWO join shuffles
     # (measured: the join path spent ~100 s on 592k pairs × 300k sigs;
     # this path verifies the same load in seconds) ----
     from feast_ray.stages.relational import distinct
@@ -535,18 +513,6 @@ def simhash_dups(
 
     band_rows = hashed.map_batches(_explode, batch_format="pyarrow")
 
-    num_buckets = 64
-
-    def _add_bucket(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        h = pc.add(
-            pc.multiply(tbl["chunk_val"], pa.scalar(7, pa.int64())), tbl["chunk"]
-        )
-        return tbl.append_column(
-            "__bucket", pc.cast(pc.bit_wise_and(h, num_buckets - 1), pa.int64())
-        )
-
     def _bucket(g: pd.DataFrame) -> pd.DataFrame:
         """Vectorized verify: the exact any-lower-member rule runs as
         one triu-matrix xor + table-popcount pass for buckets up to
@@ -571,11 +537,7 @@ def simhash_dups(
                 drops.extend(np.unique(ids[ju[hit]]))
         return pd.DataFrame({id_col: pd.Series(drops, dtype=g[id_col].dtype)})
 
-    dups = (
-        band_rows.map_batches(_add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_bucket, batch_format="pandas")
-    )
+    dups = bucketed_group_reduce(band_rows, ["chunk", "chunk_val"], _bucket)
     from feast_ray.stages.relational import distinct
 
     return distinct(dups, [id_col])

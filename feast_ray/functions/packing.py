@@ -74,7 +74,6 @@ def pack_ffd(
     tokens_col: str,
     budget: int,
     *,
-    num_buckets: "int | None" = None,
     bin_col: str = "bin_id",
 ) -> ray.data.Dataset:
     """First-fit-decreasing bin packing per group — the
@@ -136,5 +135,4 @@ def pack_ffd(
         df[bin_col] = bins_out
         return df[cols]
 
-    return bucketed_group_reduce(ds, [group_col], _ffd,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, [group_col], _ffd)

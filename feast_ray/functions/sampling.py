@@ -7,9 +7,9 @@ semantics: ``sum(tokens) OVER (PARTITION BY group ORDER BY score DESC,
 id) <= budget`` — which is exactly what the DuckDB oracle for q43
 states, so the operator is exact, not approximate.
 
-Execution shape: bucket the groups by hash (small-int shuffle key, the
-same skew-safe pattern as keep_latest), one vectorized pandas
-sort+cumsum per bucket. Deterministic tie-break by id.
+Execution shape: bucket the groups by hash (``bucketed_group_reduce``),
+one vectorized pandas sort+cumsum per bucket. Deterministic tie-break
+by id.
 """
 
 from __future__ import annotations
@@ -239,16 +239,11 @@ def budget_sample(
     tokens: str,
     id_col: str,
     budget: int,
-    num_buckets: int = 64,
     descending: bool = True,
 ) -> ray.data.Dataset:
     """Keep rows whose running token total (ordered by score desc, id
     asc within each group) is ≤ budget."""
-    from feast_ray.stages.dedup import BUCKET_COL, add_hash_bucket
-
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, [group], num_buckets), batch_format="pyarrow"
-    )
+    from feast_ray.stages.dedup import bucketed_group_reduce
 
     def _per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
@@ -257,10 +252,9 @@ def budget_sample(
             kind="stable",
         )
         csum = df.groupby(group, sort=False)[tokens].cumsum()
-        out = df[csum <= budget]
-        return out.drop(columns=[BUCKET_COL])
+        return df[csum <= budget]
 
-    return bucketed.groupby(BUCKET_COL).map_groups(_per_bucket, batch_format="pandas")
+    return bucketed_group_reduce(ds, [group], _per_bucket)
 
 
 def temperature_resample(

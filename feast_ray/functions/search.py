@@ -65,7 +65,6 @@ def build_inverted_index(
     id_col: str = "doc_id",
     text_col: str = "text",
     min_df: int = 1,
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Dataset(term, df, postings list<int64> ascending) — see module
     docstring for the shuffle shape. ``min_df`` drops hapax noise
@@ -103,8 +102,7 @@ def build_inverted_index(
         out["df"] = out["df"].astype("int64")
         return out
 
-    return bucketed_group_reduce(pairs, ["term"], _reduce,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(pairs, ["term"], _reduce)
 
 
 def postings_digest(index: ray.data.Dataset) -> ray.data.Dataset:
@@ -132,7 +130,6 @@ def build_positional_index(
     id_col: str = "doc_id",
     text_col: str = "text",
     terms: "list[str] | None" = None,
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Positional inverted index: Dataset(term, doc_id,
     positions list<int64> ascending, 0-based token offsets). Same
@@ -182,8 +179,7 @@ def build_positional_index(
         out = g.reset_index().rename(columns={"pos": "positions"})
         return out
 
-    return bucketed_group_reduce(trips, ["term"], _reduce,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(trips, ["term"], _reduce)
 
 
 def phrase_search(
@@ -192,7 +188,6 @@ def phrase_search(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Exact phrase query over the positional index:
     Dataset(doc_id, n_phrase) for docs containing the consecutive
@@ -205,8 +200,7 @@ def phrase_search(
     if len(phrase) < 2:
         raise ValueError("phrase needs >= 2 tokens")
     idx = build_positional_index(
-        ds, id_col, text_col, terms=list(set(phrase)),
-        num_buckets=num_buckets)
+        ds, id_col, text_col, terms=list(set(phrase)))
 
     def _match(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -236,8 +230,7 @@ def phrase_search(
         out = pd.DataFrame(rows, columns=["doc_id", "n_phrase"])
         return out.astype({"n_phrase": "int64"})
 
-    return bucketed_group_reduce(idx, ["doc_id"], _match,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(idx, ["doc_id"], _match)
 
 
 def dictionary_tag(
@@ -298,6 +291,8 @@ def bm25_topk(
     +1 floor, the Lucene default shape) — Dataset(doc_id, score_n)
     where score_n = Σ_t floor(idf_t · tf·(k1+1)/(tf + k1·(1−b+b·dl/avgdl))
     · 1e9 + 0.5), int64. Zero-shuffle scoring; see module docstring."""
+    from feast_ray.stages.relational import small_group_sums, topk
+
     terms = sorted(set(query_terms))
 
     def _pairs(tbl: pa.Table) -> pa.Table:
@@ -327,9 +322,7 @@ def bm25_topk(
     # thin (doc, term, tf, dl) hits are reused by the df count and the
     # scoring pass — materialize once instead of re-tokenizing
     hits = ds.map_batches(_pairs, batch_format="pyarrow").materialize()
-    dfd = hits.groupby("term").count().to_pandas()
-    cnt_col = [c for c in dfd.columns if c != "term"][0]
-    dfs = dfd.set_index("term")[cnt_col].to_dict()
+    dfs = {t: int(n) for t, n in small_group_sums(hits, "term")["n_rows"].items()}
     # libm log per term (tfidf doctrine: bit-identical to DuckDB ln)
     idf = {
         t: math.log((n_docs - dfs[t] + 0.5) / (dfs[t] + 0.5) + 1.0)
@@ -360,7 +353,6 @@ def bm25_topk(
         })
 
     from feast_ray.stages.aggregate import AggSpec, grouped_agg
-    from feast_ray.stages.relational import topk
 
     # _score pre-sums per block (combiner); the grouped sum makes the
     # per-doc total exact even if Ray's dynamic block splitting ever

@@ -49,7 +49,6 @@ def sequence_pattern_counts(
     other: str = "_",
     count_as: str = "n_matches",
     len_as: str = "seq_len",
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Per ``keys``: order rows by ``order_by``, map ``event_col``
     values through ``alphabet`` (misses become ``other``), and count
@@ -87,5 +86,4 @@ def sequence_pattern_counts(
         out[len_as] = ln
         return out[cols]
 
-    return bucketed_group_reduce(ds, list(keys), _reduce,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, list(keys), _reduce)

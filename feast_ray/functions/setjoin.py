@@ -59,7 +59,6 @@ def jaccard_self_join(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: "int | None" = None,
     shingle_k: "int | None" = None,
 ) -> ray.data.Dataset:
     """Dataset(id1, id2, inter, uni) for pairs id1 < id2 with
@@ -146,8 +145,7 @@ def jaccard_self_join(
                 "t2": pd.Series([], dtype=object)})
         return pd.concat(outs, ignore_index=True)
 
-    cand = bucketed_group_reduce(pref, ["ptok"], _cands,
-                                 num_buckets=num_buckets)
+    cand = bucketed_group_reduce(pref, ["ptok"], _cands)
 
     def _verify(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["id1", "id2"])
@@ -172,8 +170,7 @@ def jaccard_self_join(
             "uni": uni[keep],
         }).astype("int64")
 
-    return bucketed_group_reduce(cand, ["id1", "id2"], _verify,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(cand, ["id1", "id2"], _verify)
 
 
 def containment_self_join(
@@ -183,7 +180,6 @@ def containment_self_join(
     id_col: str = "doc_id",
     text_col: str = "text",
     min_tokens: int = 10,
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Directed token-set CONTAINMENT join: Dataset(probe_id, host_id,
     inter, sz) for ordered pairs probe ≠ host with
@@ -288,8 +284,7 @@ def containment_self_join(
                 "th": pd.Series([], dtype=object)})
         return pd.concat(outs, ignore_index=True)
 
-    cand = bucketed_group_reduce(both, ["ptok"], _cands,
-                                 num_buckets=num_buckets)
+    cand = bucketed_group_reduce(both, ["ptok"], _cands)
 
     def _verify(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["probe_id", "host_id"])
@@ -312,5 +307,4 @@ def containment_self_join(
             "sz": sz[keep],
         }).astype("int64")
 
-    return bucketed_group_reduce(cand, ["probe_id", "host_id"], _verify,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(cand, ["probe_id", "host_id"], _verify)

@@ -24,6 +24,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from feast_ray.stages.dedup import bucketed_group_reduce
+
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
     mat = mat.astype(np.float64)
@@ -352,6 +354,25 @@ def _write_cell_partitioned(
     ).write_parquet(path, partition_cols=["cell"])
 
 
+def _seed_sample(ds: ray.data.Dataset, id_col: str, vec_col: str,
+                 sample_size: int) -> np.ndarray:
+    """About ``sample_size`` k-means seed vectors, drawn with the
+    deterministic hash sampler (``functions.sampling.sample_by_hash``)
+    instead of ``limit()`` — UNBIASED across the corpus, where
+    ``limit`` reads only the first blocks (a 100 TB corpus's head is
+    rarely representative; head-bias survives every small-sf test and
+    silently ruins recall at scale). Needs one metadata-cheap
+    ``count()``; a corpus too tiny to hash-sample any row falls back
+    to its head."""
+    from feast_ray.functions.sampling import sample_by_hash
+
+    frac = min(1.0, sample_size / max(1, ds.count()))
+    sample_tbl = sample_by_hash(ds, id_col, frac).to_pandas()
+    if len(sample_tbl) == 0:
+        sample_tbl = ds.limit(sample_size).to_pandas()
+    return np.stack(sample_tbl[vec_col].to_numpy())
+
+
 def ivf_build(
     ds: ray.data.Dataset,
     path: str,
@@ -360,7 +381,6 @@ def ivf_build(
     vec_col: str = "embedding",
     n_cells: int = 16,
     sample_size: int = 2048,
-    sample_mode: str = "hash",
     refine_iters: int = 0,
 ) -> "IVFIndex":
     """Partition the corpus by assigned IVF cell ONCE (hive-partitioned
@@ -369,33 +389,17 @@ def ivf_build(
     the scan-pruning the flat IVF variant lacked). Centroids are saved
     alongside (``_centroids.npy``) so later searches reuse the index.
 
-    Index-build scale knobs:
+    Index-build scale:
 
-    * ``sample_mode="hash"`` (the DEFAULT since VERDICT r3 #5) draws
-      the k-means seed sample with the deterministic hash sampler
-      (``functions.sampling.sample_by_hash``) instead of ``limit()``
-      — UNBIASED across the corpus, where ``limit`` reads only the
-      first blocks (a 100 TB corpus's head is rarely representative;
-      head-bias survives every small-sf test and silently ruins
-      recall at scale). Needs one metadata-cheap ``count()``;
-      ``sample_mode="head"`` keeps the old limit() sample.
+    * the k-means seed sample is an unbiased hash sample
+      (``_seed_sample``), not the corpus head;
     * ``refine_iters=N`` runs N distributed Lloyd passes over the FULL
       corpus after the sample fit (``_kmeans_refine_distributed`` —
       per-block k×d partials, driver merges k rows), so centroids
       converge on the data the sample missed."""
     import os
 
-    if sample_mode == "hash":
-        from feast_ray.functions.sampling import sample_by_hash
-
-        n_total = ds.count()
-        frac = min(1.0, sample_size / max(1, n_total))
-        sample_tbl = sample_by_hash(ds, id_col, frac).to_pandas()
-        if len(sample_tbl) == 0:  # degenerate tiny corpus
-            sample_tbl = ds.limit(sample_size).to_pandas()
-    else:
-        sample_tbl = ds.limit(sample_size).to_pandas()
-    sample = np.stack(sample_tbl[vec_col].to_numpy())
+    sample = _seed_sample(ds, id_col, vec_col, sample_size)
     index = IVFIndex(sample, n_cells=n_cells)
     if refine_iters > 0:
         index.centroids = _kmeans_refine_distributed(
@@ -762,13 +766,6 @@ def cosine_neardup_pairs_lsh(
         )
 
     band_rows = sigged.map_batches(_buckets, batch_format="pyarrow")
-    num_shuffle = 64
-
-    def _add_sb(tbl: pa.Table) -> pa.Table:
-        h = pac.add(pac.multiply(tbl["bucket"], pa.scalar(31, pa.int64())), tbl["table"])
-        return tbl.append_column(
-            "__sb", pac.cast(pac.bit_wise_and(h, num_shuffle - 1), pa.int64())
-        )
 
     def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby(["table", "bucket"], sort=False)[id_col].transform("size")
@@ -788,10 +785,8 @@ def cosine_neardup_pairs_lsh(
             {"id_a": np.concatenate(ia), "id_b": np.concatenate(ib)}
         ).drop_duplicates()
 
-    raw_pairs = (
-        band_rows.map_batches(_add_sb, batch_format="pyarrow")
-        .groupby("__sb")
-        .map_groups(_bucket_pairs, batch_format="pandas")
+    raw_pairs = bucketed_group_reduce(
+        band_rows, ["table", "bucket"], _bucket_pairs
     ).materialize()
 
     def _empty():
@@ -1005,7 +1000,6 @@ def ivfpq_build(
     m: int = 8,
     ks: int = 256,
     sample_size: int = 2048,
-    sample_mode: str = "hash",
     residual: bool = False,
     opq: bool = False,
     opq_joint: bool = False,
@@ -1050,17 +1044,7 @@ def ivfpq_build(
     import json as _json
     import os
 
-    if sample_mode == "hash":
-        from feast_ray.functions.sampling import sample_by_hash
-
-        n_total = ds.count()
-        frac = min(1.0, sample_size / max(1, n_total))
-        sample_tbl = sample_by_hash(ds, id_col, frac).to_pandas()
-        if len(sample_tbl) == 0:
-            sample_tbl = ds.limit(sample_size).to_pandas()
-    else:
-        sample_tbl = ds.limit(sample_size).to_pandas()
-    sample = np.stack(sample_tbl[vec_col].to_numpy())
+    sample = _seed_sample(ds, id_col, vec_col, sample_size)
     index = IVFIndex(sample, n_cells=n_cells)
     sn = _normalize(sample)
     if opq_joint:

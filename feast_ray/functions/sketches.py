@@ -13,8 +13,8 @@ distinct value through the shuffle; these move kilobytes per key.
   position-based thinning, no RNG), merged then thinned again —
   a simple mergeable quantile summary in the KLL spirit.
 
-Both run partial → bucketed merge (same skew-safe shape as
-keep_latest: shuffle on a small int bucket, vectorized merge).
+Both run partial → ``bucketed_group_reduce`` merge (only the
+summaries move through the exchange).
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ def approx_count_distinct(
     ds: ray.data.Dataset,
     keys: list[str],
     col: str,
-    num_buckets: int = 64,
     alias: str = "approx_distinct",
 ) -> ray.data.Dataset:
     """Per-key approximate distinct count of ``col`` (±~1.6%)."""
-    from feast_ray.stages.dedup import add_hash_bucket
+    from feast_ray.stages.dedup import bucketed_group_reduce
 
     def _partial(tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas()
@@ -86,9 +85,6 @@ def approx_count_distinct(
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     partials = ds.map_batches(_partial, batch_format="pyarrow")
-    bucketed = partials.map_batches(
-        lambda t: add_hash_bucket(t, keys, num_buckets), batch_format="pyarrow"
-    )
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -98,13 +94,10 @@ def approx_count_distinct(
             for blob in grp["__hll"]:
                 regs = np.maximum(regs, np.frombuffer(blob, dtype=np.uint8))
             rows.append((*kv, int(round(hll_estimate(regs)))))
-        return pd.DataFrame(rows, columns=[*keys, alias])
+        out = pd.DataFrame(rows, columns=[*keys, alias])
+        return out.astype({**df.dtypes[keys].to_dict(), alias: "int64"})
 
-    from feast_ray.stages.dedup import BUCKET_COL
-
-    return bucketed.groupby(BUCKET_COL).map_groups(
-        lambda g: _merge(g.drop(columns=[BUCKET_COL])), batch_format="pandas"
-    )
+    return bucketed_group_reduce(partials, keys, _merge)
 
 
 QUANTILE_SAMPLE = 2048
@@ -125,11 +118,10 @@ def approx_quantiles(
     keys: list[str],
     col: str,
     qs: list[float],
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-key approximate quantiles of ``col`` from merged per-block
     uniform samples. Output columns: keys + q_<fraction…>."""
-    from feast_ray.stages.dedup import BUCKET_COL, add_hash_bucket
+    from feast_ray.stages.dedup import bucketed_group_reduce
 
     def _partial(tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas()
@@ -142,9 +134,6 @@ def approx_quantiles(
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     partials = ds.map_batches(_partial, batch_format="pyarrow")
-    bucketed = partials.map_batches(
-        lambda t: add_hash_bucket(t, keys, num_buckets), batch_format="pyarrow"
-    )
     qcols = [f"q_{str(q).replace('.', '_')}" for q in qs]
 
     def _weighted_quantiles(vals: np.ndarray, w: np.ndarray) -> list:
@@ -181,11 +170,11 @@ def approx_quantiles(
                 else np.array([])
             )
             rows.append((*kv, *_weighted_quantiles(merged, weights)))
-        return pd.DataFrame(rows, columns=[*keys, *qcols])
+        out = pd.DataFrame(rows, columns=[*keys, *qcols])
+        return out.astype({**df.dtypes[keys].to_dict(),
+                           **dict.fromkeys(qcols, "float64")})
 
-    return bucketed.groupby(BUCKET_COL).map_groups(
-        lambda g: _merge(g.drop(columns=[BUCKET_COL])), batch_format="pandas"
-    )
+    return bucketed_group_reduce(partials, keys, _merge)
 
 
 def misra_gries_block(values: "pd.Series", capacity: int) -> pd.Series:

@@ -6827,7 +6827,7 @@ def q104_ann_hnsw(sf_dir: str):
     member of the ANN family (brute q21 / IVF q29 / IVF-PQ q81/q88 /
     SQ8 q99): corpus hash-sharded by splitmix64(vec_id), one
     navigable-small-world graph built per shard in parallel (the
-    sequential insert loop is per-shard ``map_groups`` state), search
+    sequential insert loop runs in the shard's one reduce task), search
     fans out per shard and merges per-query top-k. Fully deterministic
     (hash-drawn levels, (dist, id) tie-breaks), so distributed ==
     sequential under any partitioning — ``functions/hnsw.py``.

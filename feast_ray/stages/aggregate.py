@@ -1116,7 +1116,6 @@ def grouped_quantile(
     keys: list[str],
     col: str,
     qs: "dict[str, float]",
-    num_buckets: "int | None" = None,
     interpolate: bool = False,
 ) -> "ray.data.Dataset":
     """EXACT per-group discrete quantiles (SQL PERCENTILE_DISC WITHIN
@@ -1174,8 +1173,7 @@ def grouped_quantile(
             rows.append(rec)
         return _pd.DataFrame(rows)
 
-    return bucketed_group_reduce(ds, keys, _per_bucket,
-                                 num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, keys, _per_bucket)
 
 
 def pivot_agg(
@@ -1191,9 +1189,9 @@ def pivot_agg(
     has no rows, matching DuckDB's ``PIVOT ... USING agg(...)``.
 
     Scale shape: the corpus is reduced by ONE grouped_agg on
-    (index, pivot) — the only full shuffle — then the reshape runs
-    per-index-group over that small aggregate.  The pivot-value set
-    is collected driver-side from the AGGREGATE (bounded by
+    (index, pivot), then the reshape runs per bucket of index values
+    over that small aggregate (``bucketed_group_reduce``). The
+    pivot-value set is collected driver-side from the AGGREGATE (bounded by
     ``max_pivot_values``; a pivot is only meaningful when the column
     set fits a schema — wide fan-outs should stay long-format).
     """
@@ -1213,9 +1211,11 @@ def pivot_agg(
         wide = wide.reindex(columns=vals)
         wide.columns = val_cols
         wide = wide.astype("float64").reset_index()
-        return wide
+        return wide.astype({index: df[index].dtype})
 
-    return finest.groupby(index).map_groups(_reshape, batch_format="pandas")
+    from feast_ray.stages.dedup import bucketed_group_reduce
+
+    return bucketed_group_reduce(finest, [index], _reshape)
 
 
 def grouped_string_agg(
@@ -1225,7 +1225,6 @@ def grouped_string_agg(
     order_by: list[str],
     sep: str = ",",
     alias: str = "agg",
-    num_buckets: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Ordered per-group concatenation — SQL's
     ``string_agg(val, sep ORDER BY ...)`` — the one HOLISTIC aggregate
@@ -1252,4 +1251,4 @@ def grouped_string_agg(
         g = df.groupby(keys, sort=False)[val_col].agg(sep.join)
         return g.reset_index().rename(columns={val_col: alias})
 
-    return bucketed_group_reduce(ds, keys, _agg, num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, keys, _agg)

@@ -1,6 +1,15 @@
 """Raw-Ray bucketed exchange — the one shuffle primitive under
-``hash_join``, ``bucketed_group_reduce``, ``shard_shuffle`` and the
-store's LSM upsert.
+``hash_join``, ``bucketed_group_reduce``, ``shard_shuffle``, the
+store's LSM upsert and every other keyed shuffle in the package.
+
+The one Ray sort-shuffle site left is ``dedup.keep_latest`` (the
+flagship's url dedup): on this exchange, with the same kernel at both
+ends and an auto-sized count, ``flagship_audit`` ran slower in 7 of 8
+alternating pairs on 1 CPU (perfbench seeds 41-48, median ``wall_s``
+0.469 → 0.549 s, ``cpu_s`` 0.61-0.65 → 0.66-0.80 s), so it stays on
+``groupby(bucket).map_groups``. Small bounded group sets (range
+buckets, query terms) need no shuffle at all: their per-block partial
+sums are added on the driver (``relational.small_group_sums``).
 
 Ray Data's ``groupby(bucket).map_groups`` shuffle is SORT-based: it
 pays a full range-partition sort for an ordering hash-bucketed

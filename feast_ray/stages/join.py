@@ -17,10 +17,11 @@ Scale design:
   canonical dimension-table pattern. The reference uses a 100 MB
   threshold (ray/nodes.py:182-199); callers here choose explicitly.
 - **both sides large → partitioned**: add ``bucket = hash(key) % B`` to
-  both sides, union tagged, ``groupby(bucket)`` and join per bucket.
+  both sides, union tagged, and join per bucket through the raw
+  exchange (``stages/exchange.py``; B auto-sized from the input bytes).
   Partitioning assumption (documented per SURVEY.md): all rows of one
-  bucket fit in a worker's heap; raise B for bigger data. As-of joins
-  co-partition on the `by` key itself (assumption: one key's rows fit).
+  bucket fit in a worker's heap. As-of joins co-partition on the `by`
+  key itself (assumption: one key's rows fit).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from feast_ray.stages.dedup import bucketed_group_reduce
 from feast_ray.stages.exchange import two_sided_exchange
 
 _JOIN_TYPE = {
@@ -277,8 +279,9 @@ def copartitioned_asof_join(
     right_suffix: str = "_r",
 ) -> ray.data.Dataset:
     """Distributed as-of join for two large sides: tag rows with their
-    side, align columns, union, shuffle by the `by` key(s), and run the
-    per-group merge_asof (ray_shared_utils.py:468-550 recast).
+    side, align columns, union, shuffle by the `by` key(s) through
+    ``bucketed_group_reduce``, and run one merge_asof per bucket
+    (ray_shared_utils.py:468-550 recast). Output order is unspecified.
 
     Partitioning assumption: all rows of one `by` key fit in one
     worker's heap (bucket by (key, time-window) if that breaks).
@@ -352,7 +355,9 @@ def copartitioned_asof_join(
             pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None), out_schema
         )
 
-    return both.groupby(by).map_groups(_per_key, batch_format="pandas")
+    # one reduce call holds several `by` keys; merge_asof's `by=`
+    # keeps them apart
+    return bucketed_group_reduce(both, by, _per_key)
 
 
 def semi_join(
@@ -473,7 +478,6 @@ def hash_join(
     on: list[str] | str,
     *,
     how: str = "inner",
-    num_buckets: "int | None" = None,
     right_suffix: str = "_r",
     hot_keys=None,
     salt_factor: int = 8,
@@ -494,15 +498,14 @@ def hash_join(
     incompatible with ``hot_keys`` salting (replication would
     duplicate unmatched right rows) and have no broadcast equivalent.
 
-    ``num_buckets=None`` (the default, VERDICT r4 #5) AUTO-SIZES the
-    bucket count from the data: the tagged union is materialized once
-    (the raw exchange materializes it anyway) and the count derives
-    from its object-store bytes via ``auto_num_buckets`` — so a
-    pipeline written at sf0.1 partitions correctly at 100× without
-    edits. With ``hot_keys`` the count is derived from the two inputs'
-    bytes BEFORE tagging instead (salting needs the bucket count at
-    tag time to keep salted offsets distinct). Pass an explicit count
-    only to pin behavior (tests).
+    The bucket count AUTO-SIZES from the data: the tagged union is
+    materialized once (the raw exchange materializes it anyway) and
+    the count derives from its object-store bytes via
+    ``auto_num_buckets`` — so a pipeline written at sf0.1 partitions
+    correctly at 100× without edits. With ``hot_keys`` the count is
+    derived from the two inputs' bytes BEFORE tagging instead (salting
+    needs the bucket count at tag time to keep salted offsets
+    distinct).
 
     ``left_schema`` / ``right_schema``: pass the known Arrow schemas to
     skip the limit-1 probe executions ``dataset_schema`` otherwise runs
@@ -536,7 +539,12 @@ def hash_join(
         raise ValueError(
             "hash_join: hot_keys salting is only valid for inner/left "
             "joins (right-row replication breaks outer semantics)")
-    if num_buckets is None and hot_keys is not None:
+    # deferred mode (no hot keys): tag with the RAW uint64 key hash
+    # (stored int64) and mod it after the tagged union is materialized
+    # and measured
+    defer = hot_keys is None
+    num_buckets = None
+    if not defer:
         # salting must know the bucket count at tag time (salted
         # offsets have to stay distinct mod num_buckets, or a hot
         # right row replicated into two colliding salted buckets would
@@ -546,9 +554,10 @@ def hash_join(
         num_buckets = auto_num_buckets(
             (left.size_bytes() or 0) + (right.size_bytes() or 0)
         )
-    # deferred mode: tag with the RAW uint64 key hash (stored int64)
-    # and mod it after the tagged union is materialized and measured
-    defer = num_buckets is None
+        # salt offsets must stay distinct mod num_buckets (odd
+        # multiplier × power-of-two bucket count guarantees it only up
+        # to num_buckets)
+        salt_factor = min(salt_factor, num_buckets)
 
     lschema = left_schema if left_schema is not None else dataset_schema(left)
     rschema = right_schema if right_schema is not None else dataset_schema(right)
@@ -575,10 +584,6 @@ def hash_join(
         [pa.field(n, rschema.field(o).type) for n, o in zip(r_renamed, rnames)]
     )
     out_cols = lnames + [r for r, orig in zip(r_renamed, rnames) if orig not in on]
-    # salt offsets must stay distinct mod num_buckets (odd multiplier ×
-    # power-of-two bucket count guarantees it only up to num_buckets)
-    if num_buckets is not None:
-        salt_factor = min(salt_factor, num_buckets)
     hot = pa.array(sorted(hot_keys)) if hot_keys is not None else None
 
     def _key_hash(tbl: pa.Table) -> np.ndarray:

@@ -199,7 +199,6 @@ def window_row_funcs(
     ntile: "tuple[int, str] | None" = None,
     percent_rank_as: str | None = None,
     cume_dist_as: str | None = None,
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Per-key ordered row functions — SQL's ROW_NUMBER / LAG / LEAD /
     running SUM / DENSE_RANK / NTILE — over a partitioned exchange:
@@ -300,7 +299,7 @@ def window_row_funcs(
                 df[cume_dist_as] = (idx + 1.0) / cnt
         return df
 
-    return bucketed_group_reduce(ds, keys, _merge, num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, keys, _merge)
 
 
 def scd2_intervals(
@@ -311,7 +310,6 @@ def scd2_intervals(
     *,
     from_as: str = "valid_from",
     to_as: str = "valid_to",
-    num_buckets: "int | None" = None,
 ) -> ray.data.Dataset:
     """Slowly-changing-dimension (type 2) interval builder: per key,
     collapse consecutive rows with an unchanged ``state_col`` into one
@@ -344,7 +342,29 @@ def scd2_intervals(
         iv[to_as] = g2[from_as].shift(-1)
         return iv[cols]
 
-    return bucketed_group_reduce(ds, keys, _build, num_buckets=num_buckets)
+    return bucketed_group_reduce(ds, keys, _build)
+
+
+def small_group_sums(
+    ds: ray.data.Dataset, key: str, cols: "list[str]" = ()
+) -> pd.DataFrame:
+    """Row count ``n_rows`` and the sums of ``cols`` per ``key`` value,
+    indexed and sorted by ``key`` — for a SMALL key set (range buckets,
+    query terms) with no shuffle: each block emits its partial sums
+    from ``map_batches`` and the driver adds them up."""
+    cols = list(cols)
+
+    def _partial(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            return pd.DataFrame()
+        df = df[[key, *cols]].assign(n_rows=1)
+        return df.groupby(key, as_index=False, sort=False).sum()
+
+    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
+    if not len(parts):
+        return pd.DataFrame(columns=[*cols, "n_rows"], index=pd.Index([], name=key),
+                            dtype="int64")
+    return parts.groupby(key).sum()
 
 
 def global_rank_int(
@@ -368,8 +388,9 @@ def global_rank_int(
        picks ``num_buckets − 1`` RANGE boundaries (tiny);
     2. one range exchange (searchsorted on the broadcast boundaries);
     3. per-bucket vectorized argsort + size;
-    4. bucket sizes prefix-sum DRIVER-side (B integers) → each bucket
-       emits ``offset + local_index``.
+    4. per-block bucket sizes summed and prefix-summed DRIVER-side
+       (``small_group_sums``, B integers — no second shuffle) → each
+       bucket emits ``offset + local_index``.
     Skewed key ranges only imbalance bucket sizes, never correctness;
     boundary quality degrades to imbalance, not error.
     """
@@ -433,18 +454,9 @@ def global_rank_int(
         num_buckets=len(bounds) + 1,
     ).materialize()
 
-    sizes = (
-        local.map_batches(
-            lambda t: pa.table({
-                "__b": t["__b"],
-                "one": pa.array(np.ones(t.num_rows, np.int64))}),
-            batch_format="pyarrow")
-        .groupby("__b").sum("one").to_pandas()
-    )
-    scol = [c for c in sizes.columns if c != "__b"][0]
-    sizes = sizes.sort_values("__b")
-    offs = dict(zip(sizes["__b"],
-                    np.concatenate([[0], np.cumsum(sizes[scol].to_numpy())[:-1]])))
+    sizes = small_group_sums(local, "__b")
+    offs = dict(zip(sizes.index,
+                    np.concatenate([[0], np.cumsum(sizes["n_rows"].to_numpy())[:-1]])))
     oref = ray.put(offs)
 
     def _rank(tbl: pa.Table) -> pa.Table:
@@ -550,24 +562,13 @@ def global_rank_prefix_int(
         num_buckets=len(bounds) + 1,
     ).materialize()
 
-    sizes = (
-        local.map_batches(
-            lambda t: pa.table({
-                "__b": t["__b"],
-                "one": pa.array(np.ones(t.num_rows, np.int64)),
-                "v": t[val_col]}),
-            batch_format="pyarrow")
-        .groupby("__b").sum(["one", "v"]).to_pandas()
-    )
-    ccol = [c for c in sizes.columns if c.startswith("sum(one")][0]
-    vcol = [c for c in sizes.columns if c.startswith("sum(v")][0]
-    sizes = sizes.sort_values("__b")
+    sizes = small_group_sums(local, "__b", [val_col])
     offs = dict(zip(
-        sizes["__b"],
-        np.concatenate([[0], np.cumsum(sizes[ccol].to_numpy())[:-1]])))
+        sizes.index,
+        np.concatenate([[0], np.cumsum(sizes["n_rows"].to_numpy())[:-1]])))
     voffs = dict(zip(
-        sizes["__b"],
-        np.concatenate([[0], np.cumsum(sizes[vcol].to_numpy())[:-1]])))
+        sizes.index,
+        np.concatenate([[0], np.cumsum(sizes[val_col].to_numpy())[:-1]])))
     oref = ray.put((offs, voffs))
 
     def _rank(tbl: pa.Table) -> pa.Table:

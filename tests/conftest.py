@@ -56,3 +56,16 @@ def duck(sf_small):
             f"create view {t} as select * from read_parquet('{sf_small}/{t}.parquet')"
         )
     return con
+
+
+@pytest.fixture
+def force_buckets(monkeypatch):
+    """``force_buckets(n)`` makes every auto-sized exchange in the test
+    use ``n`` buckets (patches ``exchange.auto_num_buckets``), so a
+    test can put several keys in one reducer, or leave buckets empty."""
+    from feast_ray.stages import exchange
+
+    def _force(n: int) -> None:
+        monkeypatch.setattr(exchange, "auto_num_buckets", lambda *_a, **_k: n)
+
+    return _force

@@ -43,6 +43,11 @@ def test_bloom_distributed_build_matches_local():
     assert (bf.bits == local).all()
 
 
+def test_bloom_distributed_build_matches_local_two_buckets(force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_bloom_distributed_build_matches_local()
+
+
 def test_bloom_filter_new_drops_members_keeps_fresh():
     corpus = pd.DataFrame({"k": _keys(200)})
     incoming = pd.DataFrame({"k": _keys(200) + _keys(50, prefix="new")})
@@ -136,3 +141,8 @@ def test_partitioned_bloom_matches_per_partition_reference():
         member_col="seen",
     ).to_pandas()
     assert len(ann) == len(probe) and ann["seen"].sum() == sum(want)
+
+
+def test_partitioned_bloom_matches_per_partition_reference_two_buckets(force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_partitioned_bloom_matches_per_partition_reference()

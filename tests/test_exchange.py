@@ -64,3 +64,82 @@ def test_reducers_wait_for_every_map_task():
     flat = [r for x in refs for r in (x if isinstance(x, list) else [x])]
     _, pending = ray.wait(flat, num_returns=len(flat), timeout=0, fetch_local=False)
     assert not pending
+
+
+def test_only_keep_latest_uses_the_sort_shuffle(monkeypatch, tmp_path):
+    """Every shuffle site except ``keep_latest`` runs on the raw
+    exchange (or on driver-summed partials): with ``Dataset.groupby``
+    disabled they all still run, and ``keep_latest`` is the one call
+    that reaches Ray's sort shuffle."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pytest
+    import ray.data
+
+    from feast_ray.functions.bloom import (
+        bloom_build,
+        bloom_build_partitioned,
+        bloom_filter_new_partitioned,
+    )
+    from feast_ray.functions.hnsw import hnsw_build
+    from feast_ray.functions.neardup import (
+        exact_dedup,
+        minhash_candidate_pairs,
+        simhash_dups,
+    )
+    from feast_ray.functions.sampling import budget_sample
+    from feast_ray.functions.search import bm25_topk
+    from feast_ray.functions.similarity import cosine_neardup_pairs_lsh
+    from feast_ray.functions.sketches import approx_count_distinct, approx_quantiles
+    from feast_ray.stages.aggregate import AggSpec, pivot_agg
+    from feast_ray.stages.dedup import keep_latest
+    from feast_ray.stages.join import copartitioned_asof_join
+    from feast_ray.stages.relational import global_rank_int, global_rank_prefix_int
+
+    def _no_sort_shuffle(self, *_a, **_k):
+        raise AssertionError("Dataset.groupby called")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", _no_sort_shuffle)
+
+    n = 24
+    rng = np.random.default_rng(5)
+    docs = ray.data.from_pandas(pd.DataFrame({
+        "doc_id": np.arange(n, dtype=np.int64),
+        "g": np.arange(n) % 3,
+        "v": np.arange(n, dtype=np.int64),
+        "ts": pd.Timestamp("2024-01-01") + pd.to_timedelta(np.arange(n), unit="h"),
+        "text": [f"alpha beta gamma delta {i % 5}" for i in range(n)],
+    })).repartition(3)
+    vecs = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(n), pa.int64()),
+        "embedding": pa.array(list(rng.normal(size=(n, 4)).astype(np.float32)),
+                              pa.list_(pa.float32())),
+    })).repartition(2)
+
+    exact_dedup(docs, "text", "doc_id").materialize()
+    minhash_candidate_pairs(docs, "doc_id", "text", threshold=0.5).materialize()
+    simhash_dups(docs, "doc_id", "text").materialize()
+    approx_count_distinct(docs, ["g"], "text").materialize()
+    approx_quantiles(docs, ["g"], "v", [0.5]).materialize()
+    cosine_neardup_pairs_lsh(vecs, threshold=0.5).materialize()
+    budget_sample(docs, "g", "v", "v", "doc_id", 50).materialize()
+    right = docs.map_batches(
+        lambda t: pa.table({"g": t["g"], "rts": t["ts"], "v": t["v"]}),
+        batch_format="pyarrow")
+    copartitioned_asof_join(docs.select_columns(["g", "ts", "doc_id"]), right,
+                            left_ts="ts", right_ts="rts", by="g").materialize()
+    pivot_agg(docs, "g", "doc_id", AggSpec("v", "sum", "s")).materialize()
+    keys = docs.map_batches(
+        lambda t: pa.table({"k": pa.array([str(x) for x in t["doc_id"].to_pylist()])}),
+        batch_format="pyarrow")
+    bloom_build(keys, "k", m_bits=1 << 12, num_segments=4)
+    pb = bloom_build_partitioned(keys, "k", 3, m_bits_per=1 << 10, num_segments=2)
+    bloom_filter_new_partitioned(keys, pb, "k").materialize()
+    hnsw_build(vecs, str(tmp_path / "hnsw"), n_shards=3, m=4, ef_construction=8)
+    global_rank_int(docs, "v", num_buckets=4).materialize()
+    global_rank_prefix_int(docs, "doc_id", "v", num_buckets=4).materialize()
+    bm25_topk(docs, ["alpha", "delta"], k=3).materialize()
+
+    with pytest.raises(AssertionError, match="Dataset.groupby"):
+        keep_latest(docs, ["g"], "ts").materialize()

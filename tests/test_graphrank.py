@@ -132,6 +132,35 @@ def test_bfs_levels_isolated_source():
     assert list(out["node"]) == [99] and list(out["level"]) == [0]
 
 
+def test_bfs_levels_runs_edge_pipeline_once(tmp_path):
+    """The caller's edges pipeline runs once per input block, not once
+    (plus a schema probe) per hop: a side-effecting edge stage leaves
+    one marker file per call."""
+    import os
+    import uuid
+
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from feast_ray.functions.graphrank import bfs_levels
+
+    marks = str(tmp_path)
+
+    def _mark(t):
+        open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+        return t
+
+    # chain 0 -> 1 -> 2 -> 3 -> 4: three hops all find a new node
+    chain = pd.DataFrame({"src": np.arange(4, dtype=np.int64),
+                          "dst": np.arange(1, 5, dtype=np.int64)})
+    edges = rd.from_pandas(chain).repartition(2).map_batches(
+        _mark, batch_format="pyarrow")
+    out = bfs_levels(edges, 0, 3).to_pandas().sort_values("node")
+    assert list(out["level"]) == [0, 1, 2, 3]
+    assert len(os.listdir(marks)) == 2
+
+
 def test_hits_driver_distributed_parity():
     import numpy as np
     import pandas as pd

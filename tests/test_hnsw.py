@@ -84,6 +84,18 @@ def test_graph_partition_invariance(built, tmp_path):
     shutil.rmtree(other)
 
 
+def test_build_with_empty_shards(tmp_path):
+    """More shards than vectors: each shard still gets its own reduce
+    task, the empty ones build nothing, and every vector lands in the
+    graph of its ``shard_of`` shard."""
+    ids, vecs = _corpus(n=5, seed=3)
+    info = hnsw_build(_ds(ids, vecs, blocks=2), str(tmp_path / "idx"),
+                      n_shards=16, m=4, ef_construction=16)
+    want = {int(s): int((shard_of(ids, 16) == s).sum())
+            for s in np.unique(shard_of(ids, 16))}
+    assert {int(s): sh["n"] for s, sh in info["shards"].items()} == want
+
+
 def test_levels_and_shards_deterministic():
     ids = np.arange(1000)
     lv = _levels_for(ids, 8)

@@ -52,6 +52,11 @@ def test_exact_dedup(corpus):
     assert len(out) == len(corpus) - 2
 
 
+def test_exact_dedup_two_buckets(corpus, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_exact_dedup(corpus)
+
+
 def test_minhash_identical_sig(corpus):
     s0 = minhash_signature(corpus.loc[0, "text"])
     s100 = minhash_signature(corpus.loc[corpus.doc_id == 100, "text"].iloc[0])
@@ -75,6 +80,11 @@ def test_simhash_near(corpus):
     ds = ray.data.from_pandas(corpus)
     dropped = set(simhash_dups(ds, "doc_id", "text", max_hamming=3).to_pandas()["doc_id"])
     assert 100 in dropped and 101 in dropped  # exact dups always hamming 0
+
+
+def test_simhash_near_two_buckets(corpus, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_simhash_near(corpus)
 
 
 def test_ngram_jaccard_pairs(corpus):
@@ -110,6 +120,11 @@ def test_minhash_distributed_verify_matches_driver(corpus):
     assert list(a["id_a"]) == list(b["id_a"])
     assert list(a["id_b"]) == list(b["id_b"])
     assert len(a) > 0
+
+
+def test_minhash_distributed_verify_matches_driver_two_buckets(corpus, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_minhash_distributed_verify_matches_driver(corpus)
 
 
 def _ref_digest(b: bytes) -> int:

@@ -108,9 +108,10 @@ def test_minhash_estimate_tracks_true_jaccard(words, n_swap):
              min_size=1, max_size=60),
     st.sampled_from(["inner", "left"]),
 )
-def test_hash_join_matches_pandas_merge(lrows, rrows, how):
+def test_hash_join_matches_pandas_merge(force_buckets, lrows, rrows, how):
     """hash_join ≡ pandas merge on random keyed frames (incl. empty
     sides, duplicate keys, both join types)."""
+    force_buckets(4)
     import ray.data
 
     from feast_ray.stages.join import hash_join
@@ -119,7 +120,7 @@ def test_hash_join_matches_pandas_merge(lrows, rrows, how):
     rdf = pd.DataFrame(rrows, columns=["k", "rv"])
     got = hash_join(
         ray.data.from_pandas(ldf), ray.data.from_pandas(rdf),
-        on="k", how=how, num_buckets=4,
+        on="k", how=how,
     ).to_pandas()
     exp = (
         ldf.merge(rdf, on="k", how=how)

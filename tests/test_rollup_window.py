@@ -125,6 +125,31 @@ def test_pivot_missing_combo_is_null():
     assert pd.isna(out.loc[1, "de"]) and out.loc[1, "en"] == 30.0
 
 
+@pytest.mark.parametrize("buckets", [2, 8])
+def test_pivot_matches_pandas_pivot_table(force_buckets, buckets):
+    """More index values than buckets, some (index, pivot) cells with
+    no rows: equal to ``pandas.pivot_table``, NaN in the empty cells."""
+    from feast_ray.stages.aggregate import pivot_agg
+
+    force_buckets(buckets)
+    rng = np.random.default_rng(13)
+    n = 300
+    df = pd.DataFrame({
+        "source": rng.integers(0, 25, n).astype(np.int64),
+        "lang": rng.choice(["de", "en", "fr", "ja"], n),
+        "n_chars": rng.integers(1, 1000, n).astype(np.int64),
+    })
+    df = df[~((df["source"] % 5 == 0) & (df["lang"] == "fr"))]  # empty cells
+    out = pivot_agg(rd.from_pandas(df).repartition(4), "source", "lang",
+                    AggSpec("n_chars", "sum", "s")).to_pandas()
+    exp = df.pivot_table(index="source", columns="lang", values="n_chars",
+                         aggfunc="sum").astype("float64").reset_index()
+    exp.columns.name = None
+    got = out.sort_values("source").reset_index(drop=True)
+    assert got["fr"].isna().sum() == 5
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
 def test_pivot_value_cap():
     from feast_ray.stages.aggregate import pivot_agg
 
@@ -274,7 +299,8 @@ def test_global_rank_skewed_and_tiny():
     assert list(tiny["rank"]) == [1]
 
 
-def test_grouped_string_agg_matches_duckdb():
+def test_grouped_string_agg_matches_duckdb(force_buckets):
+    force_buckets(3)
     import duckdb
 
     from feast_ray.stages.aggregate import grouped_string_agg
@@ -288,7 +314,7 @@ def test_grouped_string_agg_matches_duckdb():
     })
     out = (grouped_string_agg(
         rd.from_pandas(df).repartition(5), ["g"], "v", ["o"],
-        sep=">", alias="s", num_buckets=3)
+        sep=">", alias="s")
         .to_pandas().sort_values("g").reset_index(drop=True))
     ref = duckdb.sql(
         "select g, string_agg(v, '>' order by o) as s from df "
@@ -321,7 +347,8 @@ def test_grouped_quantile_cont_matches_duckdb():
         assert (out[c].to_numpy() == ref[c].to_numpy()).all(), c
 
 
-def test_window_percent_rank_cume_dist_match_duckdb():
+def test_window_percent_rank_cume_dist_match_duckdb(force_buckets):
+    force_buckets(3)
     import duckdb
 
     from feast_ray.stages.relational import window_row_funcs
@@ -338,7 +365,7 @@ def test_window_percent_rank_cume_dist_match_duckdb():
     df = df[~((df.k == "solo") & (df.index < n - 1))]
     out = (window_row_funcs(
         rd.from_pandas(df).repartition(4), ["k"], ["t", "id"],
-        percent_rank_as="pr", cume_dist_as="cd", num_buckets=3)
+        percent_rank_as="pr", cume_dist_as="cd")
         .to_pandas().sort_values("id").reset_index(drop=True))
     ref = duckdb.sql(
         "select id, percent_rank() over w as pr, cume_dist() over w as cd "

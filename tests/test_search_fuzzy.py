@@ -29,7 +29,8 @@ def _docs(n=60, seed=3):
     })
 
 
-def test_inverted_index_matches_pandas_and_partitioning():
+def test_inverted_index_matches_pandas_and_partitioning(force_buckets):
+    force_buckets(4)
     from feast_ray.functions.search import build_inverted_index
 
     df = _docs()
@@ -42,7 +43,7 @@ def test_inverted_index_matches_pandas_and_partitioning():
     )
     for parts in (2, 7):
         out = build_inverted_index(
-            rd.from_pandas(df).repartition(parts), min_df=1, num_buckets=4
+            rd.from_pandas(df).repartition(parts), min_df=1
         ).to_pandas().set_index("term")
         assert set(out.index) == set(ref.index)
         for term, postings in ref.items():
@@ -93,7 +94,8 @@ def test_bm25_matches_sequential_reference():
         assert list(zip(out["doc_id"], out["score_n"])) == ref
 
 
-def test_ed1_join_matches_brute_force():
+def test_ed1_join_matches_brute_force(force_buckets):
+    force_buckets(4)
     from feast_ray.functions.fuzzyjoin import ed1_self_join
 
     vocab = ["kitten", "sitting", "kitchen", "mitten", "mittens", "bitten",
@@ -110,7 +112,7 @@ def test_ed1_join_matches_brute_force():
     for parts in (3, 8):
         out = (
             ed1_self_join(rd.from_pandas(df).repartition(parts),
-                          "doc_id", "s", num_buckets=4)
+                          "doc_id", "s")
             .to_pandas().sort_values(["id1", "id2"]).reset_index(drop=True)
         )
         assert out.equals(ref)
@@ -138,7 +140,8 @@ def test_orc_round_trip_and_pruning(tmp_path):
         read_orc(str(tmp_path / "nope_dir_without_orc" ))
 
 
-def test_positional_index_and_phrase():
+def test_positional_index_and_phrase(force_buckets):
+    force_buckets(2)
     from feast_ray.functions.search import build_positional_index, phrase_search
 
     df = pd.DataFrame({
@@ -152,26 +155,25 @@ def test_positional_index_and_phrase():
         ],
     })
     ds = rd.from_pandas(df).repartition(3)
-    idx = build_positional_index(ds, terms=["hash", "join"],
-                                 num_buckets=2).to_pandas()
+    idx = build_positional_index(ds, terms=["hash", "join"]).to_pandas()
     row = idx[(idx.term == "hash") & (idx.doc_id == 0)].iloc[0]
     assert list(row["positions"]) == [0, 2]
-    out = (phrase_search(ds, ["hash", "join"], num_buckets=2)
+    out = (phrase_search(ds, ["hash", "join"])
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert list(zip(out["doc_id"], out["n_phrase"])) == [(0, 2), (2, 1), (4, 1)]
     with pytest.raises(ValueError):
         phrase_search(ds, ["solo"])
 
 
-def test_phrase_three_tokens_counts_overlaps():
+def test_phrase_three_tokens_counts_overlaps(force_buckets):
+    force_buckets(2)
     from feast_ray.functions.search import phrase_search
 
     df = pd.DataFrame({
         "doc_id": np.array([0], dtype=np.int64),
         "text": ["a b a b a b a"],  # "a b a": positions 0, 2, 4
     })
-    out = phrase_search(rd.from_pandas(df), ["a", "b", "a"],
-                        num_buckets=2).to_pandas()
+    out = phrase_search(rd.from_pandas(df), ["a", "b", "a"]).to_pandas()
     assert list(zip(out["doc_id"], out["n_phrase"])) == [(0, 3)]
 
 
@@ -194,7 +196,8 @@ def test_dictionary_tag_matches_pandas():
     assert list(out["pattern"]) == list(ref["pattern"])
 
 
-def test_funnel_matches_brute_force():
+def test_funnel_matches_brute_force(force_buckets):
+    force_buckets(3)
     from feast_ray.functions.funnel import funnel_converted_users
 
     rng = np.random.default_rng(21)
@@ -208,7 +211,7 @@ def test_funnel_matches_brute_force():
     W = 3600.0 * 6
     out = (funnel_converted_users(
         rd.from_pandas(df).repartition(5),
-        ["view", "click", "purchase"], W, num_buckets=3)
+        ["view", "click", "purchase"], W)
         .to_pandas()["user_id"].sort_values().tolist())
     ref = []
     for uid, g in df.groupby("user_id"):
@@ -225,7 +228,8 @@ def test_funnel_matches_brute_force():
         funnel_converted_users(rd.from_pandas(df), ["view", "click"], W)
 
 
-def test_jaccard_join_matches_brute_force():
+def test_jaccard_join_matches_brute_force(force_buckets):
+    force_buckets(4)
     from feast_ray.functions.setjoin import jaccard_self_join
 
     rng = np.random.default_rng(4)
@@ -243,7 +247,7 @@ def test_jaccard_join_matches_brute_force():
              if 100 * len(sets[i] & sets[j]) >= tau * len(sets[i] | sets[j])],
             columns=["id1", "id2", "inter", "uni"]).astype("int64")
         out = jaccard_self_join(
-            rd.from_pandas(docs).repartition(5), tau, num_buckets=4
+            rd.from_pandas(docs).repartition(5), tau
         ).to_pandas()
         if not len(ref):
             # all-empty reduces lose the schema (exchange-wide
@@ -256,7 +260,8 @@ def test_jaccard_join_matches_brute_force():
         jaccard_self_join(rd.from_pandas(docs), 0)
 
 
-def test_triangle_count_matches_brute_force():
+def test_triangle_count_matches_brute_force(force_buckets):
+    force_buckets(4)
     from feast_ray.functions.graphrank import triangle_count
 
     rng = np.random.default_rng(7)
@@ -272,13 +277,13 @@ def test_triangle_count_matches_brute_force():
         adj.setdefault(v, set()).add(u)
     tri = sum(len(adj[u] & adj[v]) for u, v in E) // 3
     for parts in (2, 6):
-        res = triangle_count(rd.from_pandas(edges).repartition(parts),
-                             num_buckets=4).to_pandas()
+        res = triangle_count(rd.from_pandas(edges).repartition(parts)).to_pandas()
         assert res.iloc[0]["n_edges"] == len(E)
         assert res.iloc[0]["n_triangles"] == tri
 
 
-def test_scd2_intervals_matches_pandas():
+def test_scd2_intervals_matches_pandas(force_buckets):
+    force_buckets(3)
     from feast_ray.stages.relational import scd2_intervals
 
     rng = np.random.default_rng(11)
@@ -292,7 +297,7 @@ def test_scd2_intervals_matches_pandas():
     })
     out = (scd2_intervals(
         rd.from_pandas(ev).repartition(4), ["user_id"],
-        ["ts", "event_id"], "event_type", num_buckets=3)
+        ["ts", "event_id"], "event_type")
         .to_pandas().sort_values(["user_id", "valid_from"])
         .reset_index(drop=True))
     refr = []
@@ -374,7 +379,8 @@ def test_ipc_round_trip_and_batch_parallelism(tmp_path):
         read_ipc(str(tmp_path / "missing.arrow"))
 
 
-def test_containment_join_matches_brute_force():
+def test_containment_join_matches_brute_force(force_buckets):
+    force_buckets(4)
     from feast_ray.functions.setjoin import containment_self_join
 
     rng = np.random.default_rng(11)
@@ -395,7 +401,7 @@ def test_containment_join_matches_brute_force():
         ref = ref.sort_values(["probe_id", "host_id"]).reset_index(drop=True)
         out = containment_self_join(
             rd.from_pandas(docs).repartition(5), tau,
-            min_tokens=mn, num_buckets=4).to_pandas()
+            min_tokens=mn).to_pandas()
         if not len(ref):
             assert len(out) == 0, f"tau={tau}"
             continue

@@ -25,47 +25,52 @@ def _rows(u, types, ts0=0):
             for i, t in enumerate(types)]
 
 
-def test_basic_motifs():
+def test_basic_motifs(force_buckets):
+    force_buckets(4)
     ds = _ds(
         _rows(1, ["view", "click", "purchase",          # match
                   "view", "purchase",                   # match (c* empty)
                   "view", "click"])                     # no terminator
         + _rows(2, ["click", "purchase", "view"])       # no match
     )
-    got = _run(ds, num_buckets=4)
+    got = _run(ds)
     assert got == {1: (2, 7), 2: (0, 3)}
 
 
-def test_unknown_event_breaks_run():
+def test_unknown_event_breaks_run(force_buckets):
+    force_buckets(2)
     ds = _ds(_rows(1, ["view", "signup", "purchase"]))  # signup -> '_'
-    got = _run(ds, num_buckets=2)
+    got = _run(ds)
     assert got == {1: (0, 3)}
 
 
-def test_non_overlapping_consumption():
+def test_non_overlapping_consumption(force_buckets):
     # vpvp: two disjoint matches; vpp: second p unmatched (no fresh v)
+    force_buckets(2)
     ds = _ds(_rows(1, ["view", "purchase", "view", "purchase", "purchase"]))
-    assert _run(ds, num_buckets=2) == {1: (2, 5)}
+    assert _run(ds) == {1: (2, 5)}
 
 
-def test_tiebreak_order_by():
+def test_tiebreak_order_by(force_buckets):
     # same ts: eid must decide the order (purchase BEFORE view -> 0)
+    force_buckets(2)
     rows = [
         {"u": 1, "ts": 5, "eid": 0, "et": "purchase"},
         {"u": 1, "ts": 5, "eid": 1, "et": "view"},
     ]
-    assert _run(_ds(rows), num_buckets=2) == {1: (0, 2)}
+    assert _run(_ds(rows)) == {1: (0, 2)}
     rows2 = [
         {"u": 1, "ts": 5, "eid": 0, "et": "view"},
         {"u": 1, "ts": 5, "eid": 1, "et": "purchase"},
     ]
-    assert _run(_ds(rows2), num_buckets=2) == {1: (1, 2)}
+    assert _run(_ds(rows2)) == {1: (1, 2)}
 
 
-def test_counts_match_pandas_groupby():
+def test_counts_match_pandas_groupby(force_buckets):
     """The bucketed exchange's per-key counts equal a pandas groupby
     reference over the same rows, with the input spread over several
     blocks and more buckets than keys (empty buckets included)."""
+    force_buckets(64)
     import random
     import re
 
@@ -74,7 +79,7 @@ def test_counts_match_pandas_groupby():
         rows += _rows(u, (["view", "click", "purchase"] * (u % 4 + 1)
                           + ["click", "signup"] * (u % 3)))
     random.Random(7).shuffle(rows)
-    got = _run(_ds(rows).repartition(4), num_buckets=64)
+    got = _run(_ds(rows).repartition(4))
 
     df = pd.DataFrame(rows).sort_values(["u", "ts", "eid"])
     seq = df.groupby("u")["et"].agg(
@@ -83,10 +88,11 @@ def test_counts_match_pandas_groupby():
     assert got == want
 
 
-def test_int64_dtypes():
+def test_int64_dtypes(force_buckets):
+    force_buckets(2)
     ds = _ds(_rows(1, ["view", "purchase"]))
     out = sequence_pattern_counts(
-        ds, ["u"], ["ts", "eid"], "et", AB, "vp", num_buckets=2)
+        ds, ["u"], ["ts", "eid"], "et", AB, "vp")
     df = out.to_pandas()
     assert str(df["n_matches"].dtype) == "int64"
     assert str(df["seq_len"].dtype) == "int64"

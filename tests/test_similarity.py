@@ -170,8 +170,13 @@ def test_cosine_lsh_distributed_verify(emb):
     assert list(a["id_a"]) == list(b["id_a"]) and list(a["id_b"]) == list(b["id_b"])
 
 
+def test_cosine_lsh_distributed_verify_two_buckets(emb, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_cosine_lsh_distributed_verify(emb)
+
+
 def test_ivf_build_distributed_sample_and_refine(tmp_path):
-    """sample_mode="hash" + refine_iters: unbiased distributed seed
+    """Hash seed sample + refine_iters: unbiased distributed seed
     sample and full-corpus Lloyd partials. Search results through the
     refined partitioned index must equal brute force for high nprobe
     (probe-everything = exact regardless of centroid placement)."""
@@ -192,8 +197,7 @@ def test_ivf_build_distributed_sample_and_refine(tmp_path):
     ds = ray.data.from_pandas(df).repartition(4)
     path = str(tmp_path / "ivf")
     idx = ivf_build(
-        ds, path, n_cells=8, sample_size=128,
-        sample_mode="hash", refine_iters=2,
+        ds, path, n_cells=8, sample_size=128, refine_iters=2,
     )
     assert idx.centroids.shape == (8, 16)
     # centroids stay unit-normalized after distributed refinement

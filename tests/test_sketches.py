@@ -44,6 +44,11 @@ def test_approx_count_distinct_distributed(sf_small, duck):
         assert abs(g - e) / max(e, 1) < 0.1, (g, e)
 
 
+def test_approx_count_distinct_distributed_two_buckets(sf_small, duck, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_approx_count_distinct_distributed(sf_small, duck)
+
+
 def test_approx_quantiles_distributed(sf_small, duck):
     ev = ray.data.read_parquet(f"{sf_small}/events.parquet")
     got = (
@@ -59,6 +64,11 @@ def test_approx_quantiles_distributed(sf_small, duck):
     spread = duck.execute("select max(value) - min(value) from events").fetchone()[0]
     np.testing.assert_allclose(got["q_0_5"], exp["q50"], atol=0.02 * spread)
     np.testing.assert_allclose(got["q_0_9"], exp["q90"], atol=0.02 * spread)
+
+
+def test_approx_quantiles_distributed_two_buckets(sf_small, duck, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_approx_quantiles_distributed(sf_small, duck)
 
 
 def test_budget_sample_matches_pandas(sf_small, duck):
@@ -92,6 +102,11 @@ def test_budget_sample_matches_pandas(sf_small, duck):
     assert got["doc_id"].tolist() == exp["doc_id"].tolist()
     # every group respects the budget
     assert (got.groupby("source")["n_tokens"].sum() <= 500).all()
+
+
+def test_budget_sample_matches_pandas_two_buckets(sf_small, duck, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_budget_sample_matches_pandas(sf_small, duck)
 
 
 def test_sample_by_hash_deterministic_and_proportional(sf_small):

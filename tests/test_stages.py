@@ -252,13 +252,14 @@ def test_broadcast_join_matches_duckdb(sf_small, duck):
     assert (out["n_name"].to_numpy() == exp["n_name"].to_numpy()).all()
 
 
-def test_hash_join_matches_duckdb(sf_small, duck):
+def test_hash_join_matches_duckdb(sf_small, duck, force_buckets):
+    force_buckets(8)
     orders = read_table(sf_small, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
     cust = read_table(sf_small, "customer", columns=["c_custkey", "c_mktsegment"])
     cust = cust.map_batches(
         lambda t: t.rename_columns(["o_custkey", "c_mktsegment"]), batch_format="pyarrow"
     )
-    out = hash_join(orders, cust, on="o_custkey", how="inner", num_buckets=8).to_pandas()
+    out = hash_join(orders, cust, on="o_custkey", how="inner").to_pandas()
     exp = duck.execute(
         """select count(*), sum(o_totalprice) from orders o join customer c
            on o.o_custkey = c.c_custkey"""
@@ -346,6 +347,11 @@ def test_copartitioned_asof_equals_broadcast(sf_small):
         .reset_index(drop=True)
     )
     pd.testing.assert_series_equal(out_b, out_c)
+
+
+def test_copartitioned_asof_equals_broadcast_two_buckets(sf_small, force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_copartitioned_asof_equals_broadcast(sf_small)
 
 
 def test_ttl_filter(sf_small):
@@ -560,10 +566,11 @@ def test_asof_created_timestamp_cutoff():
     assert pd.isna(out.loc[1, "v"])  # backfill blanked, row kept
 
 
-def test_hash_join_one_sided_groups_and_left():
+def test_hash_join_one_sided_groups_and_left(force_buckets):
     """Regression (ADVICE r1): a bucket whose rows all come from one
     side must not crash or drop columns; how='left' keeps unmatched
     left rows with typed nulls."""
+    force_buckets(4)
     import ray.data
 
     left = ray.data.from_pandas(
@@ -573,29 +580,30 @@ def test_hash_join_one_sided_groups_and_left():
         pd.DataFrame({"k": [2, 4, 9], "rv": [200.0, 400.0, 900.0]})
     )
     inner = (
-        hash_join(left, right, on="k", how="inner", num_buckets=4)
+        hash_join(left, right, on="k", how="inner")
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
     assert list(inner["k"]) == [2, 4]
     assert list(inner["rv"]) == [200.0, 400.0]
     louter = (
-        hash_join(left, right, on="k", how="left", num_buckets=4)
+        hash_join(left, right, on="k", how="left")
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
     assert list(louter["k"]) == [1, 2, 3, 4]
     assert pd.isna(louter.loc[0, "rv"]) and louter.loc[1, "rv"] == 200.0
 
 
-def test_hash_join_all_null_column_preserved():
+def test_hash_join_all_null_column_preserved(force_buckets):
     """Regression: a column that is entirely null inside one bucket is
     real data and must survive the join (old dropna side-split ate it)."""
+    force_buckets(2)
     import ray.data
 
     left = ray.data.from_pandas(pd.DataFrame({"k": [1, 2], "lv": [1.0, 2.0]}))
     right = ray.data.from_pandas(
         pd.DataFrame({"k": [1, 2], "rv": pd.array([None, None], dtype="float64")})
     )
-    out = hash_join(left, right, on="k", num_buckets=2).to_pandas()
+    out = hash_join(left, right, on="k").to_pandas()
     assert "rv" in out.columns and len(out) == 2
     assert out["rv"].isna().all()
 
@@ -632,6 +640,11 @@ def test_copartitioned_asof_left_key_without_right_rows():
     assert list(out["eid"]) == [10, 11, 12]
     assert out.loc[0, "rv"] == 7.5 and out.loc[1, "rv"] == 7.5
     assert pd.isna(out.loc[2, "rv"]) and pd.isna(out.loc[2, "rts"])
+
+
+def test_copartitioned_asof_left_key_without_right_rows_two_buckets(force_buckets):
+    force_buckets(2)  # several keys per reducer
+    test_copartitioned_asof_left_key_without_right_rows()
 
 
 def test_cross_join_arrow_blocks():
@@ -711,10 +724,11 @@ def test_union_align_promotes_types():
     assert df["y"].isna().sum() == 2
 
 
-def test_hash_join_hot_key_salting():
+def test_hash_join_hot_key_salting(force_buckets):
     """Salted skew join: identical result set to the unsalted join on
     a corpus with one extreme hot key, and the hot key's left rows
     spread across multiple buckets."""
+    force_buckets(16)
     import ray.data
 
     n_hot = 500
@@ -727,18 +741,18 @@ def test_hash_join_hot_key_salting():
     lds = ray.data.from_pandas(left)
     rds = ray.data.from_pandas(right)
     plain = (
-        hash_join(lds, rds, on="k", num_buckets=16)
+        hash_join(lds, rds, on="k")
         .to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
     )
     salted = (
-        hash_join(lds, rds, on="k", num_buckets=16, hot_keys=[7], salt_factor=8)
+        hash_join(lds, rds, on="k", hot_keys=[7], salt_factor=8)
         .to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
     )
     assert len(plain) == len(salted) == n_hot + 1 + 50
     pd.testing.assert_frame_equal(plain, salted)
     # left outer with salting keeps unmatched rows exactly once
-    lo_p = hash_join(lds, rds, on="k", how="left", num_buckets=16).to_pandas()
-    lo_s = hash_join(lds, rds, on="k", how="left", num_buckets=16,
+    lo_p = hash_join(lds, rds, on="k", how="left").to_pandas()
+    lo_s = hash_join(lds, rds, on="k", how="left",
                      hot_keys=[7], salt_factor=8).to_pandas()
     assert len(lo_p) == len(lo_s) == n_hot + 100
 
@@ -771,9 +785,10 @@ def test_semi_join_distributed_path_parity(sf_small):
         assert sorted(a.columns) == sorted(b.columns)
 
 
-def test_hash_join_mismatched_key_types():
+def test_hash_join_mismatched_key_types(force_buckets):
     """int32 left key vs int64 right key must join (promoted), not
     crash the per-bucket C++ join (code-review r2 finding)."""
+    force_buckets(4)
     import pyarrow as pa
     import ray.data
 
@@ -783,20 +798,21 @@ def test_hash_join_mismatched_key_types():
     right = ray.data.from_arrow(
         pa.table({"k": pa.array([2, 3], pa.int64()), "rv": ["b", "c"]})
     )
-    out = hash_join(left, right, on="k", num_buckets=4).to_pandas().sort_values("k")
+    out = hash_join(left, right, on="k").to_pandas().sort_values("k")
     assert list(out["k"]) == [2, 3] and list(out["rv"]) == ["b", "c"]
 
 
-def test_hash_join_salt_factor_exceeds_buckets():
+def test_hash_join_salt_factor_exceeds_buckets(force_buckets):
     """salt_factor > num_buckets must not duplicate hot matches
     (offsets collide mod num_buckets; clamped internally)."""
+    force_buckets(4)
     import ray.data
 
     left = pd.DataFrame({"k": [42] * 9, "lv": range(9)})
     right = pd.DataFrame({"k": [42, 1], "rv": ["hot", "cold"]})
     out = hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        on="k", num_buckets=4, hot_keys=[42], salt_factor=8,
+        on="k", hot_keys=[42], salt_factor=8,
     ).to_pandas()
     assert len(out) == 9
 
@@ -884,10 +900,11 @@ def test_session_agg_gap_semantics():
     assert out.loc[0, "session_end"] - out.loc[0, "session_start"] == timedelta(minutes=30)
 
 
-def test_exchange_matches_pandas():
+def test_exchange_matches_pandas(force_buckets):
     """hash_join and bucketed_group_reduce through the raw bucketed
     exchange equal pandas merge / groupby — including empty buckets
     and a 0-row side."""
+    force_buckets(4)
     import pyarrow as pa
 
     from feast_ray.stages.dedup import bucketed_group_reduce
@@ -899,7 +916,7 @@ def test_exchange_matches_pandas():
     right = ray.data.from_pandas(rdf).repartition(2)
 
     joined = (
-        hash_join(left, right, on="k", num_buckets=4)
+        hash_join(left, right, on="k")
         .to_pandas().sort_values(["k", "w"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(
@@ -923,16 +940,17 @@ def test_exchange_matches_pandas():
     empty = ray.data.from_arrow(
         pa.table({"k": pa.array([], pa.int64()), "w": pa.array([], pa.string())})
     )
-    joined = hash_join(left, empty, on="k", num_buckets=4)
+    joined = hash_join(left, empty, on="k")
     blocks = [ray.get(r) for r in joined.to_arrow_refs()]
     assert all(b.column_names == ["k", "v", "w"] for b in blocks)
     assert sum(len(b) for b in blocks) == 0
 
 
-def test_exchange_zero_block_input_is_empty():
+def test_exchange_zero_block_input_is_empty(force_buckets):
     """A Dataset that materializes to ZERO blocks (nothing to take a
     schema from) reaches each exchange site's empty fallback: the
     result is empty and building it does not raise."""
+    force_buckets(4)
     import pyarrow as pa
 
     from feast_ray.functions.sampling import shard_shuffle
@@ -952,7 +970,7 @@ def test_exchange_zero_block_input_is_empty():
     assert grouped.count() == 0
 
     # a zero-block side has no schema to probe: state both
-    joined = hash_join(_zero_blocks(kv), _zero_blocks(kw), on="k", num_buckets=4,
+    joined = hash_join(_zero_blocks(kv), _zero_blocks(kw), on="k",
                        left_schema=kv.schema, right_schema=kw.schema)
     assert joined.count() == 0
     assert joined.schema().names == ["k", "v", "w"]
@@ -1275,10 +1293,11 @@ def test_progressive_ac_refine_history_beyond_zrl_window():
     assert np.array_equal(base, prog)
 
 
-def test_hash_join_right_and_full_outer():
+def test_hash_join_right_and_full_outer(force_buckets):
     """Right/full outer (late round 5): unmatched rows from each side
     surface exactly once with coalesced keys and typed nulls, equal to
     pandas merge; broadcast_join and hot_keys reject outer types."""
+    force_buckets(4)
     import ray.data
 
     from feast_ray.stages.join import broadcast_join
@@ -1290,7 +1309,7 @@ def test_hash_join_right_and_full_outer():
 
     for how, pd_how in (("right", "right"), ("full", "outer")):
         got = (
-            hash_join(left, right, on="k", how=how, num_buckets=4)
+            hash_join(left, right, on="k", how=how)
             .to_pandas().sort_values("k").reset_index(drop=True)
         )
         ref = ldf.merge(rdf, on="k", how=pd_how).sort_values("k").reset_index(drop=True)
