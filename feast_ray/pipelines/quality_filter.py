@@ -164,8 +164,9 @@ def quality_filter(
     computed downstream from the same stream.
 
     The url dedup is ``keep_latest``: Ray's sort shuffle on a hash
-    bucket between two runs of one Arrow kernel (per block, per
-    bucket) — backpressured, spillable, no driver state. It runs after
+    bucket, with fixed bucket-range boundaries, between two runs of one
+    Arrow kernel (per input block, per reduce block of a bucket range)
+    — backpressured, spillable, no driver state. It runs after
     extraction, so the shuffle carries extracted text only (html is
     dropped before it).
     """

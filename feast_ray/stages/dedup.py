@@ -5,7 +5,8 @@ Semantics reproduced: the reference's DedupNode — argmax by
 (dask.py:1229-1270 `_drop_duplicates`; ray/nodes.py:559-654).
 ``keep_latest`` is exact: a per-block combiner (argmax per key within
 each batch — shrinks the shuffle to ≤ one row per key per block), Ray's
-sort shuffle on a hash bucket, then the same Arrow kernel per bucket.
+sort shuffle on a hash bucket with fixed bucket-range boundaries, then
+the same Arrow kernel once per reduce block.
 That kernel, ``_latest_per_key``, is the repo's one latest-per-key
 rule: the online store's merge-on-read and upsert run it too.
 
@@ -133,26 +134,43 @@ def keep_latest(
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Exact global dedup: per-block combiner (≤ 1 row per key per
-    block) → Ray's default sort shuffle (``SORT_SHUFFLE_PULL_BASED``
-    ``groupby``) on a SMALL INT hash bucket → per-bucket reducer; both
-    ends run ``_latest_per_key``, so no block goes through pandas and
-    no Python call is made per key. Partitioning assumption: the
-    surviving rows of one bucket fit in a worker's heap.
+    block) → a SMALL INT hash bucket → Ray's sort shuffle on that
+    bucket with fixed ``boundaries`` that cut ``[0, num_buckets)`` into
+    R contiguous ranges → one reducer call per range block. Both ends
+    run ``_latest_per_key``, so no block goes through pandas and no
+    Python call is made per key or per bucket. It is exact because all
+    rows of a key share one bucket and a bucket lies in one range.
     ``num_buckets=None`` means ``max(64, 8 * cluster CPUs)``.
+
+    R is the cluster's CPU count, capped at ``num_buckets``, with a
+    floor of 2: Ray samples the sort key whenever ``boundaries`` is
+    empty, and with fixed boundaries it skips that pass and runs R
+    reducers instead of one per input block. Partitioning assumption:
+    one reducer's range of buckets (the surviving rows of about
+    1/R of the keys) fits a worker's heap.
+
+    The reducer sorts on the bucket before the keys, so rows come out
+    in (bucket, keys) order for any R.
 
     It stays on the sort shuffle rather than the raw exchange: the same
     kernel at both ends of ``bucket_exchange`` with an auto-sized count
     ran ``flagship_audit`` slower in 7 of 8 alternating pairs on 1 CPU
     (perfbench seeds 41-48, median ``wall_s`` 0.469 → 0.549 s), with
     ``cpu_s`` up from 0.61-0.65 to 0.66-0.80 s."""
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     if num_buckets is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
         num_buckets = max(64, 8 * ncpu)
+    ranges = max(2, min(ncpu, num_buckets))
     order_by = [event_ts] + ([created_ts] if created_ts else [])
     combine = _latest_per_key(keys, order_by)
     bucketed = ds.map_batches(
         lambda t: add_hash_bucket(combine(t), keys, num_buckets), batch_format="pyarrow"
     )
-    return bucketed.groupby(BUCKET_COL).map_groups(
-        _latest_per_key(keys, order_by, drop=(BUCKET_COL,)), batch_format="pyarrow"
+    # a key determines its bucket, so grouping on (bucket, keys) is
+    # grouping on keys
+    return bucketed.sort(
+        BUCKET_COL, boundaries=[i * num_buckets // ranges for i in range(1, ranges)]
+    ).map_batches(
+        _latest_per_key([BUCKET_COL, *keys], order_by, drop=(BUCKET_COL,)),
+        batch_format="pyarrow", batch_size=None,
     )

@@ -184,6 +184,15 @@ def _prep_asof_right(
     return rdf.reset_index(drop=True)
 
 
+def _asof_on(left_ts: str, right_ts: str) -> dict:
+    """``pd.merge_asof``'s time-column arguments: ``on=`` alone when
+    both sides name it alike (pandas rejects ``on=`` with
+    ``left_on=``)."""
+    if left_ts == right_ts:
+        return {"on": left_ts}
+    return {"left_on": left_ts, "right_on": right_ts}
+
+
 def asof_join(
     left: ray.data.Dataset,
     right,
@@ -242,9 +251,7 @@ def asof_join(
         out = pd.merge_asof(
             df,
             r,
-            left_on=left_ts,
-            right_on=right_ts if not same_ts_name else None,
-            on=left_ts if same_ts_name else None,
+            **_asof_on(left_ts, right_ts),
             by=by,
             direction=direction,
             tolerance=ttl,
@@ -342,9 +349,7 @@ def copartitioned_asof_join(
             out = pd.merge_asof(
                 ldf,
                 rdf,
-                left_on=left_ts,
-                right_on=right_ts if not same else None,
-                on=left_ts if same else None,
+                **_asof_on(left_ts, right_ts),
                 by=by,
                 direction="backward",
                 tolerance=ttl,

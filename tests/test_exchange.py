@@ -69,8 +69,8 @@ def test_reducers_wait_for_every_map_task():
 def test_only_keep_latest_uses_the_sort_shuffle(monkeypatch, tmp_path):
     """Every shuffle site except ``keep_latest`` runs on the raw
     exchange (or on driver-summed partials): with ``Dataset.groupby``
-    disabled they all still run, and ``keep_latest`` is the one call
-    that reaches Ray's sort shuffle."""
+    and ``Dataset.sort`` disabled they all still run, and
+    ``keep_latest`` is the one call that reaches Ray's sort shuffle."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -97,10 +97,14 @@ def test_only_keep_latest_uses_the_sort_shuffle(monkeypatch, tmp_path):
     from feast_ray.stages.join import copartitioned_asof_join
     from feast_ray.stages.relational import global_rank_int, global_rank_prefix_int
 
-    def _no_sort_shuffle(self, *_a, **_k):
-        raise AssertionError("Dataset.groupby called")
+    def _no_sort_shuffle(name):
+        def _raise(self, *_a, **_k):
+            raise AssertionError(f"Dataset.{name} called")
 
-    monkeypatch.setattr(ray.data.Dataset, "groupby", _no_sort_shuffle)
+        return _raise
+
+    for name in ("groupby", "sort"):
+        monkeypatch.setattr(ray.data.Dataset, name, _no_sort_shuffle(name))
 
     n = 24
     rng = np.random.default_rng(5)
@@ -141,5 +145,5 @@ def test_only_keep_latest_uses_the_sort_shuffle(monkeypatch, tmp_path):
     global_rank_prefix_int(docs, "doc_id", "v", num_buckets=4).materialize()
     bm25_topk(docs, ["alpha", "delta"], k=3).materialize()
 
-    with pytest.raises(AssertionError, match="Dataset.groupby"):
+    with pytest.raises(AssertionError, match="Dataset.sort"):
         keep_latest(docs, ["g"], "ts").materialize()

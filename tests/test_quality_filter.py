@@ -212,8 +212,25 @@ def test_extract_fast_path_byte_identical():
         b"<article>\njunk<p>a</p>\n</article>",
         b"\xff\xfebad utf8 <article>\n<p>x</p>\n</article>",
         b"<article>\n<p>a</p>\nstray\n<p>b</p>\n</article>",
+        b"</article> <article>\n<p>close first</p>\n</article>",
+        b"</article> <article>\n<p>close first, none after</p>\n",
+        b"<article>\n<p>one</p>\n</article><article>\n<p>two</p>\n</article>",
+        b"x <article>\n<p>unclosed</p>\n",
+        b"<article>\n<p>at byte 0</p>\n</article> tail",
+        b"head <article>\n<p>at the end</p>\n</article>",
+        b"head <article>",
+        b"<article></article>",
+        b"<article>\n<p></p>\n</article>",
+        b"<article>\n<p>\n</article>",
     ]
-    tbl = pa.table({"html": pa.array(cases, pa.binary())})
-    fast = extract_batch(tbl, "html", "out")["out"].to_pylist()
-    for f, h in zip(fast, cases):
-        assert f == extract_text(h)
+    col = pa.array(cases, pa.binary())
+
+    def _check(html):
+        out = extract_batch(pa.table({"html": html}), "html", "out")["out"]
+        assert out.type == pa.string()
+        assert out.to_pylist() == [extract_text(h) for h in html.to_pylist()]
+
+    _check(col)
+    _check(col.slice(3))  # sliced column: offset != 0
+    _check(pa.chunked_array([col.slice(0, 5), col.slice(5, 9), col.slice(14)]))
+    _check(col.slice(0, 0))

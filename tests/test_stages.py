@@ -5,6 +5,7 @@ from datetime import timedelta
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pytest
 import ray.data
 
@@ -176,6 +177,41 @@ def test_keep_latest_blocks_match_pandas(keys, order_by):
                       order_by[1] if len(order_by) > 1 else None, num_buckets=4)
     got = _arrow(out)
     assert sorted(got["v"].to_pylist()) == sorted(_pandas_latest(tbl, keys, order_by)["v"])
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+@pytest.mark.parametrize("num_buckets", [1, 2, 64])
+@pytest.mark.parametrize("keys,order_by", _KERNEL_CASES)
+def test_keep_latest_ranges_match_pandas(monkeypatch, keys, order_by, num_buckets, cpus):
+    """One reducer block per contiguous bucket range: R = CPUs capped
+    at ``num_buckets``, floor 2. Null keys form one group, as do NaN
+    keys; every key of ``k`` is in every block; ``created`` ties."""
+    import ray
+
+    from feast_ray.stages.dedup import BUCKET_COL, add_hash_bucket
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    tbl = _events(200, 9)
+    blocks = [tbl.slice(i, 50) for i in range(0, 200, 50)]
+    assert all(pc.count_distinct(b["k"]).as_py() == 5 for b in blocks)
+    out = keep_latest(ray.data.from_arrow(blocks), keys, order_by[0],
+                      order_by[1] if len(order_by) > 1 else None,
+                      num_buckets=num_buckets).materialize()
+    assert out.num_blocks() == max(2, min(cpus, num_buckets))
+    got = _arrow(out)
+    assert got.schema == tbl.schema
+    assert sorted(got["v"].to_pylist()) == sorted(_pandas_latest(tbl, keys, order_by)["v"])
+    # rows come out in bucket order, as from one reducer per bucket
+    buckets = add_hash_bucket(got, keys, num_buckets)[BUCKET_COL].to_numpy()
+    assert (np.diff(buckets) >= 0).all()
+
+
+@pytest.mark.parametrize("num_buckets", [1, 2, 64])
+def test_keep_latest_empty_input(num_buckets):
+    tbl = _events(10, 1).slice(0, 0)
+    out = keep_latest(ray.data.from_arrow(tbl), ["k"], "ts", "created",
+                      num_buckets=num_buckets)
+    assert out.count() == 0
 
 
 def test_latest_kernel_empty_blocks():
@@ -645,6 +681,36 @@ def test_copartitioned_asof_left_key_without_right_rows():
 def test_copartitioned_asof_left_key_without_right_rows_two_buckets(force_buckets):
     force_buckets(2)  # several keys per reducer
     test_copartitioned_asof_left_key_without_right_rows()
+
+
+def _shared_ts_sides():
+    """Two sides whose time column is named ``ts`` on both."""
+    rng = np.random.default_rng(11)
+    day = pd.Timestamp("2024-01-01")
+    left = pd.DataFrame({
+        "u": rng.integers(0, 4, 30),
+        "ts": day + pd.to_timedelta(rng.integers(0, 48, 30), unit="h"),
+        "eid": np.arange(30),
+    })
+    right = pd.DataFrame({
+        "u": rng.integers(0, 4, 20),
+        "ts": day + pd.to_timedelta(np.arange(20) * 2 + 1, unit="h"),
+        "rv": np.arange(20, dtype=np.float64),
+    })
+    exp = pd.merge_asof(left.sort_values("ts", kind="stable"), right, on="ts", by="u")
+    return left, right, exp.sort_values("eid").reset_index(drop=True)
+
+
+@pytest.mark.parametrize("join", [asof_join, copartitioned_asof_join])
+def test_asof_joins_with_shared_ts_name(join):
+    """Both as-of joins take ``left_ts == right_ts``: pandas accepts
+    ``on=`` alone, never together with ``left_on=``."""
+    left, right, exp = _shared_ts_sides()
+    rside = right if join is asof_join else ray.data.from_pandas(right)
+    out = (join(ray.data.from_pandas(left), rside, left_ts="ts", right_ts="ts", by="u")
+           .to_pandas().sort_values("eid").reset_index(drop=True))
+    assert list(out.columns) == list(exp.columns)
+    pd.testing.assert_frame_equal(out[exp.columns], exp, check_dtype=False)
 
 
 def test_cross_join_arrow_blocks():

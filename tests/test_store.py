@@ -230,6 +230,32 @@ def test_historical_retrieval_large_view_copartitioned(tmp_path, sf_small):
         )
 
 
+def test_historical_retrieval_copartitioned_shared_ts_name(tmp_path, sf_small):
+    """The distributed as-of path with the entity timestamp column named
+    like the view's (``ts``) matches the broadcast path."""
+    import pyarrow.parquet as pq
+
+    s_small = Store(str(tmp_path / "r1"), sf_small)
+    s_big = Store(str(tmp_path / "r2"), sf_small, broadcast_threshold_bytes=0)
+    for s in (s_small, s_big):
+        s.apply([_value_view()])
+
+    events = pq.read_table(f"{sf_small}/events.parquet").to_pandas()
+    rng = np.random.RandomState(5)
+    entity_df = pd.DataFrame({
+        "user_id": rng.choice(events.user_id.unique(), 25),
+        "ts": pd.to_datetime(rng.choice(events.ts.to_numpy(), 25)),
+    })
+    a, b = (
+        s.get_historical_features(entity_df, ["user_values:value"], entity_ts_col="ts")
+        .to_pandas().sort_values(["user_id", "ts"]).reset_index(drop=True)
+        for s in (s_small, s_big)
+    )
+    assert sorted(a.columns) == sorted(b.columns) == ["ts", "user_id", "value"]
+    assert a["value"].notna().any()
+    pd.testing.assert_series_equal(a["value"], b["value"], check_dtype=False)
+
+
 def test_plan_detects_changed_view(store):
     """Object-level diff (reference diff/registry_diff.py:253): a view
     with the same name but a different ttl shows as to-update; apply
