@@ -152,11 +152,8 @@ def keep_latest(
     The reducer sorts on the bucket before the keys, so rows come out
     in (bucket, keys) order for any R.
 
-    It stays on the sort shuffle rather than the raw exchange: the same
-    kernel at both ends of ``bucket_exchange`` with an auto-sized count
-    ran ``flagship_audit`` slower in 7 of 8 alternating pairs on 1 CPU
-    (perfbench seeds 41-48, median ``wall_s`` 0.469 → 0.549 s), with
-    ``cpu_s`` up from 0.61-0.65 to 0.66-0.80 s."""
+    It stays on the sort shuffle rather than the raw exchange: see the
+    measurements in ``stages/exchange.py``'s module docstring."""
     ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     if num_buckets is None:
         num_buckets = max(64, 8 * ncpu)

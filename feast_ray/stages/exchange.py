@@ -3,13 +3,20 @@
 store's LSM upsert and every other keyed shuffle in the package.
 
 The one Ray sort-shuffle site left is ``dedup.keep_latest`` (the
-flagship's url dedup): on this exchange, with the same kernel at both
-ends and an auto-sized count, ``flagship_audit`` ran slower in 7 of 8
-alternating pairs on 1 CPU (perfbench seeds 41-48, median ``wall_s``
-0.469 → 0.549 s, ``cpu_s`` 0.61-0.65 → 0.66-0.80 s), so it stays on
-``groupby(bucket).map_groups``. Small bounded group sets (range
-buckets, query terms) need no shuffle at all: their per-block partial
-sums are added on the driver (``relational.small_group_sums``).
+flagship's url dedup). It sorts on its small-int bucket with fixed
+bucket-range boundaries, so Ray skips the sort's sample pass and runs
+one reducer per range, and the dedup kernel runs once per reduce
+block. On 1 CPU, against a per-bucket ``groupby(bucket).map_groups``
+it cut median ``wall_s`` from 0.679 to 0.490 s on ``flagship_job`` and
+from 0.457 to 0.351 s on ``flagship_audit`` (perfbench seeds 66-72 and
+36-38, 10 of 10 alternating pairs each, with extraction sped up in the
+same change). That ``groupby`` in turn beat this exchange with the
+same kernel at both ends and an auto-sized count: ``flagship_audit``
+ran slower on the exchange in 7 of 8 alternating pairs (seeds 41-48,
+median ``wall_s`` 0.469 → 0.549 s, ``cpu_s`` 0.61-0.65 → 0.66-0.80 s).
+Small bounded group sets (range buckets, query terms) need no shuffle
+at all: their per-block partial sums are added on the driver
+(``relational.small_group_sums``).
 
 Ray Data's ``groupby(bucket).map_groups`` shuffle is SORT-based: it
 pays a full range-partition sort for an ordering hash-bucketed
