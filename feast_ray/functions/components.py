@@ -18,7 +18,7 @@ given the corpus).
 Two size-gated paths, the same doctrine as ``minhash_candidate_pairs``
 verification and ``semi_join``:
 
-* **driver path** (pair count ≤ ``driver_max_edges``): the pair graph
+* **driver path** (pair count ≤ ``DRIVER_MAX_EDGES``): the pair graph
   is bounded by the *duplicate* count, not the corpus size, so at the
   default gate it is a few-hundred-MB array at worst. One vectorized
   numpy loop: hash-min over edges (``np.minimum.at``) alternated with
@@ -44,6 +44,9 @@ import pyarrow as pa
 import ray.data
 
 __all__ = ["connected_components", "minhash_components"]
+
+#: pair graphs with at most this many edges run the driver fixpoint
+DRIVER_MAX_EDGES = 5_000_000
 
 
 def _labels_fixpoint(ea: np.ndarray, eb: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -72,7 +75,6 @@ def connected_components(
     *,
     out_node: str = "node",
     out_comp: str = "component",
-    driver_max_edges: int = 5_000_000,
     max_iters: int = 50,
 ) -> ray.data.Dataset:
     """(node, component=min reachable id) for every node in ``pairs``.
@@ -86,7 +88,7 @@ def connected_components(
              out_comp: pa.array([], pa.int64())}
         )
         return ray.data.from_arrow(empty)
-    if n_edges <= driver_max_edges:
+    if n_edges <= DRIVER_MAX_EDGES:
         ptbl = pairs.select_columns([id_a, id_b]).to_pandas()
         a = ptbl[id_a].to_numpy()
         b = ptbl[id_b].to_numpy()

@@ -65,7 +65,6 @@ def pagerank(
     src_col: str = "src",
     dst_col: str = "dst",
     out_degree: int | None = None,
-    mode: str = "auto",
 ) -> ray.data.Dataset:
     """→ (node, in_deg, rank_q) for nodes 0..n_nodes−1.
 
@@ -73,14 +72,11 @@ def pagerank(
     (skips the degree join); None computes per-src degrees. Nodes with
     no outgoing edges contribute nothing (their mass damps away — the
     simple dangling convention, stated so the SQL oracle matches).
-    ``mode``: "driver" / "distributed" / "auto" (gate at
-    ``DRIVER_GATE_NODES``). Both paths are bit-identical (integer
-    arithmetic throughout).
+    Graphs up to ``DRIVER_GATE_NODES`` nodes run on the driver, larger
+    ones distributed. Both paths are bit-identical (integer arithmetic
+    throughout).
     """
-    if mode not in ("auto", "driver", "distributed"):
-        raise ValueError(mode)
-    use_driver = mode == "driver" or (
-        mode == "auto" and n_nodes <= DRIVER_GATE_NODES)
+    use_driver = n_nodes <= DRIVER_GATE_NODES
     base = (100 - damping_pct) * (scale // n_nodes) // 100
 
     if use_driver:
@@ -408,7 +404,6 @@ def hits(
     scale: int = 10**6,
     src_col: str = "src",
     dst_col: str = "dst",
-    mode: str = "auto",
 ) -> ray.data.Dataset:
     """HITS hubs & authorities (Kleinberg 1999) → (node, hub_q,
     auth_q) for nodes 0..n_nodes−1 — the link-analysis sibling of
@@ -427,14 +422,12 @@ def hits(
     Distributed shape per half-iteration: one partitioned hash_join
     (edges ⋈ scores) + one combiner-shape grouped sum + one exact
     scalar ``Dataset.max`` (driver reads ONE int) + a left join back
-    to the node set. Same auto gate as pagerank. ``iters`` must be ≥ 1
-    (an authority score needs at least one half-iteration)."""
-    if mode not in ("auto", "driver", "distributed"):
-        raise ValueError(mode)
+    to the node set. Same ``DRIVER_GATE_NODES`` gate as pagerank.
+    ``iters`` must be ≥ 1 (an authority score needs at least one
+    half-iteration)."""
     if iters < 1:
         raise ValueError(f"hits: iters must be >= 1, got {iters}")
-    use_driver = mode == "driver" or (
-        mode == "auto" and n_nodes <= DRIVER_GATE_NODES)
+    use_driver = n_nodes <= DRIVER_GATE_NODES
 
     if use_driver:
         df = edges.select_columns([src_col, dst_col]).to_pandas()

@@ -40,6 +40,7 @@ import ray
 import ray.data
 
 from feast_ray.functions.dsir import _FNV, _splitmix64
+from feast_ray.functions.quality_clf import feature_rows
 
 _GRAD_SCALE = float(1 << 24)
 _W_SCALE = float(1 << 20)
@@ -91,37 +92,16 @@ def langid_features(
     list<int32> bucket ids, fc list<int32> counts)."""
     cls_idx = {c: i for i, c in enumerate(classes)}
 
-    def _feat(tbl: pa.Table) -> pa.Table:
-        n = len(tbl)
-        if n == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "y": pa.array([], pa.int8()),
-                "fb": pa.array([], pa.list_(pa.int32())),
-                "fc": pa.array([], pa.list_(pa.int32())),
-            })
-        b, doc_offs = char_bigram_buckets(tbl, text_col, buckets)
-        doc_of = np.repeat(np.arange(n), np.diff(doc_offs))
-        key = doc_of.astype(np.int64) * buckets + b
-        key.sort()
-        uniq, cnt = np.unique(key, return_counts=True)
-        ud = (uniq // buckets).astype(np.int64)
-        ub = (uniq % buckets).astype(np.int32)
-        offs = np.searchsorted(ud, np.arange(n + 1)).astype(np.int32)
-        y = np.fromiter(
+    def _labels(tbl: pa.Table) -> np.ndarray:
+        return np.fromiter(
             (cls_idx[v] for v in tbl[label_col].to_pylist()),
-            np.int8, count=n,
+            np.int8, count=len(tbl),
         )
-        return pa.table({
-            id_col: tbl[id_col].cast(pa.int64()),
-            "y": pa.array(y),
-            "fb": pa.ListArray.from_arrays(pa.array(offs), pa.array(ub)),
-            "fc": pa.ListArray.from_arrays(
-                pa.array(offs), pa.array(cnt.astype(np.int32))
-            ),
-        })
 
-    return ds.map_batches(_feat, batch_format="pyarrow")
+    return ds.map_batches(
+        lambda t: feature_rows(t, id_col, text_col, buckets,
+                               char_bigram_buckets, _labels),
+        batch_format="pyarrow")
 
 
 def _doc_scores(tbl: pa.Table, w: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -72,6 +72,9 @@ NUM_PERM = 64
 BANDS = 16
 ROWS_PER_BAND = NUM_PERM // BANDS
 _MERSENNE = (1 << 61) - 1
+#: candidate-pair count up to which ``minhash_candidate_pairs``
+#: verifies on the driver
+DRIVER_VERIFY_MAX = 2_000_000
 _rng = np.random.RandomState(1234567)
 _PERM_A = _rng.randint(1, _MERSENNE, size=NUM_PERM, dtype=np.uint64)
 _PERM_B = _rng.randint(0, _MERSENNE, size=NUM_PERM, dtype=np.uint64)
@@ -158,7 +161,6 @@ def minhash_candidate_pairs(
     text_col: str = "text",
     threshold: float = 0.8,
     k: int = 3,
-    driver_verify_max: int = 2_000_000,
     star_threshold: int = 16,
 ) -> ray.data.Dataset:
     """Verified near-duplicate pairs ``(id_a < id_b, est_jaccard)``.
@@ -169,7 +171,7 @@ def minhash_candidate_pairs(
     2. verify: keep pairs whose estimated Jaccard (signature agreement
        rate) ≥ threshold. Verification is size-gated like the
        reference's broadcast joins: when the candidate-pair count is
-       ≤ ``driver_verify_max`` the (bounded) pair list and ONLY the
+       ≤ ``DRIVER_VERIFY_MAX`` the (bounded) pair list and ONLY the
        involved signatures are pulled to the driver and verified in
        one vectorized numpy pass — zero extra shuffles; above the gate
        it runs fully distributed: DISTINCT pairs, then the signature
@@ -230,7 +232,7 @@ def minhash_candidate_pairs(
         band_rows, ["band", "band_hash"], _bucket_pairs
     ).materialize()  # small: one row per LSH collision pair
 
-    if raw_pairs.count() <= driver_verify_max:
+    if raw_pairs.count() <= DRIVER_VERIFY_MAX:
         # ---- driver verify (bounded by the candidate-pair count) ----
         ptbl = raw_pairs.to_pandas().drop_duplicates()
         if len(ptbl) == 0:

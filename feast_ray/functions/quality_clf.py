@@ -49,6 +49,41 @@ _GRAD_SCALE = float(1 << 24)
 _W_SCALE = float(1 << 20)
 
 
+def feature_rows(
+    tbl: pa.Table, id_col: str, text_col: str, buckets: int, bucket_fn,
+    label_fn,
+) -> pa.Table:
+    """Doc-atomic hashed-feature rows of one batch: (id int64, y int8,
+    fb list<int32> bucket ids, ascending per doc, fc list<int32> their
+    counts), from ``bucket_fn(tbl, text_col, buckets) -> (bucket per
+    gram, per-doc gram offsets)`` and ``label_fn(tbl) -> int8 labels``,
+    both called on non-empty batches only. ``clf_features`` and
+    ``langid_features`` differ only in these two."""
+    n = len(tbl)
+    if n == 0:
+        return pa.table({
+            id_col: pa.array([], pa.int64()),
+            "y": pa.array([], pa.int8()),
+            "fb": pa.array([], pa.list_(pa.int32())),
+            "fc": pa.array([], pa.list_(pa.int32())),
+        })
+    b, doc_offs = bucket_fn(tbl, text_col, buckets)
+    doc_of = np.repeat(np.arange(n), np.diff(doc_offs))
+    # aggregate counts per (doc, bucket); buckets ascending per doc
+    key = doc_of.astype(np.int64) * buckets + b
+    key.sort()
+    uniq, cnt = np.unique(key, return_counts=True)
+    ud = (uniq // buckets).astype(np.int64)
+    ub = (uniq % buckets).astype(np.int32)
+    offs = pa.array(np.searchsorted(ud, np.arange(n + 1)).astype(np.int32))
+    return pa.table({
+        id_col: tbl[id_col].cast(pa.int64()),
+        "y": pa.array(label_fn(tbl)),
+        "fb": pa.ListArray.from_arrays(offs, pa.array(ub)),
+        "fc": pa.ListArray.from_arrays(offs, pa.array(cnt.astype(np.int32))),
+    })
+
+
 def clf_features(
     ds: ray.data.Dataset,
     *,
@@ -61,38 +96,13 @@ def clf_features(
     list<int32>). Doc-atomic rows survive any later re-batching —
     a doc's features can never be split across batch boundaries."""
 
-    def _feat(tbl: pa.Table) -> pa.Table:
-        n = len(tbl)
-        empty = pa.table({
-            id_col: pa.array([], pa.int64()),
-            "y": pa.array([], pa.int8()),
-            "fb": pa.array([], pa.list_(pa.int32())),
-            "fc": pa.array([], pa.list_(pa.int32())),
-        })
-        if n == 0:
-            return empty
-        b, doc_offs = _doc_gram_buckets(tbl, text_col, buckets)
-        doc_of = np.repeat(np.arange(n), np.diff(doc_offs))
-        # aggregate counts per (doc, bucket); buckets ascending per doc
-        key = doc_of.astype(np.int64) * buckets + b
-        key.sort()
-        uniq, cnt = np.unique(key, return_counts=True)
-        ud = (uniq // buckets).astype(np.int64)
-        ub = (uniq % buckets).astype(np.int32)
-        offs = np.searchsorted(ud, np.arange(n + 1)).astype(np.int32)
-        fb = pa.ListArray.from_arrays(pa.array(offs), pa.array(ub))
-        fc = pa.ListArray.from_arrays(
-            pa.array(offs), pa.array(cnt.astype(np.int32))
-        )
-        y = tbl[label_col].to_numpy(zero_copy_only=False).astype(np.int8)
-        return pa.table({
-            id_col: tbl[id_col].cast(pa.int64()),
-            "y": pa.array(y),
-            "fb": fb,
-            "fc": fc,
-        })
+    def _labels(tbl: pa.Table) -> np.ndarray:
+        return tbl[label_col].to_numpy(zero_copy_only=False).astype(np.int8)
 
-    return ds.map_batches(_feat, batch_format="pyarrow")
+    return ds.map_batches(
+        lambda t: feature_rows(t, id_col, text_col, buckets,
+                               _doc_gram_buckets, _labels),
+        batch_format="pyarrow")
 
 
 def _batch_scores(tbl: pa.Table, w: np.ndarray, bias: float) -> np.ndarray:

@@ -9,7 +9,7 @@ streaming ``map_batches`` pass producing a 65 536-bucket partial
 histogram per block plus a tiny driver-side cumulative scan, shrinking
 the candidate value range 2^16-fold per round — ≤ 4 rounds for the
 full int64 domain, and the final range is collected only when it holds
-at most ``collect_limit`` rows. Exact, deterministic (pure integer
+at most ``COLLECT_LIMIT`` rows. Exact, deterministic (pure integer
 arithmetic), and never materializes more than one small range.
 
 Ties: callers that need a total order encode it INTO the key (the
@@ -24,6 +24,8 @@ import pyarrow as pa
 import ray.data
 
 N_BUCKETS = 1 << 16
+#: rows of the surviving value range that the final round collects
+COLLECT_LIMIT = 1_000_000
 
 
 def _range_pass(
@@ -56,8 +58,6 @@ def exact_kth(
     ds: ray.data.Dataset,
     col: str,
     k: int,
-    *,
-    collect_limit: int = 1_000_000,
 ) -> int:
     """The k-th smallest (1-based) value of an int64 column, exact.
 
@@ -67,8 +67,6 @@ def exact_kth(
     """
     if k < 1:
         raise ValueError("k is 1-based")
-    import pyarrow.compute as pc  # noqa: F401
-
     stats = ds.map_batches(
         lambda t: pa.table({
             "lo": pa.array([int(np.min(t[col].to_numpy(zero_copy_only=False)))]
@@ -92,7 +90,7 @@ def exact_kth(
         cum = np.cumsum(hist)
         if bw == 1:  # buckets ARE values: answer directly
             return lo + int(np.searchsorted(cum, target))
-        if total <= collect_limit:
+        if total <= COLLECT_LIMIT:
             # final: collect the surviving range once and index into it
             def _collect(t: pa.Table, _lo=lo, _hi=hi) -> pa.Table:
                 v = t[col].to_numpy(zero_copy_only=False).astype(np.int64)

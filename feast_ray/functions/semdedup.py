@@ -35,6 +35,9 @@ import ray.data
 
 from feast_ray.functions.similarity import IVFIndex, _batch_matrix, _normalize
 
+#: rows per block of the reducer's chunked pairwise cosine
+CHUNK_ROWS = 4096
+
 
 def semantic_dedup(
     ds: ray.data.Dataset,
@@ -44,7 +47,6 @@ def semantic_dedup(
     n_clusters: int = 8,
     threshold: float = 0.92,
     sample_size: int = 2048,
-    chunk_rows: int = 4096,
 ) -> "tuple[ray.data.Dataset, np.ndarray]":
     """Returns (kept_rows, centroids): ``kept_rows`` has columns
     (id_col, cell) — the rows that survive within-cluster cosine
@@ -62,6 +64,8 @@ def semantic_dedup(
     sample = np.stack(sample_tbl[vec_col].to_numpy())
     index = IVFIndex(sample, n_cells=n_clusters)
     cref = ray.put(index.centroids)
+    # this call's value, read on the driver and shipped in the closure
+    chunk_rows = CHUNK_ROWS
 
     def _assign(tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:

@@ -57,6 +57,15 @@ def _empty_topk_table(id_col: str) -> pa.Table:
     )
 
 
+#: corpus rows up to which ``cosine_neardup_pairs`` broadcasts the
+#: whole matrix; above it the blocked path scores tile pairs of
+#: ``COSINE_BLOCK_ROWS`` rows
+COSINE_BROADCAST_MAX_ROWS = 200_000
+COSINE_BLOCK_ROWS = 4096
+#: candidate-pair count up to which ``cosine_neardup_pairs_lsh``
+#: verifies on the driver
+DRIVER_VERIFY_MAX = 2_000_000
+
 #: per-query-topk finalization switches from one merge partition to a
 #: bucketed query-id exchange above this many queries
 _FINAL_BUCKET_MIN_Q = 4096
@@ -552,16 +561,14 @@ def cosine_neardup_pairs(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     round_to: int | None = 4,
-    broadcast_max_rows: int = 200_000,
-    block_rows: int = 4096,
 ) -> ray.data.Dataset:
     """Exact embedding near-dup pairs (id_a < id_b, cosine ≥ threshold).
 
     Size-gated like ``tfidf.py`` / ``spandup.py`` (VERDICT r3 #4):
-    below ``broadcast_max_rows`` the full (normalized) matrix is
+    below ``COSINE_BROADCAST_MAX_ROWS`` the full (normalized) matrix is
     broadcast once and each batch matmuls against it; above the gate
     :func:`_cosine_neardup_pairs_blocked` tiles the corpus into
-    ~``block_rows``-row chunks and runs one Ray task per chunk PAIR —
+    ~``COSINE_BLOCK_ROWS``-row chunks and runs one Ray task per chunk PAIR —
     the same exact O(n²) FLOPs, but distributed, with per-task memory
     bounded by one tile pair and no driver materialization. Exactness
     is inherent to the operator (every pair is scored), so both sides
@@ -576,10 +583,10 @@ def cosine_neardup_pairs(
             {"id_a": pa.array([], pa.int64()),
              "id_b": pa.array([], pa.int64()),
              "cosine": pa.array([], pa.float64())}))
-    if n > broadcast_max_rows:
+    if n > COSINE_BROADCAST_MAX_ROWS:
         return _cosine_neardup_pairs_blocked(
             thin, threshold, id_col=id_col, vec_col=vec_col,
-            round_to=round_to, block_rows=block_rows)
+            round_to=round_to)
     pdf = thin.to_pandas().sort_values(id_col)
     all_ids = pdf[id_col].to_numpy()
     all_mat = _normalize(np.stack(pdf[vec_col].to_numpy()))
@@ -624,24 +631,23 @@ def _cosine_neardup_pairs_blocked(
     id_col: str,
     vec_col: str,
     round_to: int | None,
-    block_rows: int,
 ) -> ray.data.Dataset:
     """Above-gate exact path: tile the (id, vector) corpus into B
-    chunks of ~``block_rows`` rows and score every chunk pair (i ≤ j)
+    chunks of ~``COSINE_BLOCK_ROWS`` rows and score every chunk pair (i ≤ j)
     in its own Ray task — B(B+1)/2 tasks, each one tile-pair matmul.
 
     Raw tasks (SURVEY custom-operator rule (c)): all-pairs needs no
     co-location, so there is no shuffle at all — just the one eager
     ``materialize()`` barrier the exchange doctrine already pays, and
     every task reads its two tiles zero-copy from the object store.
-    Per-task memory = 2 tiles + one (block_rows × block_rows) score
+    Per-task memory = 2 tiles + one (COSINE_BLOCK_ROWS²) score
     matrix (~128 MB float64 at the default), independent of n. Pairs
     where the smaller id lands in the j-side tile are emitted as
     (min, max), so each unordered pair surfaces exactly once."""
     n = thin.count()
-    B = max(1, -(-n // block_rows))
+    B = max(1, -(-n // COSINE_BLOCK_ROWS))
     # row-balanced tiles: repartition (split/coalesce, no shuffle —
-    # all-pairs needs no co-location) so every tile is ~block_rows
+    # all-pairs needs no co-location) so every tile is ~COSINE_BLOCK_ROWS
     refs = thin.repartition(B).to_arrow_refs()
     groups = [[r] for r in refs]
 
@@ -698,7 +704,6 @@ def cosine_neardup_pairs_lsh(
     n_planes: int = 16,
     n_tables: int = 6,
     seed: int = 7,
-    driver_verify_max: int = 2_000_000,
     round_to: int | None = 4,
 ) -> ray.data.Dataset:
     """SCALE path for embedding near-dup (the exact
@@ -709,7 +714,7 @@ def cosine_neardup_pairs_lsh(
     and only recall is approximate (P[miss] =
     (1-(1-θ/π)^n_planes)^n_tables for angle θ — raise n_tables for
     higher recall). Same verify size-gate as minhash: bounded driver
-    vectorization below ``driver_verify_max`` candidate pairs, a
+    vectorization below ``DRIVER_VERIFY_MAX`` candidate pairs, a
     distributed signature join above it. Output: (id_a, id_b, cosine).
     """
     import pyarrow.compute as pac
@@ -796,7 +801,7 @@ def cosine_neardup_pairs_lsh(
                       "cosine": pa.array([], pa.float64())})
         )
 
-    if raw_pairs.count() <= driver_verify_max:
+    if raw_pairs.count() <= DRIVER_VERIFY_MAX:
         ptbl = raw_pairs.to_pandas().drop_duplicates()
         if len(ptbl) == 0:
             return _empty()

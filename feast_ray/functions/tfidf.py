@@ -14,7 +14,7 @@ Scale design — two passes, one thin shuffle, one broadcast:
   (``bucketed_group_reduce``). Corpus size N is a count aggregate on
   the same pass.
 * **pass B (score)**: SIZE-GATED like every small-side lookup here.
-  Below ``broadcast_max_terms`` the (term → df) map is broadcast ONCE
+  Below ``BROADCAST_MAX_TERMS`` the (term → df) map is broadcast ONCE
   via ``ray.put``; each block recomputes its docs' tf in-block (a
   doc's text is one row, so tf never crosses blocks), maps df with a
   pandas lookup, and keeps the per-doc top-k — all before anything
@@ -41,6 +41,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+#: vocabulary size up to which the (term → df) map is broadcast
+BROADCAST_MAX_TERMS = 50_000_000
 
 
 def _doc_terms(tbl: pa.Table, id_col: str, text_col: str) -> pd.DataFrame:
@@ -80,8 +83,6 @@ def tfidf_top_terms(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 3,
-    *,
-    broadcast_max_terms: int = 50_000_000,
 ) -> ray.data.Dataset:
     """Each doc's top-``k`` terms by tf-idf (tie-break term asc).
     Output: (doc_id, term, tf, df) — integer columns so the result is
@@ -108,7 +109,7 @@ def tfidf_top_terms(
         lambda d: d.groupby("term", as_index=False, sort=False)["df"].sum(),
     ).materialize()
     n_terms = df_ds.count()
-    if n_terms > broadcast_max_terms:
+    if n_terms > BROADCAST_MAX_TERMS:
         return _tfidf_distributed(mat, df_ds, n_docs, id_col, text_col, k)
     df_pdf = df_ds.to_pandas()
     df_ref = ray.put(

@@ -49,6 +49,8 @@ import ray.data
 _ALGEBRAIC = {"sum", "count", "min", "max"}
 _SUPPORTED = _ALGEBRAIC | {"mean", "avg", "std", "var", "count_distinct"}
 _GLOBAL_KEY = "__global_group"
+#: most distinct pivot values ``pivot_agg`` turns into columns
+MAX_PIVOT_VALUES = 1000
 
 
 @dataclass(frozen=True)
@@ -915,62 +917,11 @@ def rollup_agg(
     keys: list[str],
     specs: "list[AggSpec]",
 ) -> "ray.data.Dataset":
-    """GROUP BY ROLLUP for ALGEBRAIC specs (sum/count/min/max): the
-    finest level is ONE ``grouped_agg`` over the corpus; every coarser
-    level re-aggregates that (small) result instead of re-scanning the
-    input — count becomes a sum of counts, sum/min/max compose with
-    themselves. Rolled-up key columns come back NULL (the SQL ROLLUP
-    convention, so DuckDB's ``group by rollup`` is the oracle).
-
-    Scale shape: the input is shuffled exactly once (the finest
-    grouped_agg's combiner exchange); levels 0..n−1 run over the
-    finest AGGREGATE, whose size is the group count, not the corpus.
-    """
-    import pyarrow as _pa
-
-    for s in specs:
-        if s.fn not in ("sum", "count", "min", "max"):
-            raise ValueError(f"rollup_agg needs algebraic fns, got {s.fn!r}")
-    finest = grouped_agg(ds, keys, specs).materialize()
-    key_types = {
-        f.name: f.type
-        for f in _dataset_arrow_schema(finest)
-        if f.name in keys
-    }
-    reagg = [AggSpec(s.alias, "sum" if s.fn in ("sum", "count") else s.fn,
-                     s.alias) for s in specs]
-    out_cols = keys + [s.alias for s in specs]
-
-    def _pad(missing: list[str]):
-        def _fn(t: _pa.Table) -> _pa.Table:
-            for m in missing:
-                t = t.append_column(m, _pa.nulls(len(t), key_types[m]))
-            # restore count dtype lost to the re-sum
-            cols = {}
-            for s in specs:
-                col = t[s.alias]
-                if s.fn == "count":
-                    col = col.cast(_pa.int64())
-                cols[s.alias] = col
-            arrays = [cols.get(c, t[c]) for c in out_cols]
-            return _pa.table(dict(zip(out_cols, arrays)))
-        return _fn
-
-    levels = [finest.map_batches(_pad([]), batch_format="pyarrow")]
-    for depth in range(len(keys) - 1, -1, -1):
-        lvl = grouped_agg(finest, keys[:depth], reagg)
-        levels.append(lvl.map_batches(_pad(keys[depth:]),
-                                      batch_format="pyarrow"))
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.union(lv)
-    return out
-
-
-def _dataset_arrow_schema(ds: "ray.data.Dataset"):
-    from feast_ray.stages.join import dataset_schema
-
-    return dataset_schema(ds)
+    """GROUP BY ROLLUP: the grouping sets ``keys, keys[:n-1], …, []``,
+    finest level first (``grouping_sets_agg``; DuckDB's ``group by
+    rollup`` is the oracle)."""
+    return grouping_sets_agg(
+        ds, keys, [keys[:d] for d in range(len(keys), -1, -1)], specs)
 
 
 def cube_agg(
@@ -978,54 +929,14 @@ def cube_agg(
     keys: list[str],
     specs: "list[AggSpec]",
 ) -> "ray.data.Dataset":
-    """GROUP BY CUBE for algebraic specs: every one of the 2^k key
-    subsets, with rolled-up keys NULL (so DuckDB's ``group by cube``
-    is the oracle verbatim).  Same doctrine as ``rollup_agg``: the
-    corpus is shuffled exactly ONCE (the finest grouped_agg); all
-    2^k − 1 coarser levels re-aggregate that small result — count
-    composes as sum-of-counts, sum/min/max with themselves.
-
-    Scale shape: coarser-level cost is O(2^k × |finest|); k is the
-    report dimensionality (2–4), |finest| the group count — never the
-    corpus.
-    """
-    for s in specs:
-        if s.fn not in ("sum", "count", "min", "max"):
-            raise ValueError(f"cube_agg needs algebraic fns, got {s.fn!r}")
-    finest = grouped_agg(ds, keys, specs).materialize()
-    key_types = {
-        f.name: f.type
-        for f in _dataset_arrow_schema(finest)
-        if f.name in keys
-    }
-    reagg = [AggSpec(s.alias, "sum" if s.fn in ("sum", "count") else s.fn,
-                     s.alias) for s in specs]
-    out_cols = keys + [s.alias for s in specs]
-
-    def _pad(missing: list[str]):
-        def _fn(t: pa.Table) -> pa.Table:
-            for m in missing:
-                t = t.append_column(m, pa.nulls(len(t), key_types[m]))
-            cols = {}
-            for s in specs:
-                col = t[s.alias]
-                if s.fn == "count":
-                    col = col.cast(pa.int64())
-                cols[s.alias] = col
-            arrays = [cols.get(c, t[c]) for c in out_cols]
-            return pa.table(dict(zip(out_cols, arrays)))
-        return _fn
-
-    levels = [finest.map_batches(_pad([]), batch_format="pyarrow")]
-    for mask in range((1 << len(keys)) - 2, -1, -1):
-        subset = [k for i, k in enumerate(keys) if mask & (1 << i)]
-        missing = [k for i, k in enumerate(keys) if not mask & (1 << i)]
-        lvl = grouped_agg(finest, subset, reagg)
-        levels.append(lvl.map_batches(_pad(missing), batch_format="pyarrow"))
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.union(lv)
-    return out
+    """GROUP BY CUBE: all 2^k key subsets as grouping sets, in the
+    order of their key masks from 2^k − 1 (every key) down to 0 (the
+    grand total) (``grouping_sets_agg``; DuckDB's ``group by cube`` is
+    the oracle). Coarser-level cost is O(2^k × |finest|); k is the
+    report dimensionality (2–4), |finest| the group count."""
+    sets = [[k for i, k in enumerate(keys) if mask >> i & 1]
+            for mask in range((1 << len(keys)) - 1, -1, -1)]
+    return grouping_sets_agg(ds, keys, sets, specs)
 
 
 def grouping_sets_agg(
@@ -1034,21 +945,24 @@ def grouping_sets_agg(
     sets: "list[list[str]]",
     specs: "list[AggSpec]",
 ) -> "ray.data.Dataset":
-    """GROUP BY GROUPING SETS for algebraic specs — the general form
-    ROLLUP and CUBE are special cases of: the caller names exactly the
-    key subsets wanted. Same one-shuffle doctrine as ``rollup_agg`` /
-    ``cube_agg``: ONE ``grouped_agg`` over the corpus at the finest
-    level (the union of all requested keys), then every requested set
-    re-aggregates that small result (count → sum of counts, sum/min/max
-    compose with themselves); keys absent from a set come back NULL, so
-    DuckDB's ``group by grouping sets (...)`` is the oracle verbatim.
+    """GROUP BY GROUPING SETS for ALGEBRAIC specs (sum/count/min/max),
+    the body of ``rollup_agg`` and ``cube_agg`` too: ONE ``grouped_agg``
+    over the corpus at the finest level (the union of all requested
+    keys), then every requested set, in the given order, re-aggregates
+    that small result (count → sum of counts, sum/min/max compose with
+    themselves); keys absent from a set come back NULL, so DuckDB's
+    ``group by grouping sets (...)`` is the oracle verbatim. An empty
+    input gives what SQL gives: one grand-total row per empty set
+    (keys NULL, count 0, sum/min/max NULL) and nothing for the others.
 
     Scale shape: the input is shuffled exactly once; per-set cost is
     O(|finest|) = the finest group count, never the corpus. A set equal
     to ``keys`` reuses the finest aggregate directly.
     """
+    from feast_ray.stages.join import dataset_schema
+
     for s in specs:
-        if s.fn not in ("sum", "count", "min", "max"):
+        if s.fn not in _ALGEBRAIC:
             raise ValueError(
                 f"grouping_sets_agg needs algebraic fns, got {s.fn!r}")
     keyset = set(keys)
@@ -1060,11 +974,18 @@ def grouping_sets_agg(
         if len(set(st)) != len(st):
             raise ValueError(f"grouping set {st!r} repeats a key")
     finest = grouped_agg(ds, keys, specs).materialize()
-    key_types = {
-        f.name: f.type
-        for f in _dataset_arrow_schema(finest)
-        if f.name in keys
-    }
+    if not finest.count():
+        # the finest aggregate of no rows has no schema to read — type
+        # the grand totals from the input's
+        schema = dataset_schema(ds)
+        n = sum(not st for st in sets)
+        cols = {k: pa.nulls(n, schema.field(k).type) for k in keys}
+        for s in specs:
+            cols[s.alias] = (pa.array(np.zeros(n, np.int64)) if s.fn == "count"
+                             else pa.nulls(n, schema.field(s.col).type))
+        return ray.data.from_arrow(pa.table(cols))
+    key_types = {f.name: f.type for f in dataset_schema(finest)
+                 if f.name in keys}
     reagg = [AggSpec(s.alias, "sum" if s.fn in ("sum", "count") else s.fn,
                      s.alias) for s in specs]
     out_cols = keys + [s.alias for s in specs]
@@ -1073,6 +994,7 @@ def grouping_sets_agg(
         def _fn(t: pa.Table) -> pa.Table:
             for m in missing:
                 t = t.append_column(m, pa.nulls(len(t), key_types[m]))
+            # restore the count dtype lost to the re-sum
             cols = {}
             for s in specs:
                 col = t[s.alias]
@@ -1181,7 +1103,6 @@ def pivot_agg(
     index: str,
     pivot: str,
     spec: "AggSpec",
-    max_pivot_values: int = 1000,
 ) -> "ray.data.Dataset":
     """PIVOT: one row per ``index`` value, one float64 column per
     distinct ``pivot`` value (named by the value), cells the
@@ -1192,7 +1113,7 @@ def pivot_agg(
     (index, pivot), then the reshape runs per bucket of index values
     over that small aggregate (``bucketed_group_reduce``). The
     pivot-value set is collected driver-side from the AGGREGATE (bounded by
-    ``max_pivot_values``; a pivot is only meaningful when the column
+    ``MAX_PIVOT_VALUES``; a pivot is only meaningful when the column
     set fits a schema — wide fan-outs should stay long-format).
     """
     finest = grouped_agg(ds, [index, pivot], [spec]).materialize()
@@ -1200,10 +1121,10 @@ def pivot_agg(
         r[pivot]
         for r in finest.select_columns([pivot]).take_all()
     })
-    if len(vals) > max_pivot_values:
+    if len(vals) > MAX_PIVOT_VALUES:
         raise ValueError(
             f"pivot column {pivot!r} has {len(vals)} distinct values "
-            f"(> {max_pivot_values}); keep long format at this fan-out")
+            f"(> {MAX_PIVOT_VALUES}); keep long format at this fan-out")
     val_cols = [str(v) for v in vals]
 
     def _reshape(df: pd.DataFrame) -> pd.DataFrame:

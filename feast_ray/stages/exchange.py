@@ -61,22 +61,19 @@ import ray.data
 #: concatenates one bucket (~this many bytes) plus its merge output,
 #: comfortably inside a worker heap at the default 2 GiB/CPU.
 TARGET_BUCKET_BYTES = 128 << 20
+#: bounds of an auto-sized bucket count
+MIN_BUCKETS = 8
+MAX_BUCKETS = 4096
 
 
-def auto_num_buckets(
-    total_bytes: int,
-    *,
-    target_bytes: "int | None" = None,
-    min_buckets: int = 8,
-    max_buckets: int = 4096,
-) -> int:
-    """Bucket count from input size: ``ceil(total / target)`` clamped
-    to [min, max]. ``total_bytes=0`` (unknown size — e.g. object-store
-    metadata unavailable) degrades to ``min_buckets``, which is still
-    correct, just coarser-grained."""
-    tgt = TARGET_BUCKET_BYTES if target_bytes is None else target_bytes
-    b = -(-max(int(total_bytes), 1) // tgt)
-    return max(min_buckets, min(max_buckets, b))
+def auto_num_buckets(total_bytes: int) -> int:
+    """Bucket count from input size: ``ceil(total /
+    TARGET_BUCKET_BYTES)`` clamped to [MIN_BUCKETS, MAX_BUCKETS].
+    ``total_bytes=0`` (unknown size — e.g. object-store metadata
+    unavailable) degrades to ``MIN_BUCKETS``, which is still correct,
+    just coarser-grained."""
+    b = -(-max(int(total_bytes), 1) // TARGET_BUCKET_BYTES)
+    return max(MIN_BUCKETS, min(MAX_BUCKETS, b))
 
 
 def refs_total_bytes(refs) -> int:

@@ -46,6 +46,8 @@ _JOIN_TYPE = {
 # per-batch (broadcast) joins can only preserve inner/left semantics:
 # an unmatched RIGHT row would be emitted once per batch
 _BROADCASTABLE = ("inner", "left")
+#: right-key rows up to which ``semi_join`` broadcasts the key set
+SEMI_BROADCAST_MAX_KEYS = 5_000_000
 
 
 def dataset_schema(ds: ray.data.Dataset) -> pa.Schema:
@@ -371,7 +373,6 @@ def semi_join(
     on: list[str] | str,
     *,
     anti: bool = False,
-    broadcast_max_keys: int = 5_000_000,
 ) -> ray.data.Dataset:
     """Semi / anti join: keep left rows whose key IS (resp. is NOT) in
     the right key set. Small key sets are broadcast once (``ray.put``)
@@ -379,7 +380,7 @@ def semi_join(
     ``right_keys``: table/frame/Dataset of key columns, or a list of
     values for a single key.
 
-    Size gate: a right-keys DATASET larger than ``broadcast_max_keys``
+    Size gate: a right-keys DATASET larger than ``SEMI_BROADCAST_MAX_KEYS``
     rows is NOT pulled to the driver — the semi/anti join runs as a
     distributed marker left-join (`hash_join` + null-mark filter), so
     arbitrarily large key sets (e.g. a planet-scale dedup drop list)
@@ -387,7 +388,7 @@ def semi_join(
     on = [on] if isinstance(on, str) else list(on)
     if isinstance(right_keys, ray.data.Dataset):
         mat = right_keys.materialize()
-        if mat.count() > broadcast_max_keys:
+        if mat.count() > SEMI_BROADCAST_MAX_KEYS:
             import pyarrow.compute as pc
 
             from feast_ray.stages.relational import distinct

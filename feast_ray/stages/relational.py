@@ -367,14 +367,19 @@ def small_group_sums(
     return parts.groupby(key).sum()
 
 
+#: range buckets of the sample-sort ranks: the driver picks
+#: ``RANK_NUM_BUCKETS - 1`` range boundaries from the block samples
+RANK_NUM_BUCKETS = 64
+#: sorted keys each block contributes to the boundary sample
+RANK_SAMPLE_PER_BLOCK = 256
+
+
 def global_rank_int(
     ds: ray.data.Dataset,
     key_col: str,
     *,
     rank_as: str = "rank",
     keep_cols: "list[str] | None" = None,
-    num_buckets: int = 64,
-    sample_per_block: int = 256,
 ) -> ray.data.Dataset:
     """EXACT global ascending rank (1-based) by a UNIQUE int64 key —
     the distributed ORDER BY / ROW_NUMBER() the reference never had
@@ -385,7 +390,7 @@ def global_rank_int(
 
     Shape — never a full sort shuffle of payload rows:
     1. per-block deterministic samples (first + strided) → driver
-       picks ``num_buckets − 1`` RANGE boundaries (tiny);
+       picks ``RANK_NUM_BUCKETS − 1`` RANGE boundaries (tiny);
     2. one range exchange (searchsorted on the broadcast boundaries);
     3. per-bucket vectorized argsort + size;
     4. per-block bucket sizes summed and prefix-summed DRIVER-side
@@ -393,83 +398,10 @@ def global_rank_int(
        bucket emits ``offset + local_index``.
     Skewed key ranges only imbalance bucket sizes, never correctness;
     boundary quality degrades to imbalance, not error.
+
+    Columns: ``[key_col, *keep_cols, rank_as]``, also on empty input.
     """
-    import pyarrow.compute as pc  # noqa: F401
-
-    keep_cols = keep_cols or []
-
-    def _sample(tbl: pa.Table) -> pa.Table:
-        k = tbl[key_col].to_numpy(zero_copy_only=False)
-        if not len(k):
-            return pa.table({"s": pa.array([], pa.int64())})
-        step = max(1, len(k) // sample_per_block)
-        return pa.table({"s": pa.array(np.sort(k)[::step][:sample_per_block]
-                                       .astype(np.int64))})
-
-    samp = np.sort(np.concatenate([
-        b["s"].to_numpy(zero_copy_only=False)
-        for b in ds.map_batches(_sample, batch_format="pyarrow")
-                   .iter_batches(batch_format="pyarrow")
-        if b.num_rows
-    ] or [np.array([], np.int64)]))
-    if len(samp):
-        cuts = samp[np.linspace(0, len(samp) - 1, num_buckets + 1)
-                    .astype(int)][1:-1]
-        bounds = np.unique(cuts).astype(np.int64)
-    else:
-        bounds = np.array([], np.int64)
-    bref = ray.put(bounds)
-
-    def _tag(tbl: pa.Table) -> pa.Table:
-        b = ray.get(bref)
-        k = tbl[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {key_col: pa.array(k),
-                "__rb": pa.array(np.searchsorted(b, k, side="left")
-                                 .astype(np.int64))}
-        for c in keep_cols:
-            cols[c] = tbl[c]
-        return pa.table(cols)
-
-    from feast_ray.stages.dedup import bucketed_group_reduce
-
-    tagged = ds.map_batches(_tag, batch_format="pyarrow")
-
-    def _local_sort(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            out = df.drop(columns=["__rb"], errors="ignore").copy()
-            out["__loc"] = pd.Series([], dtype="int64")
-            out["__b"] = pd.Series([], dtype="int64")
-            return out
-        # the exchange hashes __rb, so one reduce may hold several
-        # RANGE buckets — order within each range bucket
-        df = df.sort_values(["__rb", key_col], kind="stable").reset_index(drop=True)
-        df["__loc"] = df.groupby("__rb", sort=False).cumcount().astype("int64")
-        df = df.rename(columns={"__rb": "__b"})
-        return df
-
-    local = bucketed_group_reduce(
-        tagged, ["__rb"], _local_sort,
-        # all rows of one RANGE bucket co-locate (the exchange hashes
-        # __rb); a reduce holding several range buckets sorts each
-        num_buckets=len(bounds) + 1,
-    ).materialize()
-
-    sizes = small_group_sums(local, "__b")
-    offs = dict(zip(sizes.index,
-                    np.concatenate([[0], np.cumsum(sizes["n_rows"].to_numpy())[:-1]])))
-    oref = ray.put(offs)
-
-    def _rank(tbl: pa.Table) -> pa.Table:
-        o = ray.get(oref)
-        b = tbl["__b"].to_numpy(zero_copy_only=False)
-        loc = tbl["__loc"].to_numpy(zero_copy_only=False)
-        base = pd.Series(b).map(o).to_numpy(np.int64)
-        cols = {c: tbl[c] for c in tbl.column_names
-                if c not in ("__b", "__loc")}
-        cols[rank_as] = pa.array(base + loc + 1)
-        return pa.table(cols)
-
-    return local.map_batches(_rank, batch_format="pyarrow")
+    return _sample_sort_rank(ds, key_col, [], keep_cols or [], rank_as)
 
 
 def global_rank_prefix_int(
@@ -480,15 +412,12 @@ def global_rank_prefix_int(
     rank_as: str = "rank",
     prefix_as: str = "prefix",
     keep_cols: "list[str] | None" = None,
-    num_buckets: int = 64,
-    sample_per_block: int = 256,
 ) -> ray.data.Dataset:
     """EXACT global rank AND exclusive running int64 sum of ``val_col``
     in key order — the distributed ``SUM(v) OVER (ORDER BY k ROWS
     UNBOUNDED PRECEDING AND 1 PRECEDING)`` (the global cumulative
-    aggregate; ``global_rank_int`` is the val==1 special case kept
-    separate to stay allocation-free). Same sample-sort shape: one
-    range exchange, per-bucket vectorized sort + local cumsum, and a
+    aggregate). The sample-sort of ``global_rank_int`` carrying one
+    value column: per-bucket vectorized sort + local cumsum, and a
     DRIVER prefix-sum over the B bucket (count, val-total) pairs —
     payload rows shuffle exactly once. The budget-selection /
     quantile-cut primitive: ``prefix < T`` picks the exact key-ordered
@@ -498,15 +427,36 @@ def global_rank_prefix_int(
     ``global_rank_int`` (composite orders encode into it). With
     duplicate keys the per-bucket stable sort keeps arrival order, so
     the rank and exclusive prefix among tied keys depend on
-    partitioning and are not deterministic."""
-    keep_cols = keep_cols or []
+    partitioning and are not deterministic.
+
+    Columns: ``[key_col, val_col, *keep_cols, rank_as, prefix_as]``,
+    also on empty input."""
+    return _sample_sort_rank(ds, key_col, [(val_col, prefix_as)],
+                             keep_cols or [], rank_as)
+
+
+def _sample_sort_rank(
+    ds: ray.data.Dataset,
+    key_col: str,
+    sums: "list[tuple[str, str]]",
+    keep_cols: "list[str]",
+    rank_as: str,
+) -> ray.data.Dataset:
+    """The one body of both ranks. ``sums`` lists (value column, its
+    exclusive-prefix column) pairs — none for ``global_rank_int``, so
+    it allocates no value column; each gets an int64 cast, a local
+    cumsum and a driver-side offset next to the row count's."""
+    vals = [v for v, _ in sums]
+    lpre = [f"__lpre{i}" for i in range(len(sums))]
+    # this call's value, read on the driver and shipped in the closure
+    per_block = RANK_SAMPLE_PER_BLOCK
 
     def _sample(tbl: pa.Table) -> pa.Table:
         k = tbl[key_col].to_numpy(zero_copy_only=False)
         if not len(k):
             return pa.table({"s": pa.array([], pa.int64())})
-        step = max(1, len(k) // sample_per_block)
-        return pa.table({"s": pa.array(np.sort(k)[::step][:sample_per_block]
+        step = max(1, len(k) // per_block)
+        return pa.table({"s": pa.array(np.sort(k)[::step][:per_block]
                                        .astype(np.int64))})
 
     samp = np.sort(np.concatenate([
@@ -515,23 +465,30 @@ def global_rank_prefix_int(
                    .iter_batches(batch_format="pyarrow")
         if b.num_rows
     ] or [np.array([], np.int64)]))
-    if len(samp):
-        cuts = samp[np.linspace(0, len(samp) - 1, num_buckets + 1)
-                    .astype(int)][1:-1]
-        bounds = np.unique(cuts).astype(np.int64)
-    else:
-        bounds = np.array([], np.int64)
+    if not len(samp):
+        # no rows: the output columns typed from the input schema
+        from feast_ray.stages.join import dataset_schema
+
+        schema = dataset_schema(ds)
+        cols = {c: pa.array([], pa.int64()) for c in [key_col, *vals]}
+        cols.update({c: pa.array([], schema.field(c).type) for c in keep_cols})
+        cols.update({c: pa.array([], pa.int64())
+                     for c in [rank_as, *(a for _, a in sums)]})
+        return ray.data.from_arrow(pa.table(cols))
+    cuts = samp[np.linspace(0, len(samp) - 1, RANK_NUM_BUCKETS + 1)
+                .astype(int)][1:-1]
+    bounds = np.unique(cuts).astype(np.int64)
     bref = ray.put(bounds)
 
     def _tag(tbl: pa.Table) -> pa.Table:
         b = ray.get(bref)
         k = tbl[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {key_col: pa.array(k),
-                val_col: pa.array(
-                    tbl[val_col].to_numpy(zero_copy_only=False)
-                    .astype(np.int64)),
-                "__rb": pa.array(np.searchsorted(b, k, side="left")
-                                 .astype(np.int64))}
+        cols = {key_col: pa.array(k)}
+        for v in vals:
+            cols[v] = pa.array(tbl[v].to_numpy(zero_copy_only=False)
+                               .astype(np.int64))
+        cols["__rb"] = pa.array(np.searchsorted(b, k, side="left")
+                                .astype(np.int64))
         for c in keep_cols:
             cols[c] = tbl[c]
         return pa.table(cols)
@@ -543,45 +500,45 @@ def global_rank_prefix_int(
     def _local_sort(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             out = df.drop(columns=["__rb"], errors="ignore").copy()
-            out["__loc"] = pd.Series([], dtype="int64")
-            out["__lpre"] = pd.Series([], dtype="int64")
-            out["__b"] = pd.Series([], dtype="int64")
+            for c in ["__loc", *lpre, "__b"]:
+                out[c] = pd.Series([], dtype="int64")
             return out
+        # the exchange hashes __rb, so one reduce may hold several
+        # RANGE buckets — order within each range bucket
         df = df.sort_values(["__rb", key_col],
                             kind="stable").reset_index(drop=True)
         g = df.groupby("__rb", sort=False)
         df["__loc"] = g.cumcount().astype("int64")
-        # exclusive per-range-bucket running sum of val
-        df["__lpre"] = (g[val_col].cumsum()
-                        - df[val_col]).astype("int64")
-        df = df.rename(columns={"__rb": "__b"})
-        return df
+        # exclusive per-range-bucket running sums
+        for v, c in zip(vals, lpre):
+            df[c] = (g[v].cumsum() - df[v]).astype("int64")
+        return df.rename(columns={"__rb": "__b"})
 
     local = bucketed_group_reduce(
         tagged, ["__rb"], _local_sort,
+        # all rows of one RANGE bucket co-locate (the exchange hashes
+        # __rb); a reduce holding several range buckets sorts each
         num_buckets=len(bounds) + 1,
     ).materialize()
 
-    sizes = small_group_sums(local, "__b", [val_col])
-    offs = dict(zip(
-        sizes.index,
-        np.concatenate([[0], np.cumsum(sizes["n_rows"].to_numpy())[:-1]])))
-    voffs = dict(zip(
-        sizes.index,
-        np.concatenate([[0], np.cumsum(sizes[val_col].to_numpy())[:-1]])))
-    oref = ray.put((offs, voffs))
+    # per range bucket: rows and value totals before it
+    sizes = small_group_sums(local, "__b", vals)
+    oref = ray.put([
+        dict(zip(sizes.index,
+                 np.concatenate([[0], np.cumsum(sizes[c].to_numpy())[:-1]])))
+        for c in ["n_rows", *vals]])
+    internal = {"__b", "__loc", *lpre}
 
     def _rank(tbl: pa.Table) -> pa.Table:
-        o, vo = ray.get(oref)
-        b = tbl["__b"].to_numpy(zero_copy_only=False)
-        loc = tbl["__loc"].to_numpy(zero_copy_only=False)
-        lpre = tbl["__lpre"].to_numpy(zero_copy_only=False)
-        base = pd.Series(b).map(o).to_numpy(np.int64)
-        vbase = pd.Series(b).map(vo).to_numpy(np.int64)
-        cols = {c: tbl[c] for c in tbl.column_names
-                if c not in ("__b", "__loc", "__lpre")}
-        cols[rank_as] = pa.array(base + loc + 1)
-        cols[prefix_as] = pa.array(vbase + lpre)
+        offs = ray.get(oref)
+        b = pd.Series(tbl["__b"].to_numpy(zero_copy_only=False))
+        cols = {c: tbl[c] for c in tbl.column_names if c not in internal}
+        cols[rank_as] = pa.array(b.map(offs[0]).to_numpy(np.int64)
+                                 + tbl["__loc"].to_numpy(zero_copy_only=False)
+                                 + 1)
+        for (_, alias), c, o in zip(sums, lpre, offs[1:]):
+            cols[alias] = pa.array(b.map(o).to_numpy(np.int64)
+                                   + tbl[c].to_numpy(zero_copy_only=False))
         return pa.table(cols)
 
     return local.map_batches(_rank, batch_format="pyarrow")

@@ -36,7 +36,6 @@ import os
 import time
 import uuid
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -45,6 +44,8 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
+
+from feast_ray.stages.dedup import add_hash_bucket
 
 MANIFEST_NAME = "manifest.json"
 
@@ -98,20 +99,6 @@ class Registry:
         return path
 
 
-def _partition_by_key(key_col: str, num_partitions: int):
-    # Arrow in/out — keeps downstream blocks Arrow (shuffles are much
-    # slower over pandas blocks) and never round-trips binary columns
-    # (html payloads) through pandas
-    def _add(tbl):
-        keys = pd.Series(tbl[key_col].to_pylist(), dtype=str)
-        h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
-        return tbl.append_column(
-            "part_id", pa.array((h % num_partitions).astype(np.int64))
-        )
-
-    return _add
-
-
 class _PartitionedSink(Datasink):
     """The write task of ``materialize_resumable``: tag the task's rows
     with ``part_id``, write them as hive ``part_id=<p>/`` parquet files
@@ -121,7 +108,8 @@ class _PartitionedSink(Datasink):
 
     def __init__(self, data_dir: str, key_col: str, num_partitions: int, metrics_fn):
         self.data_dir = data_dir
-        self.add_part_id = _partition_by_key(key_col, num_partitions)
+        self.key_col = key_col
+        self.num_partitions = num_partitions
         self.metrics_fn = metrics_fn
         self.uuid = uuid.uuid4().hex
         self.returns: list = []
@@ -131,7 +119,8 @@ class _PartitionedSink(Datasink):
         tables = [t for t in tables if t.num_rows]
         if not tables:
             return {}, None
-        tbl = self.add_part_id(pa.concat_tables(tables, promote_options="default"))
+        tbl = add_hash_bucket(pa.concat_tables(tables, promote_options="default"),
+                              [self.key_col], self.num_partitions, col="part_id")
         pads.write_dataset(
             tbl,
             self.data_dir,
@@ -167,7 +156,8 @@ def materialize_resumable(
     where ``rows_out`` maps each written partition to its row count (0
     for an empty one; ``{}`` when every partition was already committed).
 
-    The partition id is ``hash(key_col) % num_partitions`` — computed
+    The partition id is ``hash(key_col) % num_partitions``
+    (``stages.dedup.add_hash_bucket``, the exchanges' key hash) — computed
     on the source for pruning and recomputed inside the write task for
     the partitioned write, so the pipeline does not need to carry it
     (the hash is a pure function of the key).
@@ -207,7 +197,8 @@ def materialize_resumable(
             return tbl.filter(mask)
 
         ds = source_ds.map_batches(
-            _partition_by_key(key_col, num_partitions), batch_format="pyarrow"
+            lambda t: add_hash_bucket(t, [key_col], num_partitions, col="part_id"),
+            batch_format="pyarrow",
         )
         if set(keep) != all_parts:
             ds = ds.map_batches(_prune, batch_format="pyarrow")

@@ -13,9 +13,10 @@ NO tuning that assumes a single node:
 
 Design recap (why this scales; see BASELINE.md for the measurements):
 - one lazy Dataset pipeline: pruned parquet read → validate → extract
-  (vectorized RE2 fast path) → url-dedup (streaming groupby shuffle
-  with per-block combiner — backpressured, spills, skew-safe) → fused
-  scorer (per-worker model cache) → partitioned parquet sink;
+  (vectorized `<article>` slicing, no regex) → url-dedup (per-block
+  combiner, then a sort on the url hash bucket over fixed bucket-range
+  boundaries — no sample pass, spills, skew-safe) → fused scorer
+  (per-worker model cache) → partitioned parquet sink;
 - the dedup shuffle carries extracted text only (html dropped first);
 - resumability: the run is split into --partitions hash partitions of
   the input; each writes its own `part_id=` directory and a manifest

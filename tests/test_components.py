@@ -5,6 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from feast_ray.functions import components
 from feast_ray.functions.components import connected_components, minhash_components
 
 
@@ -77,8 +78,8 @@ def test_cc_empty():
     assert connected_components(ds).count() == 0
 
 
-def test_cc_distributed_parity():
-    """driver_max_edges=0 forces the iterative distributed path; the
+def test_cc_distributed_parity(monkeypatch):
+    """DRIVER_MAX_EDGES=0 forces the iterative distributed path; the
     labeling must be identical to the driver fixpoint."""
     # realistic near-dup graph shape: a clique, a star, and a short
     # chain that needs >1 propagation round to collapse
@@ -88,9 +89,8 @@ def test_cc_distributed_parity():
         + [(1, 2), (2, 3), (3, 4)]
     )
     drv = _as_dict(connected_components(_pairs_ds(edges)))
-    dist = _as_dict(
-        connected_components(_pairs_ds(edges), driver_max_edges=0)
-    )
+    monkeypatch.setattr(components, "DRIVER_MAX_EDGES", 0)
+    dist = _as_dict(connected_components(_pairs_ds(edges)))
     assert dist == drv
 
 

@@ -95,6 +95,7 @@ def test_only_keep_latest_uses_the_sort_shuffle(monkeypatch, tmp_path):
     from feast_ray.stages.aggregate import AggSpec, pivot_agg
     from feast_ray.stages.dedup import keep_latest
     from feast_ray.stages.join import copartitioned_asof_join
+    from feast_ray.stages import relational
     from feast_ray.stages.relational import global_rank_int, global_rank_prefix_int
 
     def _no_sort_shuffle(name):
@@ -141,8 +142,9 @@ def test_only_keep_latest_uses_the_sort_shuffle(monkeypatch, tmp_path):
     pb = bloom_build_partitioned(keys, "k", 3, m_bits_per=1 << 10, num_segments=2)
     bloom_filter_new_partitioned(keys, pb, "k").materialize()
     hnsw_build(vecs, str(tmp_path / "hnsw"), n_shards=3, m=4, ef_construction=8)
-    global_rank_int(docs, "v", num_buckets=4).materialize()
-    global_rank_prefix_int(docs, "doc_id", "v", num_buckets=4).materialize()
+    monkeypatch.setattr(relational, "RANK_NUM_BUCKETS", 4)
+    global_rank_int(docs, "v").materialize()
+    global_rank_prefix_int(docs, "doc_id", "v").materialize()
     bm25_topk(docs, ["alpha", "delta"], k=3).materialize()
 
     with pytest.raises(AssertionError, match="Dataset.sort"):

@@ -7,7 +7,19 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from feast_ray.functions import graphrank
 from feast_ray.functions.graphrank import pagerank
+
+
+@pytest.fixture
+def force_path(monkeypatch):
+    """``force_path(n, "driver" | "distributed")`` puts an n-node graph
+    on that side of ``graphrank.DRIVER_GATE_NODES`` (at the gate, or one
+    node above it)."""
+    def _force(n, path):
+        monkeypatch.setattr(graphrank, "DRIVER_GATE_NODES",
+                            n if path == "driver" else n - 1)
+    return _force
 
 
 def _edges_tbl(src, dst):
@@ -24,12 +36,14 @@ def _skewed(n=400):
     return src, dst
 
 
-def test_driver_distributed_bit_parity_const_deg():
+def test_driver_distributed_bit_parity_const_deg(force_path):
     src, dst = _skewed()
     e = _edges_tbl(src, dst)
-    a = (pagerank(e, 400, out_degree=3, mode="driver").to_pandas()
+    force_path(400, "driver")
+    a = (pagerank(e, 400, out_degree=3).to_pandas()
          .sort_values("node").reset_index(drop=True))
-    b = (pagerank(e, 400, out_degree=3, mode="distributed").to_pandas()
+    force_path(400, "distributed")
+    b = (pagerank(e, 400, out_degree=3).to_pandas()
          .sort_values("node").reset_index(drop=True))
     assert a.equals(b[a.columns])
     assert a["rank_q"].dtype == np.int64
@@ -37,34 +51,38 @@ def test_driver_distributed_bit_parity_const_deg():
     assert a["in_deg"].max() >= 5 and (a["in_deg"] == 0).any()
 
 
-def test_driver_distributed_bit_parity_computed_deg():
+def test_driver_distributed_bit_parity_computed_deg(force_path):
     rng = np.random.default_rng(3)
     src = rng.integers(0, 120, 700)
     dst = rng.integers(0, 120, 700)
     e = _edges_tbl(src, dst)
-    a = (pagerank(e, 120, mode="driver").to_pandas()
+    force_path(120, "driver")
+    a = (pagerank(e, 120).to_pandas()
          .sort_values("node").reset_index(drop=True))
-    b = (pagerank(e, 120, mode="distributed").to_pandas()
+    force_path(120, "distributed")
+    b = (pagerank(e, 120).to_pandas()
          .sort_values("node").reset_index(drop=True))
     assert a.equals(b[a.columns])
 
 
-def test_hub_ranks_highest():
+def test_hub_ranks_highest(force_path):
     # star: everyone links to node 0 plus a ring edge
     n = 50
     d = np.arange(1, n)
     src = np.concatenate([d, d])
     dst = np.concatenate([np.zeros(n - 1, np.int64), (d + 1) % n])
-    out = (pagerank(_edges_tbl(src, dst), n, mode="driver").to_pandas()
+    force_path(n, "driver")
+    out = (pagerank(_edges_tbl(src, dst), n).to_pandas()
            .sort_values("rank_q", ascending=False))
     assert out.iloc[0]["node"] == 0
     # n-1 star edges plus the ring edge from node n-1
     assert out.iloc[0]["in_deg"] == n
 
 
-def test_no_inlink_node_gets_base_rank():
+def test_no_inlink_node_gets_base_rank(force_path):
     # 1 -> 2 only; node 0 has no in-links, out-degree 0 (dangling)
-    out = (pagerank(_edges_tbl([1], [2]), 3, mode="driver").to_pandas()
+    force_path(3, "driver")
+    out = (pagerank(_edges_tbl([1], [2]), 3).to_pandas()
            .set_index("node"))
     scale = 10**12
     base = 15 * (scale // 3) // 100
@@ -74,11 +92,12 @@ def test_no_inlink_node_gets_base_rank():
     assert out.loc[2, "rank_q"] == base + 85 * base // 100
 
 
-def test_rank_mass_bounded_and_deterministic():
+def test_rank_mass_bounded_and_deterministic(force_path):
     src, dst = _skewed(200)
     e = _edges_tbl(src, dst)
-    a = pagerank(e, 200, out_degree=3, mode="driver").to_pandas()
-    b = pagerank(e, 200, out_degree=3, mode="driver").to_pandas()
+    force_path(200, "driver")
+    a = pagerank(e, 200, out_degree=3).to_pandas()
+    b = pagerank(e, 200, out_degree=3).to_pandas()
     assert a.sort_values("node").equals(b.sort_values("node"))
     # total mass can only shrink under integer floors
     assert a["rank_q"].sum() <= 10**12
@@ -161,7 +180,7 @@ def test_bfs_levels_runs_edge_pipeline_once(tmp_path):
     assert len(os.listdir(marks)) == 2
 
 
-def test_hits_driver_distributed_parity():
+def test_hits_driver_distributed_parity(force_path):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -174,11 +193,11 @@ def test_hits_driver_distributed_parity():
         "src": rng.integers(0, n, 400).astype(np.int64),
         "dst": rng.integers(0, n, 400).astype(np.int64),
     })
-    drv = (hits(rd.from_pandas(edges).repartition(3), n, iters=3,
-                mode="driver")
+    force_path(n, "driver")
+    drv = (hits(rd.from_pandas(edges).repartition(3), n, iters=3)
            .to_pandas().sort_values("node").reset_index(drop=True))
-    dist = (hits(rd.from_pandas(edges).repartition(3), n, iters=3,
-                 mode="distributed")
+    force_path(n, "distributed")
+    dist = (hits(rd.from_pandas(edges).repartition(3), n, iters=3)
             .to_pandas().sort_values("node").reset_index(drop=True))
     assert (drv["hub_q"].to_numpy() == dist["hub_q"].to_numpy()).all()
     assert (drv["auth_q"].to_numpy() == dist["auth_q"].to_numpy()).all()
@@ -186,7 +205,7 @@ def test_hits_driver_distributed_parity():
     assert drv["hub_q"].max() == 10**6 and drv["auth_q"].max() == 10**6
 
 
-def test_hits_overflow_guard():
+def test_hits_overflow_guard(force_path):
     import numpy as np
     import pandas as pd
     import pytest
@@ -200,13 +219,13 @@ def test_hits_overflow_guard():
     edges = pd.DataFrame({
         "src": np.arange(1, n, dtype=np.int64),
         "dst": np.zeros(n - 1, np.int64)})
+    force_path(n, "driver")
     with pytest.raises(ValueError, match="overflow"):
-        hits(rd.from_pandas(edges), n, iters=2, scale=10**10,
-             mode="driver").to_pandas()
+        hits(rd.from_pandas(edges), n, iters=2, scale=10**10).to_pandas()
 
 
 @pytest.mark.parametrize("mode", ["driver", "distributed"])
-def test_hits_rejects_zero_iters(mode):
+def test_hits_rejects_zero_iters(mode, force_path):
     """iters < 1 is refused identically by the driver and distributed
     paths."""
     import pandas as pd
@@ -214,5 +233,6 @@ def test_hits_rejects_zero_iters(mode):
     from feast_ray.functions.graphrank import hits
 
     edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+    force_path(3, mode)
     with pytest.raises(ValueError, match="iters"):
-        hits(rd.from_pandas(edges), 3, iters=0, mode=mode)
+        hits(rd.from_pandas(edges), 3, iters=0)

@@ -101,9 +101,10 @@ def test_deterministic_across_calls(corpus):
     assert simhash64("hello world") == simhash64("hello world")
 
 
-def test_minhash_distributed_verify_matches_driver(corpus):
+def test_minhash_distributed_verify_matches_driver(corpus, monkeypatch):
     """The size-gated verify paths (driver vectorized vs distributed
     hash-join) must produce the same verified pair set."""
+    from feast_ray.functions import neardup
     from feast_ray.functions.neardup import minhash_candidate_pairs
 
     ds = ray.data.from_pandas(corpus)
@@ -111,10 +112,9 @@ def test_minhash_distributed_verify_matches_driver(corpus):
         minhash_candidate_pairs(ds, "doc_id", "text", threshold=0.6)
         .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
     )
+    monkeypatch.setattr(neardup, "DRIVER_VERIFY_MAX", 0)
     b = (
-        minhash_candidate_pairs(
-            ds, "doc_id", "text", threshold=0.6, driver_verify_max=0
-        )
+        minhash_candidate_pairs(ds, "doc_id", "text", threshold=0.6)
         .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
     )
     assert list(a["id_a"]) == list(b["id_a"])
@@ -122,9 +122,10 @@ def test_minhash_distributed_verify_matches_driver(corpus):
     assert len(a) > 0
 
 
-def test_minhash_distributed_verify_matches_driver_two_buckets(corpus, force_buckets):
+def test_minhash_distributed_verify_matches_driver_two_buckets(corpus, force_buckets,
+                                                               monkeypatch):
     force_buckets(2)  # several keys per reducer
-    test_minhash_distributed_verify_matches_driver(corpus)
+    test_minhash_distributed_verify_matches_driver(corpus, monkeypatch)
 
 
 def _ref_digest(b: bytes) -> int:

@@ -232,7 +232,7 @@ def test_partitioned_files_match_write_parquet(tmp_path, sf_small):
     """The files hold no ``part_id`` column, and their hive read-back
     equals Ray's ``write_parquet(partition_cols=["part_id"])`` of the
     same rows."""
-    from feast_ray.state.registry import _partition_by_key
+    from feast_ray.stages.dedup import add_hash_bucket
 
     out = str(tmp_path / "mat")
     materialize_resumable(_build, synth_webpages(sf_small), out, num_partitions=4)
@@ -240,12 +240,32 @@ def test_partitioned_files_match_write_parquet(tmp_path, sf_small):
 
     ref = str(tmp_path / "ref")
     _build(synth_webpages(sf_small)).map_batches(
-        _partition_by_key("url", 4), batch_format="pyarrow"
+        lambda t: add_hash_bucket(t, ["url"], 4, col="part_id"), batch_format="pyarrow"
     ).write_parquet(ref, partition_cols=["part_id"])
     got = pq.read_table(os.path.join(out, "data")).sort_by("url")
     exp = pq.read_table(ref).sort_by("url")
     assert got.schema == exp.schema
     assert got.equals(exp)
+
+
+def test_part_ids_of_string_keys_keep_the_pandas_str_formula():
+    """Part ids of string keys, a null among them, equal the pandas
+    formula over ``to_pylist()`` that wrote every existing layout and
+    manifest, for ``string`` and ``large_string`` columns alike."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    from feast_ray.stages.dedup import add_hash_bucket
+
+    keys = ["https://a.example/1", None, "", "https://b.example/ü?q=1", "x" * 300]
+    for typ in (pa.string(), pa.large_string()):
+        tbl = pa.table({"url": pa.array(keys, typ)})
+        got = add_hash_bucket(tbl, ["url"], 8, col="part_id")["part_id"]
+        old = pd.util.hash_pandas_object(
+            pd.Series(tbl["url"].to_pylist(), dtype=str), index=False).to_numpy()
+        assert got.to_pylist() == (old % 8).astype(np.int64).tolist()
+        assert got.type == pa.int64()
 
 
 def test_keep_only_nothing_kept_writes_nothing(tmp_path, sf_small):

@@ -150,7 +150,8 @@ def test_pivot_matches_pandas_pivot_table(force_buckets, buckets):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
-def test_pivot_value_cap():
+def test_pivot_value_cap(monkeypatch):
+    from feast_ray.stages import aggregate
     from feast_ray.stages.aggregate import pivot_agg
 
     tbl = pa.table({
@@ -158,9 +159,10 @@ def test_pivot_value_cap():
         "lang": [f"l{i}" for i in range(5)],
         "n_chars": pa.array(range(5), pa.int64()),
     })
+    monkeypatch.setattr(aggregate, "MAX_PIVOT_VALUES", 3)
     with pytest.raises(ValueError):
         pivot_agg(rd.from_arrow(tbl), "source", "lang",
-                  AggSpec("n_chars", "sum", "s"), max_pivot_values=3)
+                  AggSpec("n_chars", "sum", "s"))
 
 
 def test_grouping_sets_match_pandas():
@@ -184,6 +186,63 @@ def test_grouping_sets_match_pandas():
     total = out[out.source.isna() & out.lang.isna()]
     assert len(total) == 1 and total.iloc[0]["n_docs"] == len(df)
     assert out["n_docs"].dtype == np.int64
+
+
+def _empty_kvg() -> pa.Table:
+    return pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64()),
+                     "g": pa.array([], pa.string())})
+
+
+@pytest.mark.parametrize("form", ["rollup(g, k)", "cube(g, k)",
+                                  "grouping sets ((g, k), (g), ())"])
+def test_grouping_forms_on_empty_input_match_duckdb(form):
+    """On no rows SQL still returns the grand total: one row with the
+    keys NULL, count 0 and sum NULL, and nothing for the keyed sets."""
+    import duckdb
+
+    from feast_ray.stages.aggregate import cube_agg, grouping_sets_agg
+
+    tbl = _empty_kvg()
+    specs = [AggSpec(None, "count", "c"), AggSpec("v", "sum", "s")]
+    ds = rd.from_arrow(tbl)
+    run = {
+        "rollup(g, k)": lambda: rollup_agg(ds, ["g", "k"], specs),
+        "cube(g, k)": lambda: cube_agg(ds, ["g", "k"], specs),
+        "grouping sets ((g, k), (g), ())": lambda: grouping_sets_agg(
+            ds, ["g", "k"], [["g", "k"], ["g"], []], specs),
+    }
+    got = run[form]().to_pandas()
+    con = duckdb.connect()
+    con.register("t", tbl)
+    exp = con.execute(
+        f"select g, k, count(*) as c, sum(v) as s from t group by {form}").df()
+    assert list(got.columns) == list(exp.columns) == ["g", "k", "c", "s"]
+    assert len(got) == len(exp) == 1
+    for col in ("g", "k", "s"):
+        assert got[col].isna().all() and exp[col].isna().all()
+    assert got["c"].tolist() == exp["c"].tolist() == [0]
+    assert got["c"].dtype == np.int64
+
+
+def test_global_ranks_keep_their_columns_on_empty_input():
+    from feast_ray.stages.relational import global_rank_int, global_rank_prefix_int
+
+    def _schema(ds):
+        s = ds.materialize().schema()
+        return pa.schema(list(zip(s.names, s.types)))
+
+    ds = rd.from_arrow(_empty_kvg())
+    i64 = pa.int64()
+    ranked = global_rank_int(ds, "k", keep_cols=["g"])
+    assert ranked.count() == 0
+    assert _schema(ranked) == pa.schema([("k", i64), ("g", pa.string()),
+                                         ("rank", i64)])
+    prefixed = global_rank_prefix_int(ds, "k", "v", keep_cols=["g"],
+                                      rank_as="r", prefix_as="p")
+    assert prefixed.count() == 0
+    assert _schema(prefixed) == pa.schema([("k", i64), ("v", i64),
+                                           ("g", pa.string()), ("r", i64),
+                                           ("p", i64)])
 
 
 def test_grouping_sets_validates():
@@ -263,16 +322,18 @@ def test_grouped_quantile_matches_duckdb_disc():
     assert (out["p90"].to_numpy() == ref["p90"].to_numpy()).all()
 
 
-def test_global_rank_matches_argsort():
+def test_global_rank_matches_argsort(monkeypatch):
+    from feast_ray.stages import relational
     from feast_ray.stages.relational import global_rank_int
 
     rng = np.random.default_rng(17)
     n = 5000
     keys = rng.permutation(n).astype(np.int64) * 7 - 1000  # unique, negative too
     df = pd.DataFrame({"k": keys, "tag": np.arange(n, dtype=np.int64)})
+    monkeypatch.setattr(relational, "RANK_NUM_BUCKETS", 16)
     out = (global_rank_int(
         rd.from_pandas(df).repartition(7), "k",
-        rank_as="r", keep_cols=["tag"], num_buckets=16)
+        rank_as="r", keep_cols=["tag"])
         .to_pandas().sort_values("k").reset_index(drop=True))
     # ascending rank == 1-based argsort position
     assert list(out["r"]) == list(range(1, n + 1))
@@ -281,15 +342,16 @@ def test_global_rank_matches_argsort():
     assert (out["tag"].to_numpy() == ref["tag"].to_numpy()).all()
 
 
-def test_global_rank_skewed_and_tiny():
+def test_global_rank_skewed_and_tiny(monkeypatch):
+    from feast_ray.stages import relational
     from feast_ray.stages.relational import global_rank_int
 
     # heavily skewed key range (boundary quality -> imbalance only)
     k = np.concatenate([np.arange(50, dtype=np.int64),
                         np.arange(10**9, 10**9 + 950, dtype=np.int64)])
     df = pd.DataFrame({"k": k})
-    out = global_rank_int(rd.from_pandas(df).repartition(3), "k",
-                          num_buckets=8).to_pandas()
+    monkeypatch.setattr(relational, "RANK_NUM_BUCKETS", 8)
+    out = global_rank_int(rd.from_pandas(df).repartition(3), "k").to_pandas()
     assert sorted(out["rank"]) == list(range(1, 1001))
     assert (out.sort_values("k")["rank"].to_numpy()
             == np.arange(1, 1001)).all()
@@ -375,7 +437,8 @@ def test_window_percent_rank_cume_dist_match_duckdb(force_buckets):
     assert (out["cd"].to_numpy() == ref["cd"].to_numpy()).all()
 
 
-def test_global_rank_prefix_matches_cumsum():
+def test_global_rank_prefix_matches_cumsum(monkeypatch):
+    from feast_ray.stages import relational
     from feast_ray.stages.relational import global_rank_prefix_int
 
     rng = np.random.default_rng(23)
@@ -384,11 +447,11 @@ def test_global_rank_prefix_matches_cumsum():
     vals = rng.integers(0, 900, n).astype(np.int64)
     df = pd.DataFrame({"k": keys, "v": vals,
                        "tag": np.arange(n, dtype=np.int64)})
+    monkeypatch.setattr(relational, "RANK_NUM_BUCKETS", 16)
     for parts in (1, 9):
         out = (global_rank_prefix_int(
             rd.from_pandas(df).repartition(parts), "k", "v",
-            rank_as="r", prefix_as="p", keep_cols=["tag"],
-            num_buckets=16)
+            rank_as="r", prefix_as="p", keep_cols=["tag"])
             .to_pandas().sort_values("k").reset_index(drop=True))
         ref = df.sort_values("k").reset_index(drop=True)
         assert list(out["r"]) == list(range(1, n + 1))

@@ -7,6 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from feast_ray.functions import selection
 from feast_ray.functions.selection import exact_kth
 
 
@@ -24,14 +25,15 @@ def test_parity_narrow_domain_with_ties():
         assert exact_kth(ds, "v", k) == s[k - 1]
 
 
-def test_parity_wide_domain_multi_round():
+def test_parity_wide_domain_multi_round(monkeypatch):
     rng = np.random.default_rng(1)
     vals = rng.integers(-(1 << 62), 1 << 62, 4000)
     ds = _ds(vals)
     s = np.sort(vals)
+    # COLLECT_LIMIT=1 forces refinement until bw==1 or tiny range
+    monkeypatch.setattr(selection, "COLLECT_LIMIT", 1)
     for k in (1, 1999, 4000):
-        # collect_limit=1 forces refinement until bw==1 or tiny range
-        assert exact_kth(ds, "v", k, collect_limit=1) == s[k - 1]
+        assert exact_kth(ds, "v", k) == s[k - 1]
 
 
 def test_parity_collect_path():

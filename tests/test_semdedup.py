@@ -60,9 +60,10 @@ def test_semantic_dedup_matches_exact_oracle():
     assert len(got) < len(mat)
 
 
-def test_semantic_dedup_chunked_parity():
+def test_semantic_dedup_chunked_parity(monkeypatch):
     """The chunked lower-triangle path must equal the one-shot gram
     matrix path."""
+    from feast_ray.functions import semdedup
     from feast_ray.functions.semdedup import semantic_dedup
 
     mat = _corpus(seed=11)
@@ -73,8 +74,9 @@ def test_semantic_dedup_chunked_parity():
     ds = ray.data.from_pandas(df).repartition(4)
     full, _ = semantic_dedup(ds, n_clusters=4, threshold=0.9,
                              sample_size=400)
+    monkeypatch.setattr(semdedup, "CHUNK_ROWS", 7)
     chunked, _ = semantic_dedup(ds, n_clusters=4, threshold=0.9,
-                                sample_size=400, chunk_rows=7)
+                                sample_size=400)
     pd.testing.assert_frame_equal(
         full.to_pandas().sort_values("vec_id").reset_index(drop=True),
         chunked.to_pandas().sort_values("vec_id").reset_index(drop=True),

@@ -158,21 +158,22 @@ def test_cosine_lsh_precision_and_recall(emb):
     assert recall >= 0.7, recall
 
 
-def test_cosine_lsh_distributed_verify(emb):
+def test_cosine_lsh_distributed_verify(emb, monkeypatch):
+    from feast_ray.functions import similarity
     from feast_ray.functions.similarity import cosine_neardup_pairs_lsh
 
     ds = ray.data.from_pandas(emb[["vec_id", "embedding"]])
     a = cosine_neardup_pairs_lsh(ds, threshold=0.4, n_planes=4, n_tables=4
                                  ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    b = cosine_neardup_pairs_lsh(ds, threshold=0.4, n_planes=4, n_tables=4,
-                                 driver_verify_max=0
+    monkeypatch.setattr(similarity, "DRIVER_VERIFY_MAX", 0)
+    b = cosine_neardup_pairs_lsh(ds, threshold=0.4, n_planes=4, n_tables=4
                                  ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
     assert list(a["id_a"]) == list(b["id_a"]) and list(a["id_b"]) == list(b["id_b"])
 
 
-def test_cosine_lsh_distributed_verify_two_buckets(emb, force_buckets):
+def test_cosine_lsh_distributed_verify_two_buckets(emb, force_buckets, monkeypatch):
     force_buckets(2)  # several keys per reducer
-    test_cosine_lsh_distributed_verify(emb)
+    test_cosine_lsh_distributed_verify(emb, monkeypatch)
 
 
 def test_ivf_build_distributed_sample_and_refine(tmp_path):
@@ -221,12 +222,13 @@ def test_ivf_build_distributed_sample_and_refine(tmp_path):
     )
 
 
-def test_cosine_neardup_gate_parity(emb):
+def test_cosine_neardup_gate_parity(emb, monkeypatch):
     """VERDICT r3 #4: force the broadcast gate to 0 so the tiled
     block-pair path runs, and pin it value-identical to the broadcast
     path (both are exact — the gate trades memory shape, not results).
-    Tiny block_rows forces multiple tiles, exercising within-tile
+    Tiny tiles force several of them, exercising within-tile
     (upper triangle) and cross-tile (min/max) pair emission."""
+    from feast_ray.functions import similarity
     from feast_ray.functions.similarity import cosine_neardup_pairs
 
     ds = ray.data.from_pandas(emb[["vec_id", "embedding"]])
@@ -234,8 +236,9 @@ def test_cosine_neardup_gate_parity(emb):
     base = (cosine_neardup_pairs(ds, threshold=0.1)
             .to_pandas().sort_values(key).reset_index(drop=True))
     assert len(base) > 3  # threshold low enough to be non-trivial
-    tiled = (cosine_neardup_pairs(ds, threshold=0.1,
-                                  broadcast_max_rows=0, block_rows=7)
+    monkeypatch.setattr(similarity, "COSINE_BROADCAST_MAX_ROWS", 0)
+    monkeypatch.setattr(similarity, "COSINE_BLOCK_ROWS", 7)
+    tiled = (cosine_neardup_pairs(ds, threshold=0.1)
              .to_pandas().sort_values(key).reset_index(drop=True))
     pd.testing.assert_frame_equal(base, tiled)
 

@@ -823,11 +823,12 @@ def test_hash_join_hot_key_salting(force_buckets):
     assert len(lo_p) == len(lo_s) == n_hot + 100
 
 
-def test_semi_join_distributed_path_parity(sf_small):
+def test_semi_join_distributed_path_parity(sf_small, monkeypatch):
     """The size-gated distributed semi/anti path (marker left-join)
     must match the broadcast is_in path."""
     import ray.data
 
+    from feast_ray.stages import join
     from feast_ray.stages.join import semi_join
 
     orders = read_table(sf_small, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
@@ -842,11 +843,12 @@ def test_semi_join_distributed_path_parity(sf_small):
             semi_join(orders, big_keys, on="o_custkey", anti=anti)
             .to_pandas().sort_values("o_orderkey").reset_index(drop=True)
         )
-        b = (
-            semi_join(orders, big_keys, on="o_custkey", anti=anti,
-                      broadcast_max_keys=0)
-            .to_pandas().sort_values("o_orderkey").reset_index(drop=True)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(join, "SEMI_BROADCAST_MAX_KEYS", 0)
+            b = (
+                semi_join(orders, big_keys, on="o_custkey", anti=anti)
+                .to_pandas().sort_values("o_orderkey").reset_index(drop=True)
+            )
         assert list(a["o_orderkey"]) == list(b["o_orderkey"])
         assert sorted(a.columns) == sorted(b.columns)
 
@@ -918,14 +920,16 @@ def test_group_limit_quota_not_hit_is_noop():
     assert sorted(out["id"]) == [1, 2, 3]
 
 
-def test_q02_customer_gate_parity(sf_small, duck):
+def test_q02_customer_gate_parity(sf_small, duck, monkeypatch):
     """q02 with the customer-broadcast gate forced to 0 routes customer
     through the partitioned hash join; result must match the oracle
     (VERDICT r2 #6 — customer scales with sf, unlike nation/region)."""
+    from feast_ray.pipelines import queries
     from feast_ray.pipelines.queries import q02_revenue_by_nation, oracle_sql
     from scripts.check_correctness import compare, to_pandas
 
-    got = to_pandas(q02_revenue_by_nation(sf_small, customer_broadcast_max_rows=0))
+    monkeypatch.setattr(queries, "CUSTOMER_BROADCAST_MAX_ROWS", 0)
+    got = to_pandas(q02_revenue_by_nation(sf_small))
     exp = duck.execute(oracle_sql()["q02_revenue_by_nation"]).fetchdf()
     assert compare("q02_gated", got, exp) == []
 

@@ -5,6 +5,7 @@ import math
 import pandas as pd
 import ray.data
 
+from feast_ray.functions import tfidf
 from feast_ray.functions.tfidf import tfidf_top_terms
 
 
@@ -46,8 +47,8 @@ def test_tfidf_matches_reference_score_order():
     assert (out["tf"] == 2).all() and (out["df"] == 1).all()
 
 
-def test_tfidf_distributed_gate_parity():
-    """Forcing broadcast_max_terms=0 routes through the distributed
+def test_tfidf_distributed_gate_parity(monkeypatch):
+    """Forcing BROADCAST_MAX_TERMS=0 routes through the distributed
     hash_join path; the result must be identical to the broadcast path
     (same gate-flip doctrine as the PIT join / partitioned Bloom)."""
     df = pd.DataFrame(
@@ -66,8 +67,9 @@ def test_tfidf_distributed_gate_parity():
         .sort_values(["doc_id", "term"])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tfidf, "BROADCAST_MAX_TERMS", 0)
     dist = (
-        tfidf_top_terms(ds, k=2, broadcast_max_terms=0)
+        tfidf_top_terms(ds, k=2)
         .to_pandas()
         .sort_values(["doc_id", "term"])
         .reset_index(drop=True)
