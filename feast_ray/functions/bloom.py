@@ -370,16 +370,14 @@ def bloom_filter_new_partitioned(
             "__bp", pa.array(_partition_of(h, P), pa.int64())
         )
 
-    def _probe(parts: list) -> pa.Table:
-        # one reduce call per partition: its id is recomputed from the
-        # rows (the exchange drops the bucket column)
+    def _probe(p: int, parts: list) -> pa.Table:
+        # one reduce call per partition p
         typed = [t for t in parts if t.num_columns]
         if not typed:
             return pa.table({})
         tbl = pa.concat_tables(typed, promote_options="permissive")
         keys = tbl[key_col].to_pylist()
         if keys:
-            p = int(_partition_of(word_hashes64(keys[:1]), P)[0])
             member = BloomFilter(m=m, k=k, bits=ray.get(refs[p])).contains(keys)
         else:
             member = np.zeros(0, dtype=bool)
@@ -389,5 +387,5 @@ def bloom_filter_new_partitioned(
 
     return bucket_exchange(
         ds.map_batches(_tag, batch_format="pyarrow"), "__bp", P, _probe,
-        fallback=lambda: ray.data.from_arrow(_probe([])),
+        fallback=lambda: ray.data.from_arrow(_probe(0, [])),
     )

@@ -269,16 +269,13 @@ def hnsw_build(
         ids = tbl[id_col].to_numpy(zero_copy_only=False)
         return tbl.append_column("__shard", pa.array(shard_of(ids, n_shards)))
 
-    def _build(parts: list) -> pa.Table:
-        # one reduce call per shard: its id is recomputed from the rows
-        # (the exchange drops the bucket column); an empty shard builds
-        # nothing
+    def _build(s: int, parts: list) -> pa.Table:
+        # one reduce call per shard s; an empty shard builds nothing
         parts = [t for t in parts if len(t)]
         if not parts:
             return pa.table({})
         tbl = pa.concat_tables(parts, promote_options="permissive")
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = int(shard_of(ids[:1], n_shards)[0])
         vecs = np.stack(tbl[vec_col].to_numpy(zero_copy_only=False))
         g = ShardHNSW(ids, vecs, m=m, ef_construction=ef_construction)
         edges, meta = g.to_tables()

@@ -204,11 +204,8 @@ def shard_shuffle(
     # raw bucketed exchange: partition-only on the shard id — a sort
     # shuffle would order rows by shard_col only for _order to
     # immediately re-sort them by (__h, key). The exchange drops its
-    # bucket column, so __shard2 carries the id into the reducer.
-    def _dup(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column("__shard2", tbl[shard_col])
-
-    def _reduce(parts: list) -> pa.Table:
+    # bucket column; the reducer's bucket is the shard id.
+    def _reduce(b: int, parts: list) -> pa.Table:
         tbls = [p for p in parts if len(p)]
         if not tbls:
             # typed 0-row slice keeps the output schema; all-schema-less
@@ -218,17 +215,14 @@ def shard_shuffle(
                 return pa.table({})
             tbls = typed[:1]
         df = pa.concat_tables(tbls, promote_options="permissive").to_pandas()
-        df[shard_col] = df.pop("__shard2")
+        df[shard_col] = np.full(len(df), b, dtype=np.int64)
         return pa.Table.from_pandas(
             _order(df), preserve_index=False
         ).replace_schema_metadata(None)
 
     return bucket_exchange(
-        assigned.map_batches(_dup, batch_format="pyarrow"),
-        shard_col,
-        num_shards,
-        _reduce,
-        fallback=lambda: ray.data.from_arrow(_reduce([])),
+        assigned, shard_col, num_shards, _reduce,
+        fallback=lambda: ray.data.from_arrow(_reduce(0, [])),
     )
 
 

@@ -91,7 +91,7 @@ def semantic_dedup(
             return tbl
         return tbl.append_column("_cb", tbl["cell"])
 
-    def _reduce(parts: "list[pa.Table]") -> pa.Table:
+    def _reduce(_b: int, parts: "list[pa.Table]") -> pa.Table:
         typed = [p for p in parts if p.num_columns]
         empty = pa.table({
             id_col: pa.array([], pa.int64()),

@@ -113,7 +113,7 @@ def _final_per_query_topk(
         qb = tbl["query_id"].to_numpy(zero_copy_only=False) % B
         return tbl.append_column("_qb", pa.array(qb.astype(np.int64)))
 
-    def _reduce(parts: "list[pa.Table]") -> pa.Table:
+    def _reduce(_b: int, parts: "list[pa.Table]") -> pa.Table:
         typed = [p for p in parts if p.num_columns]
         if not typed:
             return _empty_topk_table(id_col)
@@ -350,7 +350,7 @@ def _write_cell_partitioned(
             return tbl
         return tbl.append_column("_cellb", tbl["cell"])
 
-    def _concat(parts: "list[pa.Table]") -> pa.Table:
+    def _concat(_b: int, parts: "list[pa.Table]") -> pa.Table:
         typed = [p for p in parts if p.num_columns]
         if not typed:
             return pa.table({})

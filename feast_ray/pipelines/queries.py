@@ -3778,7 +3778,7 @@ def q71_rich_customers_without_orders(sf_dir: str):
     stats = grouped_agg(
         pos, [], [AggSpec("bal_c", "sum", "s"), AggSpec(None, "count", "c")]
     ).to_pandas()  # one row
-    if len(stats) == 0 or "s" not in stats.columns:
+    if stats["c"].iloc[0] == 0:
         # no positive balances: the oracle's NOT-NULL comparison yields
         # zero rows — return the same empty TYPED result
         return ray.data.from_arrow(
@@ -9111,8 +9111,8 @@ def q150_salted_skew_join(sf_dir: str):
     every event joins its event-type aggregate on a FIVE-VALUE key —
     maximal skew, each key ~20% of the corpus. ``hot_keys`` salts the
     two heaviest types: hot LEFT rows spread round-robin over
-    salt_factor salted buckets, matching RIGHT rows replicate into
-    each, so one hot key costs 1/salt_factor of its rows per reducer
+    ``join.SALT_FACTOR`` salted buckets, matching RIGHT rows replicate
+    into each, so one hot key costs 1/SALT_FACTOR of its rows per reducer
     instead of sinking one. Salting is semantics-invariant, so the
     oracle is the plain SQL join."""
     from feast_ray.stages.aggregate import AggSpec, grouped_agg
@@ -9134,8 +9134,7 @@ def q150_salted_skew_join(sf_dir: str):
     right = grouped_agg(left, ["event_type"],
                         [AggSpec(None, "count", "n_type"),
                          AggSpec("cents", "sum", "type_cents")])
-    out = hash_join(left, right, on="event_type",
-                    hot_keys=["click", "view"], salt_factor=8)
+    out = hash_join(left, right, on="event_type", hot_keys=["click", "view"])
     return out.map_batches(
         lambda t: t.select(["event_id", "event_type", "n_type",
                             "type_cents"]),

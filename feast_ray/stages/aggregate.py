@@ -83,6 +83,19 @@ def _partial_cols(spec: AggSpec, i: int) -> dict[str, str]:
     raise AssertionError(fn)
 
 
+def _keys_typed_as(df: pd.DataFrame, keys: list[str], schema: pa.Schema) -> pa.Table:
+    """A per-block partial back to Arrow, its key columns cast to their
+    types in ``schema`` (the input block's): pandas turns an int key
+    holding a null into float64, and a key must hash alike in the
+    partials of every block."""
+    out = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+    for k in keys:
+        typ = schema.field(k).type
+        if not out[k].type.equals(typ):
+            out = out.set_column(out.schema.get_field_index(k), k, out[k].cast(typ))
+    return out
+
+
 def _make_partial_fn(keys: list[str], specs: list[AggSpec]):
     sq_specs = [i for i, s in enumerate(specs) if s.fn in ("std", "var")]
 
@@ -113,8 +126,7 @@ def _make_partial_fn(keys: list[str], specs: list[AggSpec]):
                 elif kind == "max":
                     s = g[spec.col].max()
                 out[pname] = s
-        res = pd.DataFrame(out).reset_index()
-        return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
+        return _keys_typed_as(pd.DataFrame(out).reset_index(), keys, tbl.schema)
 
     return _partial
 
@@ -179,13 +191,39 @@ def _make_finalize_fn(keys: list[str], specs: list[AggSpec]):
     return _finalize
 
 
+def _totals_of_nothing(ds: ray.data.Dataset, keys: list[str],
+                       specs: list[AggSpec], n: int) -> pa.Table:
+    """``n`` grand-total rows of an empty input, as SQL gives them:
+    ``keys`` NULL, count and count_distinct 0, every other aggregate
+    NULL. An empty aggregate has no schema to read, so keys and
+    sum/min/max take the input's column types; a schema-less input
+    leaves them float64."""
+    from feast_ray.stages.join import dataset_schema
+
+    try:
+        types = {f.name: f.type for f in dataset_schema(ds)}
+    except ValueError:
+        types = {}
+    cols = {k: pa.nulls(n, types.get(k, pa.float64())) for k in keys}
+    for s in specs:
+        if s.fn in ("count", "count_distinct"):
+            cols[s.alias] = pa.array(np.zeros(n, np.int64))
+        elif s.fn in _ALGEBRAIC:
+            cols[s.alias] = pa.nulls(n, types.get(s.col, pa.float64()))
+        else:
+            cols[s.alias] = pa.nulls(n, pa.float64())
+    return pa.table(cols)
+
+
 def grouped_agg(
     ds: ray.data.Dataset,
     keys: list[str],
     specs: list[AggSpec],
 ) -> ray.data.Dataset:
     """Two-phase grouped aggregation; ``keys=[]`` = global aggregate
-    (the reference's dummy-entity / keyless view, feature_view.py:96-98)."""
+    (the reference's dummy-entity / keyless view, feature_view.py:96-98),
+    which is always one row: on an empty input count 0 and the other
+    aggregates NULL, as in SQL."""
     cd_specs = [s for s in specs if s.fn == "count_distinct"]
     main_specs = [s for s in specs if s.fn != "count_distinct"]
 
@@ -234,11 +272,9 @@ def grouped_agg(
         from feast_ray.stages.dedup import bucketed_group_reduce
 
         def _cd_partial(tbl: pa.Table, alias=spec.alias) -> pa.Table:
-            df = tbl.to_pandas()
-            g = df.groupby(gkeys, sort=False, dropna=False)
-            return pa.Table.from_pandas(
-                pd.DataFrame({alias: g.size()}).reset_index(), preserve_index=False
-            ).replace_schema_metadata(None)
+            g = tbl.to_pandas().groupby(gkeys, sort=False, dropna=False)
+            return _keys_typed_as(pd.DataFrame({alias: g.size()}).reset_index(),
+                                  gkeys, tbl.schema)
 
         def _cd_merge(df: pd.DataFrame, alias=spec.alias) -> pd.DataFrame:
             g = df.groupby(gkeys, sort=False, dropna=False)
@@ -267,6 +303,10 @@ def grouped_agg(
 
     assert result is not None, "no agg specs given"
     if not keys:
+        result = result.materialize()
+        if not result.count():
+            # the global aggregate of no rows is still one row
+            return ray.data.from_arrow(_totals_of_nothing(ds, [], main_specs + cd_specs, 1))
         result = result.map_batches(
             lambda t: t.drop_columns([_GLOBAL_KEY]) if _GLOBAL_KEY in t.column_names else t,
             batch_format="pyarrow",
@@ -975,15 +1015,8 @@ def grouping_sets_agg(
             raise ValueError(f"grouping set {st!r} repeats a key")
     finest = grouped_agg(ds, keys, specs).materialize()
     if not finest.count():
-        # the finest aggregate of no rows has no schema to read — type
-        # the grand totals from the input's
-        schema = dataset_schema(ds)
         n = sum(not st for st in sets)
-        cols = {k: pa.nulls(n, schema.field(k).type) for k in keys}
-        for s in specs:
-            cols[s.alias] = (pa.array(np.zeros(n, np.int64)) if s.fn == "count"
-                             else pa.nulls(n, schema.field(s.col).type))
-        return ray.data.from_arrow(pa.table(cols))
+        return ray.data.from_arrow(_totals_of_nothing(ds, keys, specs, n))
     key_types = {f.name: f.type for f in dataset_schema(finest)
                  if f.name in keys}
     reagg = [AggSpec(s.alias, "sum" if s.fn in ("sum", "count") else s.fn,

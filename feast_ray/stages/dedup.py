@@ -52,16 +52,54 @@ def _latest_per_key(keys: list[str], order_by: list[str], drop: tuple = ()):
     return _kernel
 
 
-def add_hash_bucket(tbl: pa.Table, keys: list[str], num_buckets: "int | None",
-                    col: str = BUCKET_COL) -> pa.Table:
-    """Stable int bucket from key columns (pandas siphash — process-
-    stable, unlike Python's hash()). ``num_buckets=None`` stores the
-    RAW uint64 hash (as int64) for exchanges that pick the bucket
-    count after materializing (``bucket_exchange(premodded=False)``)."""
+#: pandas' hash of a float NaN: the hash of a null in an int, bool or
+#: float key column, as when such a column reached pandas as float64
+_NULL_HASH = pd.util.hash_pandas_object(pd.Series([np.nan]), index=False).iloc[0]
+
+
+def _hash_keys(tbl: pa.Table, keys: list[str]) -> np.ndarray:
+    """The one key hash behind every bucket: pandas siphash (process-
+    stable, unlike Python's hash()) of each key column, XOR-combined
+    over the columns, as uint64.
+
+    A value hashes the same whatever its block holds: the column's
+    Arrow type decides, not the block's pandas dtype. Dictionaries are
+    decoded, bool and every integer type cast to int64 (``safe=False``:
+    uint64 keeps its bits), floats to float64. A null hashes as in a
+    column of that canonical type: ``_NULL_HASH`` for int64 and
+    float64, pandas' hash of None for strings. For string and float64
+    columns, and null-free int64 and bool ones, this is the hash pandas
+    gives the column itself."""
     h = np.zeros(len(tbl), dtype=np.uint64)
     for k in keys:
-        s = tbl.column(k).to_pandas()
-        h ^= pd.util.hash_pandas_object(s, index=False).to_numpy()
+        col = tbl.column(k)
+        if pa.types.is_dictionary(col.type):
+            col = col.cast(col.type.value_type)
+        if pa.types.is_boolean(col.type) or pa.types.is_integer(col.type):
+            col = pc.cast(col, pa.int64(), safe=False)
+        elif pa.types.is_floating(col.type):
+            col = pc.cast(col, pa.float64())
+        if col.type == pa.int64() and col.null_count:
+            # pandas would see this column as float64: hash the values
+            # as int64 and the nulls as float NaN
+            nulls = pc.is_null(col).to_numpy(zero_copy_only=False)
+            col = pc.fill_null(col, 0)
+        else:
+            nulls = None
+        kh = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
+        if nulls is not None:
+            kh[nulls] = _NULL_HASH
+        h ^= kh
+    return h
+
+
+def add_hash_bucket(tbl: pa.Table, keys: list[str], num_buckets: "int | None",
+                    col: str = BUCKET_COL) -> pa.Table:
+    """Append the key hash (``_hash_keys``) as int64 column ``col``:
+    mod ``num_buckets``, or with ``num_buckets=None`` the raw uint64
+    hash stored as int64, which the exchanges take as it is (their map
+    tasks mod it by the bucket count they pick)."""
+    h = _hash_keys(tbl, keys)
     if num_buckets is None:
         return tbl.append_column(col, pa.array(h.view(np.int64)))
     return tbl.append_column(col, pa.array((h % num_buckets).astype(np.int64)))
@@ -73,12 +111,12 @@ def bucketed_group_reduce(
     merge_fn,
     *,
     num_buckets: "int | None" = None,
-    bucket_col: str = "__bg",
 ) -> ray.data.Dataset:
     """THE high-cardinality-safe merge shape (used by grouped_agg,
-    distinct, count_distinct): shuffle on
-    ``hash(keys) % num_buckets`` through the raw bucketed exchange
-    (stages/exchange.py — partition-only, no sort) and run
+    distinct, count_distinct): tag rows with the raw key hash
+    (``_hash_keys``), shuffle on it mod ``num_buckets`` through the
+    raw bucketed exchange (stages/exchange.py — partition-only, no
+    sort) and run
     ``merge_fn`` (a vectorized pandas reduce, typically one groupby
     over the bucket) once per bucket — never one Python call per key,
     which is where Ray's native per-key aggregate loses at high key
@@ -97,11 +135,11 @@ def bucketed_group_reduce(
     from feast_ray.stages.exchange import bucket_exchange
 
     bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, keys, num_buckets, col=bucket_col),
+        lambda t: add_hash_bucket(t, keys, None, col="__bg"),
         batch_format="pyarrow",
     )
 
-    def _reduce(parts: list) -> pa.Table:
+    def _reduce(_b: int, parts: list) -> pa.Table:
         cands = [p for p in parts if len(p)]
         if not cands:
             # typed 0-row slice → merge_fn still runs, emitting the
@@ -120,9 +158,8 @@ def bucketed_group_reduce(
         )
 
     return bucket_exchange(
-        bucketed, bucket_col, num_buckets, _reduce,
-        fallback=lambda: ray.data.from_arrow(_reduce([])),
-        premodded=num_buckets is not None,
+        bucketed, "__bg", num_buckets, _reduce,
+        fallback=lambda: ray.data.from_arrow(_reduce(0, [])),
     )
 
 

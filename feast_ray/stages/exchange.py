@@ -25,11 +25,21 @@ shuffle, 4.6 s here). Partitioning alone suffices, so this module
 drops to raw Ray tasks — the documented last-resort rule (SURVEY
 custom-operator rule (c)):
 
+* **bucket contract**: the caller tags each row with an int64 bucket
+  column holding either a raw 64-bit key hash (``dedup.add_hash_bucket``
+  with ``num_buckets=None``, the package's one key hash) or an id it
+  owns (a shard, partition or cell). The exchange picks B (the
+  caller's count, or auto-sized from the materialized bytes) and owns
+  the bucket: each map task takes the column as uint64 mod B, the
+  identity on ids already in [0, B). Reducers are called with their
+  bucket index ``b``, so no caller copies the bucket column into its
+  rows to learn which bucket it reduces.
 * **map side**: one task per materialized block → stable-sort the
-  block by its small-int bucket column → ``num_returns=B`` zero-copy
-  slices (Arrow ``Table.slice``), one per bucket.
-* **reduce side**: one task per bucket concatenates its ≤ M slices
-  (M = map-task count) and applies the caller's per-bucket function.
+  block by its bucket → ``num_returns=B`` zero-copy slices (Arrow
+  ``Table.slice``), one per bucket, the bucket column dropped.
+* **reduce side**: one task per bucket ``b`` concatenates its ≤ M
+  slices (M = map-task count) and applies the caller's per-bucket
+  function to ``(b, parts)``.
 
 Scale shape: classic MapReduce shuffle — B × M small objects through
 the object store, no global order, no barrier beyond the one every
@@ -86,12 +96,12 @@ def refs_total_bytes(refs) -> int:
         return 0
 
 
-def _split_remote(bucket_col: str, n_out: int, key_fn, drop_cols: Sequence[str]):
+def _split_remote(n_out: int, key_fn, drop_cols: Sequence[str]):
     """Build the map-side task: block → ``n_out`` per-bucket slices.
 
     ``key_fn(tbl) -> np.ndarray[int64]`` maps each row to its output
-    index in [0, n_out) (identity on the bucket column for one-sided
-    exchanges; side-composited for joins)."""
+    index in [0, n_out) (its bucket for one-sided exchanges; side and
+    bucket for joins)."""
 
     @ray.remote(num_returns=n_out)
     def _split(tbl):
@@ -116,84 +126,89 @@ def _split_remote(bucket_col: str, n_out: int, key_fn, drop_cols: Sequence[str])
 
 
 def _splits_done(split_refs: list) -> list:
-    """Wait (no fetch) until every map task is done; see bucket_exchange."""
-    ray.wait([r[0] if isinstance(r, list) else r for r in split_refs],
-             num_returns=len(split_refs), fetch_local=False)
+    """Wait (no fetch) until every return of every map task exists; see
+    ``_exchange``. Waiting on a task's first return alone can come back
+    before the owner has recorded its other returns."""
+    flat = [r for x in split_refs for r in (x if isinstance(x, list) else [x])]
+    ray.wait(flat, num_returns=len(flat), fetch_local=False)
     return split_refs
+
+
+def _exchange(ds, bucket_col, num_buckets, fn, fallback, name, side=None):
+    """The body of both exchanges. ``side=(side_col, right_tag)`` makes
+    it two-sided: rows whose ``side_col`` equals ``right_tag`` form the
+    right side, and ``fn(b, lparts, rparts)`` gets bucket ``b``'s
+    slices of each side; one-sided, ``fn(b, parts)``."""
+    mat = ds.materialize()
+    refs = mat.to_arrow_refs()
+    if not refs:
+        if fallback is not None:
+            return fallback()
+        raise ValueError(f"{name} on a zero-block Dataset")
+    B = num_buckets
+    if B is None:
+        # the dataset's own block metadata is free and reliable; the
+        # object-location query is only a fallback (it can time out
+        # under load)
+        size = mat.size_bytes() or 0
+        B = auto_num_buckets(size if size > 0 else refs_total_bytes(refs))
+    sides = 1 if side is None else 2
+
+    def _key(tbl: pa.Table) -> np.ndarray:
+        # Ray Data emits 0-row map_batches outputs as SCHEMA-LESS empty
+        # blocks (no columns at all) — they carry no rows: bucket 0
+        if bucket_col not in tbl.column_names:
+            return np.zeros(len(tbl), dtype=np.int64)
+        v = tbl[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = (v.view(np.uint64) % np.uint64(B)).astype(np.int64)
+        if side is not None:
+            b += (tbl[side[0]].to_numpy(zero_copy_only=False) == side[1]) * B
+        return b
+
+    drop = [bucket_col] if side is None else [bucket_col, side[0]]
+    _split = _split_remote(sides * B, _key, drop)
+
+    # slice refs ride INSIDE list arguments, not as task args (Ray
+    # 2.49's reference counter can fatally race inlining thousands of
+    # tiny slices, reference_count.cc:581), so Ray would schedule a
+    # reducer before its slices exist; it would then hold a worker in
+    # ray.get while another worker process starts for the map tasks
+    @ray.remote
+    def _reduce(b, *part_refs):
+        return fn(b, *(list(ray.get(list(p))) for p in part_refs))
+
+    split_refs = _splits_done([_split.remote(r) for r in refs])
+    split_refs = [r if isinstance(r, list) else [r] for r in split_refs]
+    out = [
+        _reduce.remote(b, *([r[s * B + b] for r in split_refs] for s in range(sides)))
+        for b in range(B)
+    ]
+    return ray.data.from_arrow_refs(out)
 
 
 def bucket_exchange(
     ds: ray.data.Dataset,
     bucket_col: str,
     num_buckets: "int | None",
-    reduce_fn: Callable[[list[pa.Table]], pa.Table],
+    reduce_fn: Callable[[int, list[pa.Table]], pa.Table],
     *,
     fallback: Callable[[], ray.data.Dataset] | None = None,
-    premodded: bool = True,
 ) -> ray.data.Dataset:
-    """One-sided raw exchange: partition ``ds`` on its precomputed
-    int ``bucket_col`` and run ``reduce_fn(parts)`` once per bucket
-    (``parts`` are that bucket's per-map-task Arrow slices, the bucket
-    column already dropped; EVERY bucket gets a reduce call, possibly
-    with all-empty typed parts — reducers must tolerate empty input).
+    """One-sided raw exchange: partition ``ds`` on its int64
+    ``bucket_col`` (a raw key hash or an id; each map task takes it mod
+    B) and run ``reduce_fn(b, parts)`` once per bucket ``b`` in
+    [0, B): ``parts`` are that bucket's per-map-task Arrow slices, the
+    bucket column already dropped. EVERY bucket gets a reduce call,
+    possibly with all-empty typed parts — reducers must tolerate empty
+    input. ``num_buckets=None`` AUTO-SIZES B from the materialized
+    input's bytes (``auto_num_buckets``) — the exchange materializes
+    at build time, so the size is known before any slice moves.
 
     ``fallback`` builds the result for an input that materializes to
     zero blocks (no schema to exchange) — typically an empty Dataset
-    from ``reduce_fn([])``.
-
-    ``num_buckets=None`` AUTO-SIZES the bucket count from the
-    materialized input's object-store bytes (``auto_num_buckets``) —
-    possible here because the exchange materializes at build time, so
-    the size is known before any slice moves. Requires
-    ``premodded=False``: ``bucket_col`` then carries the RAW uint64
-    key hash (stored as int64) and each map task mods it by the
-    derived count."""
-    def _key(tbl: pa.Table) -> np.ndarray:
-        # Ray Data emits 0-row map_batches outputs as SCHEMA-LESS empty
-        # blocks (no columns at all) — route them to bucket 0; they
-        # carry no rows
-        if bucket_col not in tbl.column_names:
-            return np.zeros(len(tbl), dtype=np.int64)
-        v = tbl[bucket_col].to_numpy(zero_copy_only=False)
-        if premodded:
-            return v.astype(np.int64)
-        return (v.astype(np.int64).view(np.uint64) % np.uint64(B)).astype(
-            np.int64
-        )
-
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    if not refs:
-        if fallback is not None:
-            return fallback()
-        raise ValueError("bucket_exchange on a zero-block Dataset")
-    if num_buckets is None:
-        if premodded:
-            raise ValueError("num_buckets=None requires premodded=False")
-        # size from the materialized dataset's own block metadata —
-        # free and reliable; the object-location query is only a
-        # fallback (it can time out under load)
-        size = mat.size_bytes() or 0
-        B = auto_num_buckets(size if size > 0 else refs_total_bytes(refs))
-    else:
-        B = num_buckets
-    _split = _split_remote(bucket_col, B, _key, [bucket_col])
-
-    # slice refs ride INSIDE a list argument, not as task args (Ray
-    # 2.49's reference counter can fatally race inlining thousands of
-    # tiny slices, reference_count.cc:581), so Ray would schedule a
-    # reducer before its slices exist; it would then hold a worker in
-    # ray.get while another worker process starts for the map tasks
-    @ray.remote
-    def _reduce(part_refs):
-        return reduce_fn(list(ray.get(list(part_refs))))
-
-    split_refs = _splits_done([_split.remote(r) for r in refs])
-    if B == 1:
-        out = [_reduce.remote(split_refs)]
-    else:
-        out = [_reduce.remote([sr[b] for sr in split_refs]) for b in range(B)]
-    return ray.data.from_arrow_refs(out)
+    from ``reduce_fn(0, [])``."""
+    return _exchange(ds, bucket_col, num_buckets, reduce_fn, fallback,
+                     "bucket_exchange")
 
 
 def two_sided_exchange(
@@ -201,53 +216,19 @@ def two_sided_exchange(
     bucket_col: str,
     side_col: str,
     right_tag: str,
-    num_buckets: int,
-    join_fn: Callable[[list[pa.Table], list[pa.Table]], pa.Table],
+    num_buckets: "int | None",
+    join_fn: Callable[[int, list[pa.Table], list[pa.Table]], pa.Table],
     *,
     fallback: Callable[[], ray.data.Dataset] | None = None,
-    premodded: bool = True,
 ) -> ray.data.Dataset:
     """Two-sided raw exchange for joins: ``both`` is the tagged UNION
     of the two sides (one streaming execution, so the sides still run
     concurrently); each map task splits its block into 2·B slices
     keyed by (side, bucket) and reducer ``b`` receives bucket ``b``'s
-    left slices and right slices separately — ``join_fn(lparts,
+    left slices and right slices separately — ``join_fn(b, lparts,
     rparts)`` joins them (parts may be empty / schema-drifted per
     block; the caller casts each part to its captured side schema).
-
-    ``premodded=False``: ``bucket_col`` carries the RAW uint64 key
-    hash (stored as int64; hash_join's deferred auto-sizing mode) and
-    each map task mods it by ``num_buckets`` here."""
-    B = num_buckets
-
-    def _key(tbl: pa.Table) -> np.ndarray:
-        if bucket_col not in tbl.column_names:  # schema-less empty block
-            return np.zeros(len(tbl), dtype=np.int64)
-        b = tbl[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if not premodded:
-            b = (b.view(np.uint64) % np.uint64(B)).astype(np.int64)
-        is_r = np.asarray(tbl[side_col].to_numpy(zero_copy_only=False) == right_tag)
-        return b + is_r.astype(np.int64) * B
-
-    refs = both.to_arrow_refs()
-    if not refs:
-        if fallback is not None:
-            return fallback()
-        raise ValueError("two_sided_exchange on a zero-block Dataset")
-    _split = _split_remote(bucket_col, 2 * B, _key, [bucket_col, side_col])
-
-    # refs inside list args — see bucket_exchange for why (Ray 2.49
-    # arg-inlining race under thousands of tiny multi-return objects)
-    @ray.remote
-    def _reduce(l_refs, r_refs):
-        return join_fn(list(ray.get(list(l_refs))), list(ray.get(list(r_refs))))
-
-    split_refs = _splits_done([_split.remote(r) for r in refs])
-    out = [
-        _reduce.remote(
-            [sr[b] for sr in split_refs],
-            [sr[B + b] for sr in split_refs],
-        )
-        for b in range(B)
-    ]
-    return ray.data.from_arrow_refs(out)
+    Buckets, ``num_buckets=None`` and ``fallback`` work as in
+    ``bucket_exchange``."""
+    return _exchange(both, bucket_col, num_buckets, join_fn, fallback,
+                     "two_sided_exchange", side=(side_col, right_tag))

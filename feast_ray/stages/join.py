@@ -48,6 +48,8 @@ _JOIN_TYPE = {
 _BROADCASTABLE = ("inner", "left")
 #: right-key rows up to which ``semi_join`` broadcasts the key set
 SEMI_BROADCAST_MAX_KEYS = 5_000_000
+#: salted buckets a ``hash_join`` hot key's left rows spread over
+SALT_FACTOR = 8
 
 
 def dataset_schema(ds: ray.data.Dataset) -> pa.Schema:
@@ -486,7 +488,6 @@ def hash_join(
     how: str = "inner",
     right_suffix: str = "_r",
     hot_keys=None,
-    salt_factor: int = 8,
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
 ) -> ray.data.Dataset:
@@ -504,14 +505,16 @@ def hash_join(
     incompatible with ``hot_keys`` salting (replication would
     duplicate unmatched right rows) and have no broadcast equivalent.
 
-    The bucket count AUTO-SIZES from the data: the tagged union is
-    materialized once (the raw exchange materializes it anyway) and
-    the count derives from its object-store bytes via
-    ``auto_num_buckets`` — so a pipeline written at sf0.1 partitions
-    correctly at 100× without edits. With ``hot_keys`` the count is
-    derived from the two inputs' bytes BEFORE tagging instead (salting
-    needs the bucket count at tag time to keep salted offsets
-    distinct).
+    Each row is tagged with the shared key hash (``dedup._hash_keys``)
+    of its key columns AFTER they are cast to the key types both sides
+    unify to, so an int32 key meets an int64 key, and an int64 key a
+    float64 one, in the same bucket. The exchange takes the raw hash
+    mod a bucket count it AUTO-SIZES from the materialized tagged
+    union's bytes (``auto_num_buckets``) — so a pipeline written at
+    sf0.1 partitions correctly at 100× without edits. With
+    ``hot_keys`` the count is derived from the two inputs' bytes
+    BEFORE tagging instead (salting needs the bucket count at tag time
+    to keep salted offsets distinct).
 
     ``left_schema`` / ``right_schema``: pass the known Arrow schemas to
     skip the limit-1 probe executions ``dataset_schema`` otherwise runs
@@ -520,11 +523,12 @@ def hash_join(
 
     **Skew**: pass ``hot_keys`` (an iterable of key VALUES of the
     first/only join key) to SALT them — hot LEFT rows spread
-    round-robin over ``salt_factor`` salted buckets and the matching
-    RIGHT rows are replicated into every salted bucket, so one hot key
-    costs ``1/salt_factor`` of its rows per bucket instead of sinking
-    one reducer. (The classic skew-join recipe; replication cost =
-    salt_factor × the hot right rows only.)
+    round-robin over ``SALT_FACTOR`` salted buckets (at most the
+    bucket count) and the matching RIGHT rows are replicated into
+    every salted bucket, so one hot key costs ``1/SALT_FACTOR`` of its
+    rows per bucket instead of sinking one reducer. (The classic
+    skew-join recipe; replication cost = SALT_FACTOR × the hot right
+    rows only.)
 
     The per-bucket join is pyarrow's C++ hash join over explicit
     side-column lists captured from the input schemas (all-Arrow, no
@@ -534,23 +538,21 @@ def hash_join(
     bucket, side = "__bucket", "__side"
     import pyarrow.compute as pc
 
+    from feast_ray.stages.dedup import _hash_keys
     from feast_ray.stages.exchange import auto_num_buckets
 
     if how not in _JOIN_TYPE:
         raise ValueError(f"hash_join: unknown join type {how!r}")
     if hot_keys is not None and how in ("right", "full"):
         # salting replicates hot RIGHT rows into every salted bucket;
-        # an unmatched replica would surface salt_factor times under
+        # an unmatched replica would surface SALT_FACTOR times under
         # right/full outer semantics
         raise ValueError(
             "hash_join: hot_keys salting is only valid for inner/left "
             "joins (right-row replication breaks outer semantics)")
-    # deferred mode (no hot keys): tag with the RAW uint64 key hash
-    # (stored int64) and mod it after the tagged union is materialized
-    # and measured
-    defer = hot_keys is None
+    # None: the exchange sizes the count from the tagged union
     num_buckets = None
-    if not defer:
+    if hot_keys is not None:
         # salting must know the bucket count at tag time (salted
         # offsets have to stay distinct mod num_buckets, or a hot
         # right row replicated into two colliding salted buckets would
@@ -563,7 +565,7 @@ def hash_join(
         # salt offsets must stay distinct mod num_buckets (odd
         # multiplier × power-of-two bucket count guarantees it only up
         # to num_buckets)
-        salt_factor = min(salt_factor, num_buckets)
+        salt_factor = min(SALT_FACTOR, num_buckets)
 
     lschema = left_schema if left_schema is not None else dataset_schema(left)
     rschema = right_schema if right_schema is not None else dataset_schema(right)
@@ -571,7 +573,7 @@ def hash_join(
     rnames = list(rschema.names)
     # unify join-key types across sides (int32 left vs int64 right must
     # both cast to the promoted type — the C++ join refuses mismatched
-    # key types; _key_hash already buckets them together)
+    # key types; the tagger hashes the keys in the unified type)
     for k in on:
         lt, rt_ = lschema.field(k).type, rschema.field(k).type
         if not lt.equals(rt_):
@@ -592,23 +594,15 @@ def hash_join(
     out_cols = lnames + [r for r, orig in zip(r_renamed, rnames) if orig not in on]
     hot = pa.array(sorted(hot_keys)) if hot_keys is not None else None
 
-    def _key_hash(tbl: pa.Table) -> np.ndarray:
-        # hash canonicalized key columns (int32 and int64 must land
-        # in the same bucket) — vectorized siphash, no str round-trip
-        df = tbl.select(on).to_pandas()
-        for c in df.columns:
-            k = df[c].dtype.kind
-            if k in "iu":
-                df[c] = df[c].astype("int64")
-            elif k == "f":
-                df[c] = df[c].astype("float64")
-            elif k not in "Mb":
-                df[c] = df[c].astype(str)
-        return pd.util.hash_pandas_object(df, index=False).to_numpy()
+    key_schema = pa.schema([lschema.field(k) for k in on])
+
+    def _tagged(tbl: pa.Table, h: np.ndarray, val: str) -> pa.Table:
+        tbl = tbl.append_column(bucket, pa.array(h.view(np.int64)))
+        return tbl.append_column(side, pa.array([val] * len(tbl), pa.string()))
 
     def _tag(val):
         def _t(tbl: pa.Table) -> pa.Table:
-            h = _key_hash(tbl)
+            h = _hash_keys(cast_to_schema(tbl, key_schema), on)
             if hot is not None:
                 key = tbl[on[0]]
                 if not key.type.equals(hot.type):
@@ -630,34 +624,15 @@ def hash_join(
                     # a hot left row twice)
                     hot_idx = np.flatnonzero(is_hot)
                     if len(hot_idx):
-                        cold = tbl.filter(pa.array(~is_hot))
-                        cold_h = h[~is_hot]
-                        reps = [
-                            cold.append_column(
-                                bucket,
-                                pa.array((cold_h % num_buckets).astype(np.int64)),
-                            ).append_column(
-                                side, pa.array([val] * len(cold), pa.string())
-                            )
-                        ]
+                        reps = [_tagged(tbl.filter(pa.array(~is_hot)), h[~is_hot], val)]
                         hot_tbl = tbl.take(pa.array(hot_idx))
                         hot_h = h[hot_idx]
                         with np.errstate(over="ignore"):
                             for s in range(salt_factor):
                                 hs = hot_h + np.uint64(s + 1) * np.uint64(2654435761)
-                                reps.append(
-                                    hot_tbl.append_column(
-                                        bucket,
-                                        pa.array((hs % num_buckets).astype(np.int64)),
-                                    ).append_column(
-                                        side,
-                                        pa.array([val] * len(hot_tbl), pa.string()),
-                                    )
-                                )
+                                reps.append(_tagged(hot_tbl, hs, val))
                         return pa.concat_tables(reps)
-            bcol = h.view(np.int64) if defer else (h % num_buckets).astype(np.int64)
-            tbl = tbl.append_column(bucket, pa.array(bcol))
-            return tbl.append_column(side, pa.array([val] * len(tbl), pa.string()))
+            return _tagged(tbl, h, val)
 
         return _t
 
@@ -680,15 +655,7 @@ def hash_join(
         ]
     both = union_align([lt, rt], schemas=tagged)
 
-    if defer:
-        # auto-size (VERDICT r4 #5): one materialization of the tagged
-        # union — the raw exchange pays it anyway — sizes the shuffle.
-        # Bytes include the ~17 B/row tag overhead; auto_num_buckets'
-        # 128 MiB target absorbs that slack.
-        both = both.materialize()
-        num_buckets = auto_num_buckets(both.size_bytes() or 0)
-
-    def _join_bucket(lparts: list, rparts: list) -> pa.Table:
+    def _join_bucket(_b: int, lparts: list, rparts: list) -> pa.Table:
         # cast each part to its captured side schema — a pandas-origin
         # block can surface an all-null column as Arrow `null` type,
         # which the C++ join refuses as a payload field
@@ -703,8 +670,7 @@ def hash_join(
 
     return two_sided_exchange(
         both, bucket, side, "R", num_buckets, _join_bucket,
-        fallback=lambda: ray.data.from_arrow(_join_bucket([], [])),
-        premodded=not defer,
+        fallback=lambda: ray.data.from_arrow(_join_bucket(0, [], [])),
     )
 
 

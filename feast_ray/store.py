@@ -185,13 +185,8 @@ class OnlineParquetStore:
             return 1
 
         nb = self.NUM_BUCKETS
-        # __obid duplicates the bucket id: the raw exchange drops its
-        # bucket column before the reduce, but _append_bucket needs the
-        # id to name the on-disk bucket dir
         bucketed = ds.map_batches(
-            lambda t: (
-                lambda b: b.append_column("__obid", b["__ob"])
-            )(add_hash_bucket(t, upsert_keys, nb, col="__ob")),
+            lambda t: add_hash_bucket(t, upsert_keys, nb, col="__ob"),
             batch_format="pyarrow",
         )
         meta = self._view_meta(view)
@@ -205,18 +200,17 @@ class OnlineParquetStore:
         bucket_files = self._bucket_files
         merge_files = self._merge_files
 
-        def _append_bucket(tbl: pa.Table) -> pa.Table:
+        def _append_bucket(bucket: int, tbl: pa.Table) -> pa.Table:
             """One task per touched bucket: thin the delta to latest-
             per-key, APPEND it as the next sequence-numbered file
             (atomic tmp+rename), compact past the file threshold.
             Never reads the bucket on the append path — write cost is
             O(delta), a full-bucket rewrite happens once per
             COMPACT_FILES appends."""
-            bucket = tbl["__obid"][0].as_py()
             # no-timestamp views order by the FILE sequence (assigned
             # at read) — within a batch, row order breaks ties
             sort_cols = [c for c in order_by if c in tbl.column_names]
-            tbl = _latest_per_key(upsert_keys, sort_cols, drop=("__obid",))(tbl)
+            tbl = _latest_per_key(upsert_keys, sort_cols)(tbl)
             n_new = len(tbl)
             bdir = os.path.join(view_dir, f"bucket={bucket}")
             os.makedirs(bdir, exist_ok=True)
@@ -255,16 +249,16 @@ class OnlineParquetStore:
         # a sort shuffle would pay for an ordering the reducer redoes
         stats_schema = pa.schema([("bucket", pa.int64()), ("rows", pa.int64())])
 
-        def _append_reduce(parts: list) -> pa.Table:
+        def _append_reduce(b: int, parts: list) -> pa.Table:
             tbls = [p for p in parts if len(p)]
             if not tbls:
                 return stats_schema.empty_table()
             tbl = pa.concat_tables(tbls, promote_options="default")
-            return _append_bucket(tbl).cast(stats_schema)
+            return _append_bucket(b, tbl).cast(stats_schema)
 
         stats = bucket_exchange(
             bucketed, "__ob", nb, _append_reduce,
-            fallback=lambda: ray.data.from_arrow(_append_reduce([])),
+            fallback=lambda: ray.data.from_arrow(_append_reduce(0, [])),
         ).to_pandas()
         if len(stats) == 0 or "rows" not in stats.columns:
             return 0  # empty input (e.g. incremental run with no new rows)

@@ -256,3 +256,52 @@ def test_bloom_membership_matches_positions(keys, logm):
     ]
     assert got.tolist() == want
     assert got[: len(keys)].all()  # corpus keys always members
+
+
+def _int_range(bits, signed=True):
+    if signed:
+        return st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    return st.integers(0, (1 << bits) - 1)
+
+
+#: key type → (value strategy, the canonical type ``_hash_keys`` hashes it as)
+_KEY_TYPES = {
+    "int8": (_int_range(8), "int64"),
+    "int16": (_int_range(16), "int64"),
+    "int32": (_int_range(32), "int64"),
+    "int64": (_int_range(64), "int64"),
+    "uint32": (_int_range(32, signed=False), "int64"),
+    "bool": (st.booleans(), "int64"),
+    "float32": (st.floats(width=32), "float64"),
+    "float64": (st.floats(), "float64"),
+    "string": (st.text(max_size=6), "string"),
+    "large_string": (st.text(max_size=6), "string"),
+    "dictionary": (st.text(max_size=6), "string"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_KEY_TYPES)), st.booleans(), st.data())
+def test_key_hash_depends_on_the_value_alone(name, with_nulls, data):
+    """For every key type, with and without nulls in the block, a value
+    hashes as the same value does in a null-free column of the
+    canonical type, and a null as a null of the canonical type."""
+    import pyarrow as pa
+
+    from feast_ray.stages.dedup import _hash_keys
+
+    values, canonical = _KEY_TYPES[name]
+    elems = st.one_of(st.none(), values) if with_nulls else values
+    vals = data.draw(st.lists(elems, max_size=20))
+    if name == "dictionary":
+        col = pa.array(vals, pa.string()).dictionary_encode()
+    else:
+        col = pa.array(vals, pa.bool_() if name == "bool" else getattr(pa, name)())
+    h = _hash_keys(pa.table({"k": col}), ["k"])
+    canonical = getattr(pa, canonical)()
+    valid = [int(v) if name == "bool" else v for v in vals if v is not None]
+    ref = _hash_keys(pa.table({"k": pa.array(valid, canonical)}), ["k"])
+    null_ref = _hash_keys(pa.table({"k": pa.nulls(1, canonical)}), ["k"])
+    is_null = np.array([v is None for v in vals], dtype=bool)
+    assert (h[~is_null] == ref).all()
+    assert (h[is_null] == null_ref).all()

@@ -309,4 +309,5 @@ def test_q71_no_positive_balance_guard(duck):
     stats = grouped_agg(
         empty, [], [AggSpec("bal_c", "sum", "s"), AggSpec(None, "count", "c")]
     ).to_pandas()
-    assert len(stats) == 0 or "s" not in stats.columns  # guard condition real
+    # SQL's one row over no rows: q71's guard reads count 0
+    assert len(stats) == 1 and stats["c"].iloc[0] == 0 and pd.isna(stats["s"].iloc[0])

@@ -185,15 +185,22 @@ def test_keep_latest_blocks_match_pandas(keys, order_by):
 def test_keep_latest_ranges_match_pandas(monkeypatch, keys, order_by, num_buckets, cpus):
     """One reducer block per contiguous bucket range: R = CPUs capped
     at ``num_buckets``, floor 2. Null keys form one group, as do NaN
-    keys; every key of ``k`` is in every block; ``created`` ties."""
+    keys; every key of ``k`` is in every block; ``created`` ties. The
+    last block's ``k`` holds no null, so an int key there must hash as
+    it does in the blocks whose nulls make pandas see floats."""
+    import pyarrow as pa
     import ray
 
     from feast_ray.stages.dedup import BUCKET_COL, add_hash_bucket
 
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
-    tbl = _events(200, 9)
-    blocks = [tbl.slice(i, 50) for i in range(0, 200, 50)]
+    extra = _events(50, 10)
+    extra = extra.set_column(0, "k", pc.fill_null(extra["k"], 0)).set_column(
+        5, "v", pa.array(np.arange(200, 250)))
+    tbl = pa.concat_tables([_events(200, 9), extra])
+    blocks = [tbl.slice(i, 50) for i in range(0, 250, 50)]
     assert all(pc.count_distinct(b["k"]).as_py() == 5 for b in blocks)
+    assert blocks[-1]["k"].null_count == 0
     out = keep_latest(ray.data.from_arrow(blocks), keys, order_by[0],
                       order_by[1] if len(order_by) > 1 else None,
                       num_buckets=num_buckets).materialize()
@@ -811,15 +818,14 @@ def test_hash_join_hot_key_salting(force_buckets):
         .to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
     )
     salted = (
-        hash_join(lds, rds, on="k", hot_keys=[7], salt_factor=8)
+        hash_join(lds, rds, on="k", hot_keys=[7])
         .to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
     )
     assert len(plain) == len(salted) == n_hot + 1 + 50
     pd.testing.assert_frame_equal(plain, salted)
     # left outer with salting keeps unmatched rows exactly once
     lo_p = hash_join(lds, rds, on="k", how="left").to_pandas()
-    lo_s = hash_join(lds, rds, on="k", how="left",
-                     hot_keys=[7], salt_factor=8).to_pandas()
+    lo_s = hash_join(lds, rds, on="k", how="left", hot_keys=[7]).to_pandas()
     assert len(lo_p) == len(lo_s) == n_hot + 100
 
 
@@ -870,17 +876,108 @@ def test_hash_join_mismatched_key_types(force_buckets):
     assert list(out["k"]) == [2, 3] and list(out["rv"]) == ["b", "c"]
 
 
-def test_hash_join_salt_factor_exceeds_buckets(force_buckets):
-    """salt_factor > num_buckets must not duplicate hot matches
+def _null_in_one_block():
+    """Blocks ``[5, null]`` and ``[5, 6]``: an int64 key that holds a
+    null in one block only, so pandas sees it as float64 there."""
+    import pyarrow as pa
+
+    return ray.data.from_arrow([
+        pa.table({"k": pa.array([5, None], pa.int64()), "v": [1, 2]}),
+        pa.table({"k": pa.array([5, 6], pa.int64()), "v": [10, 20]}),
+    ])
+
+
+def _sums(df, col):
+    """``k`` → ``col``, asserting one row per key (null included)."""
+    keys = [None if pd.isna(k) else int(k) for k in df["k"]]
+    assert len(set(keys)) == len(keys), keys
+    return {k: int(v) for k, v in zip(keys, df[col])}
+
+
+def test_grouped_agg_int_key_null_in_one_block(force_buckets):
+    force_buckets(64)
+    out = grouped_agg(_null_in_one_block(), ["k"], [AggSpec("v", "sum", "s")])
+    assert _sums(out.to_pandas(), "s") == {5: 11, 6: 20, None: 2}
+
+
+@pytest.mark.parametrize("num_buckets", [None, 64])
+def test_bucketed_group_reduce_int_key_null_in_one_block(force_buckets, num_buckets):
+    from feast_ray.stages.dedup import bucketed_group_reduce
+
+    force_buckets(64)
+    out = bucketed_group_reduce(
+        _null_in_one_block(), ["k"],
+        lambda d: d.groupby("k", as_index=False, dropna=False)["v"].sum(),
+        num_buckets=num_buckets,
+    )
+    assert _sums(out.to_pandas(), "v") == {5: 11, 6: 20, None: 2}
+
+
+def test_hash_join_int_key_null_in_one_block(force_buckets):
+    import pyarrow as pa
+
+    force_buckets(64)
+    left = ray.data.from_arrow(pa.table({"k": pa.array([5, None], pa.int64()),
+                                         "lv": [1, 2]}))
+    right = ray.data.from_arrow(pa.table({"k": pa.array([5], pa.int64()), "rv": [10]}))
+    out = hash_join(left, right, on="k").to_pandas()
+    assert out[["k", "lv", "rv"]].values.tolist() == [[5, 1, 10]]
+
+
+@pytest.mark.parametrize("ltype,rtype,keys", [
+    ("int64", "float64", list(range(40))),
+    ("int32", "int64", [-3, -2, -1, 0, 1, 2]),
+])
+def test_hash_join_keys_hash_in_the_unified_type(force_buckets, ltype, rtype, keys):
+    """Keys are cast to the type both sides unify to before they are
+    hashed: int64 meets float64 and a negative int32 meets int64."""
+    import pyarrow as pa
+
+    force_buckets(8)
+    left = ray.data.from_arrow(pa.table({"k": pa.array(keys, ltype),
+                                         "lv": list(range(len(keys)))}))
+    right = ray.data.from_arrow(pa.table({"k": pa.array(keys, rtype),
+                                          "rv": list(range(len(keys)))}))
+    out = hash_join(left, right, on="k").to_pandas()
+    assert len(out) == len(keys)
+    assert (out["lv"] == out["rv"]).all()
+
+
+def test_global_agg_of_empty_input_matches_duckdb():
+    """``keys=[]`` on no rows is SQL's one row: count 0, the rest NULL."""
+    import duckdb
+    import pyarrow as pa
+
+    t = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+    specs = [AggSpec(None, "count", "n"), AggSpec("v", "sum", "s"),
+             AggSpec("v", "min", "mn"), AggSpec("v", "max", "mx"),
+             AggSpec("v", "mean", "m"), AggSpec("v", "count_distinct", "nd")]
+    got = grouped_agg(ray.data.from_arrow(t), [], specs).to_pandas()
+    exp = duckdb.sql("select count(*) as n, sum(v) as s, min(v) as mn, max(v) as mx, "
+                     "avg(v) as m, count(distinct v) as nd from t").df()
+    assert list(got.columns) == list(exp.columns)
+    assert len(got) == len(exp) == 1
+    for c in exp.columns:
+        e, g = exp[c].iloc[0], got[c].iloc[0]
+        assert (pd.isna(e) and pd.isna(g)) or e == g, c
+    assert got["n"].dtype == np.int64
+
+
+def test_hash_join_salt_factor_exceeds_buckets(force_buckets, monkeypatch):
+    """SALT_FACTOR > num_buckets must not duplicate hot matches
     (offsets collide mod num_buckets; clamped internally)."""
     force_buckets(4)
     import ray.data
+
+    from feast_ray.stages import join
+
+    monkeypatch.setattr(join, "SALT_FACTOR", 8)
 
     left = pd.DataFrame({"k": [42] * 9, "lv": range(9)})
     right = pd.DataFrame({"k": [42, 1], "rv": ["hot", "cold"]})
     out = hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        on="k", hot_keys=[42], salt_factor=8,
+        on="k", hot_keys=[42],
     ).to_pandas()
     assert len(out) == 9
 
@@ -1169,8 +1266,7 @@ def test_hash_join_auto_buckets_scale_with_input(monkeypatch):
     """num_buckets=None (the default) derives the bucket count from the
     materialized tagged union's bytes: with a tiny bucket-size target a
     bigger input must fan out to MORE reduce buckets (visible as output
-    blocks), and the deferred raw-hash mode stays equal to a pandas
-    merge."""
+    blocks), and the join stays equal to a pandas merge."""
     import ray.data
 
     from feast_ray.stages import exchange
@@ -1191,8 +1287,8 @@ def test_hash_join_auto_buckets_scale_with_input(monkeypatch):
     big = hash_join(big_l, big_r, on="k")
     bigm = big.materialize()
     assert bigm.num_blocks() > n_small  # buckets grew with bytes
-    # deferred mode: each map task mods the raw hash by the derived
-    # count, and the join still equals the pandas reference
+    # each map task mods the raw hash by the derived count, and the
+    # join still equals the pandas reference
     ref = big_l.to_pandas().merge(big_r.to_pandas(), on="k")
     assert len(ref) == 10_000
     pd.testing.assert_frame_equal(

@@ -583,3 +583,22 @@ def test_online_merges_older_writer_files(tmp_path):
     merged = online.read("probe").to_pandas().sort_values("user_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(merged, exp)
 
+
+
+@pytest.mark.parametrize("typ,keys", [
+    (pa.int32(), [-3, -2, -1, 0, 1, 2]),
+    (pa.float32(), [-1.5, 0.25, 2.0, 1e6]),
+])
+def test_online_lookup_finds_narrow_keys(tmp_path, typ, keys):
+    """``lookup`` hashes request keys (int64 / float64 from pandas) to
+    the bucket ``upsert`` wrote the stored int32 / float32 key to."""
+    import ray
+
+    from feast_ray.store import OnlineParquetStore
+
+    online = OnlineParquetStore(str(tmp_path / "online"))
+    probe = pa.table({"user_id": pa.array(keys, typ),
+                      "n": pa.array(range(len(keys)), pa.int64())})
+    assert online.upsert(_probe_view(), ray.data.from_arrow(probe)) == len(keys)
+    got = online.lookup(_probe_view(), [{"user_id": k} for k in keys])
+    assert got["n"].tolist() == list(range(len(keys)))
