@@ -33,7 +33,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from feast_ray.functions.hnsw import _splitmix64
+from feast_ray.functions.neardup import _splitmix64
 
 GEAR = _splitmix64(np.arange(256, dtype=np.uint64))
 

@@ -15,8 +15,8 @@ the caller left-joins and coalesces to the doc's own id when a total
 labeling is needed (``minhash_components`` does exactly that when
 given the corpus).
 
-Two size-gated paths, the same doctrine as ``minhash_candidate_pairs``
-verification and ``semi_join``:
+Two size-gated paths, the same doctrine as the near-dup verify tiers
+(stated once in the ``neardup`` module docstring) and ``semi_join``:
 
 * **driver path** (pair count ≤ ``DRIVER_MAX_EDGES``): the pair graph
   is bounded by the *duplicate* count, not the corpus size, so at the
@@ -184,7 +184,6 @@ def minhash_components(
     threshold: float = 0.8,
     k: int = 3,
     *,
-    star_threshold: int = 16,
     out_comp: str = "component",
 ) -> ray.data.Dataset:
     """Cluster id per document: MinHash-LSH verified pairs →
@@ -193,9 +192,7 @@ def minhash_components(
     (their component is trivially their own id)."""
     from feast_ray.functions.neardup import minhash_candidate_pairs
 
-    pairs = minhash_candidate_pairs(
-        ds, id_col, text_col, threshold, k, star_threshold=star_threshold
-    )
+    pairs = minhash_candidate_pairs(ds, id_col, text_col, threshold, k)
     return connected_components(
         pairs, "id_a", "id_b", out_node=id_col, out_comp=out_comp
     )
@@ -252,14 +249,11 @@ def minhash_dedup_best(
     k: int = 3,
     *,
     higher_is_better: bool = True,
-    star_threshold: int = 16,
 ) -> ray.data.Dataset:
     """MinHash near-dup dedup keeping the BEST doc per cluster (by
     ``score_col``; tie-break min id) — the production keep policy
     (plain ``minhash_dedup`` keeps the min id)."""
-    labels = minhash_components(
-        ds, id_col, text_col, threshold, k, star_threshold=star_threshold
-    )
+    labels = minhash_components(ds, id_col, text_col, threshold, k)
     return keep_best_per_cluster(
         ds, labels, id_col, score_col, higher_is_better=higher_is_better
     )

@@ -36,16 +36,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from feast_ray.functions.neardup import _splitmix64
+
 _FNV = np.uint64(1099511628211)
-_SM1, _SM2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * _SM1
-        x = (x ^ (x >> np.uint64(27))) * _SM2
-        return x ^ (x >> np.uint64(31))
 
 
 def codepoint_hashes64(strs: np.ndarray) -> np.ndarray:

@@ -41,20 +41,14 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from feast_ray.functions.neardup import _splitmix64
 from feast_ray.stages.exchange import bucket_exchange
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def _levels_for(ids: np.ndarray, m: int) -> np.ndarray:
     """Deterministic exponential level draw per the HNSW paper, seeded
     by the id hash instead of an RNG (mL = 1/ln(M))."""
-    z = _splitmix64(ids.astype(np.uint64))
+    z = _splitmix64(ids)
     u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
     return np.floor(-np.log(u) / math.log(m)).astype(np.int64)
 
@@ -243,7 +237,7 @@ class ShardHNSW:
 
 def shard_of(ids: np.ndarray, n_shards: int) -> np.ndarray:
     """Content-independent deterministic shard assignment."""
-    return (_splitmix64(ids.astype(np.uint64)) % np.uint64(n_shards)).astype(np.int64)
+    return (_splitmix64(ids) % np.uint64(n_shards)).astype(np.int64)
 
 
 def hnsw_build(

@@ -39,7 +39,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from feast_ray.functions.dsir import _FNV, _splitmix64
+from feast_ray.functions.dsir import _FNV
+from feast_ray.functions.neardup import _splitmix64
 from feast_ray.functions.quality_clf import feature_rows
 
 _GRAD_SCALE = float(1 << 24)

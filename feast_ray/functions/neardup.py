@@ -8,13 +8,39 @@ are process-stable (zlib.crc32 / blake2b — never Python ``hash()``).
 Scale shapes (per the Ray Data guide's sketch pattern):
 - exact: content-hash column in a vectorized ``map_batches`` →
   keep-min-id per hash in ``bucketed_group_reduce``.
-- MinHash-LSH: per-batch signatures → explode to (band, band_hash, id,
-  sig) rows → (band, band_hash) LSH buckets → verified candidate
-  pairs (estimated Jaccard from signatures) → drop the larger id.
-  One LSH pass approximates connected components by representative
-  min-id — documented approximation, same as common web-dedup practice.
+- MinHash-LSH: per-batch signatures → explode to (id, band, band_hash)
+  rows → (band, band_hash) LSH buckets → verified candidate pairs
+  (estimated Jaccard from signatures) → drop the larger id. One LSH
+  pass approximates connected components by representative min-id —
+  documented approximation, same as common web-dedup practice.
 - SimHash: 64-bit signature; 4×16-bit chunk LSH buckets guarantee
   recall for Hamming distance ≤ 3 within ≤ 4 buckets; verify by popcount.
+
+Candidate/verify contract, shared by MinHash-LSH, SimHash and the
+SRP-LSH embedding near-dup (``similarity.cosine_neardup_pairs_lsh``):
+
+- Candidates: one row per (id, LSH bucket) goes through one bucket
+  shuffle; ``_bucket_pairs`` gives each multi-member bucket's pairs in
+  id order — all pairs up to a star threshold, above it the star (the
+  bucket's min id with every other member), so a hot bucket costs its
+  reducer O(members), not O(members²). MinHash uses
+  ``STAR_THRESHOLD``, SimHash 512 and SRP-LSH no star.
+- Verify (``verified_pairs``): score each distinct candidate pair from
+  the two signatures, keep it when the score is ≥ the threshold, then
+  round the kept scores if asked. The tier is picked by size and never
+  changes a row or a score:
+  1. driver — at most ``DRIVER_VERIFY_MAX`` candidate pairs: the pairs
+     and ONLY the involved signatures come to the driver for one
+     vectorized pass, with no extra shuffle;
+  2. broadcast — a signature table of at most
+     ``BROADCAST_VERIFY_MAX_BYTES`` is put in the object store once and
+     every task gathers its pairs' rows with ``searchsorted`` (the two
+     join shuffles took ~100 s on 592k pairs × 300k signatures; this
+     tier verifies the same load in seconds);
+  3. join — otherwise the signatures are hash-joined onto the distinct
+     pairs twice (by ``id_a``, then ``id_b``) and each batch verifies.
+  SimHash's 8-byte signature rides in its band rows, so it verifies
+  inside the bucket reducer instead.
 """
 
 from __future__ import annotations
@@ -25,6 +51,7 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -66,15 +93,173 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str, id_col: str) -> ray.data.Da
     )
 
 
+# ------------------------------------------ LSH candidates and verify
+
+#: LSH bucket size above which a bucket pairs its min id with every
+#: other member (the star) instead of emitting all pairs
+STAR_THRESHOLD = 16
+#: candidate-pair count up to which :func:`verified_pairs` verifies on
+#: the driver
+DRIVER_VERIFY_MAX = 2_000_000
+#: signature-table size up to which :func:`verified_pairs` broadcasts
+#: the signatures instead of joining them onto the pairs (MinHash
+#: signatures take 520 B/doc, so about 4M docs)
+BROADCAST_VERIFY_MAX_BYTES = 2 * (1 << 30)
+
+
+def _bucket_pairs(
+    g: pd.DataFrame,
+    id_col: str,
+    bucket_cols: "list[str]",
+    star_threshold: "int | None",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Row positions ``(a, b)`` of the pairs inside every multi-member
+    bucket of ``g`` (rows grouped by ``bucket_cols``), in id order.
+
+    A bucket of at most ``star_threshold`` members gives all its pairs;
+    a larger one gives the STAR (its min id with every other member),
+    and ``star_threshold=None`` always gives all pairs. A giant bucket
+    is a near-identical cluster, where all pairs are quadratic (an
+    all-pairs run over a corpus of 60-variant clusters emitted 141M
+    candidate rows) while the star keeps the drop semantics (everything
+    similar to the representative drops) at O(cluster), so one hot
+    bucket cannot sink its reducer."""
+    ids = g[id_col].to_numpy()
+    sizes = g.groupby(bucket_cols, sort=False)[id_col].transform("size").to_numpy()
+    multi = np.flatnonzero(sizes > 1)
+    left, right = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for pos in g.iloc[multi].groupby(bucket_cols, sort=False).indices.values():
+        pos = multi[pos]
+        pos = pos[np.argsort(ids[pos], kind="stable")]
+        if star_threshold is not None and len(pos) > star_threshold:
+            left.append(np.full(len(pos) - 1, pos[0]))
+            right.append(pos[1:])
+        else:
+            iu, ju = np.triu_indices(len(pos), 1)
+            left.append(pos[iu])
+            right.append(pos[ju])
+    return np.concatenate(left), np.concatenate(right)
+
+
+def lsh_candidate_pairs(
+    band_rows: ray.data.Dataset,
+    id_col: str,
+    bucket_cols: "list[str]",
+    star_threshold: "int | None",
+) -> ray.data.Dataset:
+    """Materialized ``(id_a, id_b)`` candidate pairs of ``band_rows``
+    (one row per id and LSH bucket): one bucket shuffle on
+    ``bucket_cols``, then :func:`_bucket_pairs` over each reducer's
+    buckets. A pair found in several buckets may appear more than once."""
+
+    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
+        ids = g[id_col].to_numpy()
+        a, b = _bucket_pairs(g, id_col, bucket_cols, star_threshold)
+        return pd.DataFrame({"id_a": ids[a], "id_b": ids[b]}).drop_duplicates()
+
+    return bucketed_group_reduce(band_rows, bucket_cols, _pairs).materialize()
+
+
+def _empty_pairs(out_col: str) -> pa.Table:
+    return pa.table(
+        {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
+         out_col: pa.array([], pa.float64())}
+    )
+
+
+def verified_pairs(
+    sigged: ray.data.Dataset,
+    raw_pairs: ray.data.Dataset,
+    *,
+    id_col: str,
+    sig_col: str,
+    decode,
+    score,
+    threshold: float,
+    out_col: str,
+    round_to: "int | None" = None,
+) -> ray.data.Dataset:
+    """``(id_a, id_b, out_col)`` rows of the distinct ``raw_pairs``
+    whose score is ≥ ``threshold``, in the tier the module docstring
+    describes. ``sigged`` holds one ``(id_col, sig_col)`` row per id
+    (``sig_col`` binary), ``decode`` maps a binary column to a
+    signature matrix, and ``score(a, b)`` maps two row-aligned matrices
+    to one float64 per row. The keep test reads the unrounded score;
+    ``round_to`` rounds the kept ones."""
+
+    def _scored(ia: np.ndarray, ib: np.ndarray, a: np.ndarray, b: np.ndarray) -> pa.Table:
+        s = score(a, b)
+        keep = s >= threshold
+        if round_to is not None:
+            s = s.round(round_to)
+        return pa.table({"id_a": ia[keep], "id_b": ib[keep], out_col: s[keep]})
+
+    def _sorted(ds: ray.data.Dataset) -> "tuple[np.ndarray, np.ndarray]":
+        tbl = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by(id_col)
+        return tbl[id_col].to_numpy(), decode(tbl[sig_col])
+
+    n = raw_pairs.count()
+    if n == 0:
+        return ray.data.from_arrow(_empty_pairs(out_col))
+    if n <= DRIVER_VERIFY_MAX:
+        ptbl = raw_pairs.to_pandas().drop_duplicates()
+        ia, ib = ptbl["id_a"].to_numpy(), ptbl["id_b"].to_numpy()
+        iref = ray.put(np.unique(np.concatenate([ia, ib])))
+        ids_s, mat = _sorted(sigged.map_batches(
+            lambda t: t.filter(pc.is_in(t[id_col], value_set=pa.array(ray.get(iref)))),
+            batch_format="pyarrow",
+        ))
+        return ray.data.from_arrow(_scored(
+            ia, ib, mat[np.searchsorted(ids_s, ia)], mat[np.searchsorted(ids_s, ib)]
+        ))
+
+    from feast_ray.stages.relational import distinct
+
+    pairs = distinct(raw_pairs, ["id_a", "id_b"])
+    sig_bytes = sigged.size_bytes() or 0
+    if sig_bytes and sig_bytes <= BROADCAST_VERIFY_MAX_BYTES:
+        sref = ray.put(_sorted(sigged))
+
+        def _verify_bcast(tbl: pa.Table) -> pa.Table:
+            if len(tbl) == 0:
+                return _empty_pairs(out_col)
+            ids_s, mat = ray.get(sref)
+            ia = tbl["id_a"].to_numpy(zero_copy_only=False)
+            ib = tbl["id_b"].to_numpy(zero_copy_only=False)
+            return _scored(
+                ia, ib, mat[np.searchsorted(ids_s, ia)], mat[np.searchsorted(ids_s, ib)]
+            )
+
+        return pairs.map_batches(_verify_bcast, batch_format="pyarrow")
+
+    from feast_ray.stages.join import hash_join
+
+    def _side(side: str) -> ray.data.Dataset:
+        return sigged.map_batches(
+            lambda t: t.select([id_col, sig_col]).rename_columns([f"id_{side}", f"sig_{side}"]),
+            batch_format="pyarrow",
+        )
+
+    joined = hash_join(hash_join(pairs, _side("a"), on="id_a"), _side("b"), on="id_b")
+
+    def _verify_join(tbl: pa.Table) -> pa.Table:
+        if len(tbl) == 0:
+            return _empty_pairs(out_col)
+        return _scored(
+            tbl["id_a"].to_numpy(zero_copy_only=False),
+            tbl["id_b"].to_numpy(zero_copy_only=False),
+            decode(tbl["sig_a"]), decode(tbl["sig_b"]),
+        )
+
+    return joined.map_batches(_verify_join, batch_format="pyarrow")
+
+
 # ------------------------------------------------------------- minhash
 
 NUM_PERM = 64
 BANDS = 16
 ROWS_PER_BAND = NUM_PERM // BANDS
 _MERSENNE = (1 << 61) - 1
-#: candidate-pair count up to which ``minhash_candidate_pairs``
-#: verifies on the driver
-DRIVER_VERIFY_MAX = 2_000_000
 _rng = np.random.RandomState(1234567)
 _PERM_A = _rng.randint(1, _MERSENNE, size=NUM_PERM, dtype=np.uint64)
 _PERM_B = _rng.randint(0, _MERSENNE, size=NUM_PERM, dtype=np.uint64)
@@ -161,28 +346,18 @@ def minhash_candidate_pairs(
     text_col: str = "text",
     threshold: float = 0.8,
     k: int = 3,
-    star_threshold: int = 16,
 ) -> ray.data.Dataset:
-    """Verified near-duplicate pairs ``(id_a < id_b, est_jaccard)``.
-
-    1. sign → explode to thin (id, band, band_hash) rows (24 B/row —
-       signatures are NOT replicated into band rows) → bucket shuffle
-       → per-bucket pairs inside multi-member LSH buckets;
-    2. verify: keep pairs whose estimated Jaccard (signature agreement
-       rate) ≥ threshold. Verification is size-gated like the
-       reference's broadcast joins: when the candidate-pair count is
-       ≤ ``DRIVER_VERIFY_MAX`` the (bounded) pair list and ONLY the
-       involved signatures are pulled to the driver and verified in
-       one vectorized numpy pass — zero extra shuffles; above the gate
-       it runs fully distributed: DISTINCT pairs, then the signature
-       table is hash-joined onto the pairs by id (twice) and each
-       batch verifies vectorized.
-    """
+    """Verified near-duplicate pairs ``(id_a < id_b, est_jaccard)``:
+    sign → explode to thin (id, band, band_hash) rows (24 B/row —
+    signatures are NOT replicated into band rows) → candidate pairs
+    inside multi-member LSH buckets (star above ``STAR_THRESHOLD``) →
+    :func:`verified_pairs` keeps the pairs whose estimated Jaccard
+    (signature agreement rate) is ≥ threshold."""
     hasher = MinHasher(text_col=text_col, k=k)
-    # materialize the thin (id, sig) table ONCE: three consumers read
-    # it (band explode + both verify joins) and signature computation
-    # is the expensive stage. 520 B/doc regardless of doc size, object
-    # store backed and spillable — the standard minhash checkpoint.
+    # materialize the thin (id, sig) table ONCE: the band explode and
+    # the verify both read it, and signature computation is the
+    # expensive stage. 520 B/doc regardless of doc size, object store
+    # backed and spillable — the standard minhash checkpoint.
     sigged = (
         ds.select_columns([id_col, text_col])
         .map_batches(hasher, batch_format="pyarrow")
@@ -192,149 +367,14 @@ def minhash_candidate_pairs(
     band_rows = sigged.map_batches(
         lambda t: _explode_bands(t, id_col), batch_format="pyarrow"
     )
-
-    def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        """Pairs within multi-member LSH buckets. Buckets larger than
-        ``star_threshold`` switch from all-pairs to the STAR pattern
-        (every member paired with the bucket's min id) — a giant
-        bucket means a near-identical cluster, where all-pairs is
-        quadratic (a 60-member cluster × 16 bands ≈ 28k pair rows per
-        doc group — measured: an all-pairs run over a corpus of
-        60-variant clusters emitted 141M candidate rows) while the
-        star keeps the drop semantics (everything similar to the
-        representative drops) at O(cluster). Callers that need the
-        FULL all-pairs edge set (e.g. exact connected components)
-        pass a large ``star_threshold``."""
-        sizes = g.groupby(["band", "band_hash"], sort=False)[id_col].transform("size")
-        multi = g[sizes > 1]
-        ia, ib = [], []
-        for _, grp in multi.groupby(["band", "band_hash"], sort=False):
-            ids = np.sort(grp[id_col].to_numpy())
-            if len(ids) > star_threshold:
-                ia.append(np.full(len(ids) - 1, ids[0]))
-                ib.append(ids[1:])
-            else:
-                iu, ju = np.triu_indices(len(ids), 1)
-                ia.append(ids[iu])
-                ib.append(ids[ju])
-        if not ia:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype=g[id_col].dtype),
-                 "id_b": pd.Series(dtype=g[id_col].dtype)}
-            )
-        return pd.DataFrame(
-            {"id_a": np.concatenate(ia), "id_b": np.concatenate(ib)}
-        ).drop_duplicates()
-
-    # one reduce call holds many LSH buckets; it visits only the
-    # multi-member ones
-    raw_pairs = bucketed_group_reduce(
-        band_rows, ["band", "band_hash"], _bucket_pairs
-    ).materialize()  # small: one row per LSH collision pair
-
-    if raw_pairs.count() <= DRIVER_VERIFY_MAX:
-        # ---- driver verify (bounded by the candidate-pair count) ----
-        ptbl = raw_pairs.to_pandas().drop_duplicates()
-        if len(ptbl) == 0:
-            return ray.data.from_arrow(
-                pa.table(
-                    {"id_a": pa.array([], pa.int64()),
-                     "id_b": pa.array([], pa.int64()),
-                     "est_jaccard": pa.array([], pa.float64())}
-                )
-            )
-        involved = np.unique(
-            np.concatenate([ptbl["id_a"].to_numpy(), ptbl["id_b"].to_numpy()])
-        )
-        iref = ray.put(involved)
-
-        def _only_involved(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return t.filter(pc.is_in(t[id_col], value_set=pa.array(ray.get(iref))))
-
-        sub = (
-            sigged.map_batches(_only_involved, batch_format="pyarrow").to_pandas()
-        ).sort_values(id_col, kind="stable")
-        sub_ids = sub[id_col].to_numpy()
-        mat = np.frombuffer(
-            b"".join(sub["minhash_sig"].tolist()), dtype=np.uint64
-        ).reshape(-1, NUM_PERM)
-        a = mat[np.searchsorted(sub_ids, ptbl["id_a"].to_numpy())]
-        b = mat[np.searchsorted(sub_ids, ptbl["id_b"].to_numpy())]
-        est = (a == b).mean(axis=1)
-        keep = est >= threshold
-        out = pa.table(
-            {"id_a": pa.array(ptbl["id_a"].to_numpy()[keep]),
-             "id_b": pa.array(ptbl["id_b"].to_numpy()[keep]),
-             "est_jaccard": pa.array(est[keep])}
-        )
-        return ray.data.from_arrow(out)
-
-    # ---- broadcast-signature verify (mid tier): when the WHOLE sig
-    # table fits the object store comfortably (512 B/doc → ~0.5 GB per
-    # million docs), put it once (plasma, read zero-copy by every
-    # verify task) and check pairs per batch with two searchsorted
-    # gathers — avoids shipping signatures through TWO join shuffles
-    # (measured: the join path spent ~100 s on 592k pairs × 300k sigs;
-    # this path verifies the same load in seconds) ----
-    from feast_ray.stages.relational import distinct
-
-    pairs = distinct(raw_pairs, ["id_a", "id_b"])
-    sig_bytes = sigged.size_bytes() or 0
-    if sig_bytes and sig_bytes <= 2 * (1 << 30):
-        sdf = sigged.to_pandas().sort_values(id_col, kind="stable")
-        sids = sdf[id_col].to_numpy()
-        smat = np.frombuffer(
-            b"".join(sdf["minhash_sig"].tolist()), dtype=np.uint64
-        ).reshape(-1, NUM_PERM)
-        sref = ray.put((sids, smat))
-
-        def _verify_bcast(tbl: pa.Table) -> pa.Table:
-            if len(tbl) == 0:
-                return pa.table(
-                    {"id_a": tbl["id_a"], "id_b": tbl["id_b"],
-                     "est_jaccard": pa.array([], pa.float64())}
-                )
-            ids_s, mat = ray.get(sref)
-            a = mat[np.searchsorted(ids_s, tbl["id_a"].to_numpy(zero_copy_only=False))]
-            b = mat[np.searchsorted(ids_s, tbl["id_b"].to_numpy(zero_copy_only=False))]
-            est = (a == b).mean(axis=1)
-            out = tbl.select(["id_a", "id_b"]).append_column(
-                "est_jaccard", pa.array(est)
-            )
-            return out.filter(pa.array(est >= threshold))
-
-        return pairs.map_batches(_verify_bcast, batch_format="pyarrow")
-
-    # ---- distributed verify (sig table too large to broadcast) ----
-    from feast_ray.stages.join import hash_join
-    sig_a = sigged.map_batches(
-        lambda t: t.rename_columns(["id_a", "sig_a"]), batch_format="pyarrow"
+    raw_pairs = lsh_candidate_pairs(
+        band_rows, id_col, ["band", "band_hash"], STAR_THRESHOLD
     )
-    sig_b = sigged.map_batches(
-        lambda t: t.rename_columns(["id_b", "sig_b"]), batch_format="pyarrow"
+    return verified_pairs(
+        sigged, raw_pairs, id_col=id_col, sig_col="minhash_sig",
+        decode=_sig_matrix, score=lambda a, b: (a == b).mean(axis=1),
+        threshold=threshold, out_col="est_jaccard",
     )
-    joined = hash_join(
-        hash_join(pairs, sig_a, on="id_a"),
-        sig_b, on="id_b",
-    )
-
-    def _verify(tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return pa.table(
-                {"id_a": tbl["id_a"], "id_b": tbl["id_b"],
-                 "est_jaccard": pa.array([], pa.float64())}
-            )
-        a = _sig_matrix(tbl["sig_a"])
-        b = _sig_matrix(tbl["sig_b"])
-        est = (a == b).mean(axis=1)
-        out = tbl.select(["id_a", "id_b"]).append_column(
-            "est_jaccard", pa.array(est)
-        )
-        return out.filter(pa.array(est >= threshold))
-
-    return joined.map_batches(_verify, batch_format="pyarrow")
 
 
 def minhash_candidate_dups(
@@ -388,8 +428,10 @@ _SM1, _SM2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of each value taken as uint64 (an int64
+    input is read two's-complement, so ``-1`` maps like ``2**64 - 1``)."""
     with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
+        x = x.astype(np.uint64, copy=False) + np.uint64(0x9E3779B97F4A7C15)
         x = (x ^ (x >> np.uint64(30))) * _SM1
         x = (x ^ (x >> np.uint64(27))) * _SM2
         return x ^ (x >> np.uint64(31))
@@ -516,28 +558,15 @@ def simhash_dups(
     band_rows = hashed.map_batches(_explode, batch_format="pyarrow")
 
     def _bucket(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized verify: the exact any-lower-member rule runs as
-        one triu-matrix xor + table-popcount pass for buckets up to
-        512 members (262k vectorized ops — cheap); only genuinely
-        giant buckets fall back to the star pattern (compare to the
-        min-id element), trading chain-recall for linear cost."""
-        star_threshold = 512
-        drops: list = []
-        sizes = g.groupby(["chunk", "chunk_val"], sort=False)[id_col].transform("size")
-        multi = g[sizes > 1]
-        for _, grp in multi.groupby(["chunk", "chunk_val"], sort=False):
-            grp = grp.sort_values(id_col, kind="stable")
-            ids = grp[id_col].to_numpy()
-            hs = grp["simhash"].to_numpy().astype(np.uint64)
-            if len(ids) > star_threshold:
-                d = popcount64(hs[1:] ^ hs[0])
-                drops.extend(ids[1:][d <= max_hamming])
-            else:
-                iu, ju = np.triu_indices(len(ids), 1)
-                d = popcount64(hs[iu] ^ hs[ju])
-                hit = d <= max_hamming
-                drops.extend(np.unique(ids[ju[hit]]))
-        return pd.DataFrame({id_col: pd.Series(drops, dtype=g[id_col].dtype)})
+        """Exact popcount verify of the candidate pairs in this
+        reducer's buckets: all pairs up to 512 members (262k vectorized xor + table-popcount
+        ops — cheap); only genuinely giant buckets fall back to the
+        star, trading chain-recall for linear cost."""
+        ids = g[id_col].to_numpy()
+        hs = g["simhash"].to_numpy().astype(np.uint64)
+        a, b = _bucket_pairs(g, id_col, ["chunk", "chunk_val"], 512)
+        hit = popcount64(hs[a] ^ hs[b]) <= max_hamming
+        return pd.DataFrame({id_col: np.unique(ids[b[hit]])})
 
     dups = bucketed_group_reduce(band_rows, ["chunk", "chunk_val"], _bucket)
     from feast_ray.stages.relational import distinct

@@ -24,6 +24,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from feast_ray.functions.neardup import _empty_pairs, lsh_candidate_pairs, verified_pairs
 from feast_ray.stages.dedup import bucketed_group_reduce
 
 
@@ -62,9 +63,6 @@ def _empty_topk_table(id_col: str) -> pa.Table:
 #: ``COSINE_BLOCK_ROWS`` rows
 COSINE_BROADCAST_MAX_ROWS = 200_000
 COSINE_BLOCK_ROWS = 4096
-#: candidate-pair count up to which ``cosine_neardup_pairs_lsh``
-#: verifies on the driver
-DRIVER_VERIFY_MAX = 2_000_000
 
 #: per-query-topk finalization switches from one merge partition to a
 #: bucketed query-id exchange above this many queries
@@ -575,14 +573,12 @@ def cosine_neardup_pairs(
     of the gate are value-identical — the approximate alternative when
     n² flops themselves are unaffordable is
     :func:`cosine_neardup_pairs_lsh` (SRP-LSH, exact precision,
-    probabilistic recall)."""
+    probabilistic recall), whose candidate/verify contract is stated
+    once in the ``neardup`` module docstring."""
     thin = ds.select_columns([id_col, vec_col]).materialize()
     n = thin.count()
     if n == 0:
-        return ray.data.from_arrow(pa.table(
-            {"id_a": pa.array([], pa.int64()),
-             "id_b": pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64())}))
+        return ray.data.from_arrow(_empty_pairs("cosine"))
     if n > COSINE_BROADCAST_MAX_ROWS:
         return _cosine_neardup_pairs_blocked(
             thin, threshold, id_col=id_col, vec_col=vec_col,
@@ -594,11 +590,7 @@ def cosine_neardup_pairs(
 
     def _pairs(tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
-            return pa.table(
-                {"id_a": pa.array([], pa.int64()),
-                 "id_b": pa.array([], pa.int64()),
-                 "cosine": pa.array([], pa.float64())}
-            )
+            return _empty_pairs("cosine")
         ids_r, mat_r = ray.get(ref)
         mat = _normalize(_batch_matrix(tbl, vec_col))
         ids = tbl[id_col].to_numpy(zero_copy_only=False)
@@ -667,9 +659,7 @@ def _cosine_neardup_pairs_blocked(
             ids_b = tb[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             mat_b = _normalize(_batch_matrix(tb, vec_col))
         if len(ids_a) == 0 or len(ids_b) == 0:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
+            return _empty_pairs("cosine")
         sims = mat_a @ mat_b.T
         mask = sims >= threshold
         if same:
@@ -713,12 +703,11 @@ def cosine_neardup_pairs_lsh(
     candidates are verified with exact cosine, so precision is exact
     and only recall is approximate (P[miss] =
     (1-(1-θ/π)^n_planes)^n_tables for angle θ — raise n_tables for
-    higher recall). Same verify size-gate as minhash: bounded driver
-    vectorization below ``DRIVER_VERIFY_MAX`` candidate pairs, a
-    distributed signature join above it. Output: (id_a, id_b, cosine).
+    higher recall). Candidates are all pairs of every bucket, verified
+    by :func:`feast_ray.functions.neardup.verified_pairs` (the
+    candidate/verify contract and its three tiers are stated in the
+    ``neardup`` module docstring). Output: (id_a, id_b, cosine).
     """
-    import pyarrow.compute as pac
-
     rng = np.random.RandomState(seed)
 
     def _vb(tbl: pa.Table) -> pa.Table:
@@ -735,15 +724,14 @@ def cosine_neardup_pairs_lsh(
     sigged = ds.select_columns([id_col, vec_col]).map_batches(
         _vb, batch_format="pyarrow"
     ).materialize()
-    dim = None
     first = sigged.take(1)
     if not first:
-        return ray.data.from_arrow(
-            pa.table({"id_a": pa.array([], pa.int64()),
-                      "id_b": pa.array([], pa.int64()),
-                      "cosine": pa.array([], pa.float64())})
-        )
+        return ray.data.from_arrow(_empty_pairs("cosine"))
     dim = len(np.frombuffer(first[0]["__vb"], dtype=np.float64))
+
+    def _decode(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+        return np.frombuffer(b"".join(col.to_pylist()), dtype=np.float64).reshape(-1, dim)
+
     planes = rng.standard_normal((n_tables, n_planes, dim))
     pref = ray.put(planes)
     weights = (1 << np.arange(n_planes, dtype=np.int64))
@@ -756,8 +744,7 @@ def cosine_neardup_pairs_lsh(
                  "bucket": pa.array([], pa.int64())}
             )
         P = ray.get(pref)
-        mat = np.frombuffer(b"".join(tbl["__vb"].to_pylist()), dtype=np.float64
-                            ).reshape(n, dim)
+        mat = _decode(tbl["__vb"])
         ids = tbl[id_col].to_numpy(zero_copy_only=False)
         out_t, out_b = [], []
         for t in range(n_tables):
@@ -771,125 +758,12 @@ def cosine_neardup_pairs_lsh(
         )
 
     band_rows = sigged.map_batches(_buckets, batch_format="pyarrow")
-
-    def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby(["table", "bucket"], sort=False)[id_col].transform("size")
-        multi = g[sizes > 1]
-        ia, ib = [], []
-        for _, grp in multi.groupby(["table", "bucket"], sort=False):
-            ids = np.sort(grp[id_col].to_numpy())
-            iu, ju = np.triu_indices(len(ids), 1)
-            ia.append(ids[iu])
-            ib.append(ids[ju])
-        if not ia:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype=g[id_col].dtype),
-                 "id_b": pd.Series(dtype=g[id_col].dtype)}
-            )
-        return pd.DataFrame(
-            {"id_a": np.concatenate(ia), "id_b": np.concatenate(ib)}
-        ).drop_duplicates()
-
-    raw_pairs = bucketed_group_reduce(
-        band_rows, ["table", "bucket"], _bucket_pairs
-    ).materialize()
-
-    def _empty():
-        return ray.data.from_arrow(
-            pa.table({"id_a": pa.array([], pa.int64()),
-                      "id_b": pa.array([], pa.int64()),
-                      "cosine": pa.array([], pa.float64())})
-        )
-
-    if raw_pairs.count() <= DRIVER_VERIFY_MAX:
-        ptbl = raw_pairs.to_pandas().drop_duplicates()
-        if len(ptbl) == 0:
-            return _empty()
-        involved = np.unique(
-            np.concatenate([ptbl["id_a"].to_numpy(), ptbl["id_b"].to_numpy()])
-        )
-        iref = ray.put(involved)
-        sub = sigged.map_batches(
-            lambda t: t.filter(
-                pac.is_in(t[id_col], value_set=pa.array(ray.get(iref)))
-            ),
-            batch_format="pyarrow",
-        ).to_pandas().sort_values(id_col, kind="stable")
-        sub_ids = sub[id_col].to_numpy()
-        mat = np.frombuffer(b"".join(sub["__vb"].tolist()), dtype=np.float64
-                            ).reshape(-1, dim)
-        a = mat[np.searchsorted(sub_ids, ptbl["id_a"].to_numpy())]
-        b = mat[np.searchsorted(sub_ids, ptbl["id_b"].to_numpy())]
-        cos = (a * b).sum(axis=1)
-        keep = cos >= threshold
-        if round_to is not None:
-            cos = cos.round(round_to)
-        return ray.data.from_arrow(
-            pa.table({"id_a": pa.array(ptbl["id_a"].to_numpy()[keep]),
-                      "id_b": pa.array(ptbl["id_b"].to_numpy()[keep]),
-                      "cosine": pa.array(cos[keep])})
-        )
-
-    from feast_ray.stages.relational import distinct
-
-    pairs = distinct(raw_pairs, ["id_a", "id_b"])
-    # broadcast-vector verify (mid tier): the normalized-vector table
-    # usually fits the object store (8d bytes/doc); put it once and
-    # verify pairs per batch with searchsorted gathers — no sort
-    # shuffles (same tier structure as minhash_candidate_pairs)
-    vb_bytes = sigged.size_bytes() or 0
-    if vb_bytes and vb_bytes <= 2 * (1 << 30):
-        sdf = sigged.to_pandas().sort_values(id_col, kind="stable")
-        sids = sdf[id_col].to_numpy()
-        smat = np.frombuffer(b"".join(sdf["__vb"].tolist()), dtype=np.float64
-                             ).reshape(-1, dim)
-        sref = ray.put((sids, smat))
-
-        def _verify_bcast(tbl: pa.Table) -> pa.Table:
-            if len(tbl) == 0:
-                return pa.table({"id_a": tbl["id_a"], "id_b": tbl["id_b"],
-                                 "cosine": pa.array([], pa.float64())})
-            ids_s, mat = ray.get(sref)
-            a = mat[np.searchsorted(ids_s, tbl["id_a"].to_numpy(zero_copy_only=False))]
-            b = mat[np.searchsorted(ids_s, tbl["id_b"].to_numpy(zero_copy_only=False))]
-            cos = (a * b).sum(axis=1)
-            keep = cos >= threshold
-            if round_to is not None:
-                cos = cos.round(round_to)
-            out = tbl.select(["id_a", "id_b"]).append_column("cosine", pa.array(cos))
-            return out.filter(pa.array(keep))
-
-        return pairs.map_batches(_verify_bcast, batch_format="pyarrow")
-
-    # distributed verify: join the vector-bytes table onto the pairs
-    from feast_ray.stages.join import hash_join
-    va = sigged.map_batches(
-        lambda t: t.rename_columns(["id_a", "vb_a"]), batch_format="pyarrow"
+    raw_pairs = lsh_candidate_pairs(band_rows, id_col, ["table", "bucket"], None)
+    return verified_pairs(
+        sigged, raw_pairs, id_col=id_col, sig_col="__vb", decode=_decode,
+        score=lambda a, b: (a * b).sum(axis=1),
+        threshold=threshold, out_col="cosine", round_to=round_to,
     )
-    vb = sigged.map_batches(
-        lambda t: t.rename_columns(["id_b", "vb_b"]), batch_format="pyarrow"
-    )
-    joined = hash_join(
-        hash_join(pairs, va, on="id_a"),
-        vb, on="id_b",
-    )
-
-    def _verify(tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return pa.table({"id_a": tbl["id_a"], "id_b": tbl["id_b"],
-                             "cosine": pa.array([], pa.float64())})
-        a = np.frombuffer(b"".join(tbl["vb_a"].to_pylist()), dtype=np.float64
-                          ).reshape(-1, dim)
-        b = np.frombuffer(b"".join(tbl["vb_b"].to_pylist()), dtype=np.float64
-                          ).reshape(-1, dim)
-        cos = (a * b).sum(axis=1)
-        keep = cos >= threshold
-        if round_to is not None:
-            cos = cos.round(round_to)
-        out = tbl.select(["id_a", "id_b"]).append_column("cosine", pa.array(cos))
-        return out.filter(pa.array(keep))
-
-    return joined.map_batches(_verify, batch_format="pyarrow")
 
 
 # ----------------------------------------------------------- IVF-PQ

@@ -1105,7 +1105,7 @@ where d.doc_id not in (select doc_id from dropped)
 def _q51_sql() -> str:
     """Connected components over the verified MinHash near-dup pair
     graph (q51): the engine's exact edge set — star-pattern candidacy
-    inside LSH buckets larger than the engine's ``star_threshold`` of
+    inside LSH buckets larger than the engine's ``STAR_THRESHOLD`` of
     16 members, all-pairs below it (``neardup.py _bucket_pairs``),
     signature-agreement verification at 0.8 — then min-label
     components via a recursive CTE that only ever propagates SMALLER
@@ -6984,7 +6984,7 @@ def q106_leakage_safe_split(sf_dir: str):
     import pyarrow.compute as _pc2
 
     from feast_ray.functions.components import minhash_components
-    from feast_ray.functions.hnsw import _splitmix64
+    from feast_ray.functions.neardup import _splitmix64
     from feast_ray.stages.join import hash_join
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source", "text"])
@@ -14364,7 +14364,7 @@ def q213_partition_balance(sf_dir: str):
     audit never moves payload rows. The splitmix64 bucket function is
     the engine's documented SQL-restatable salting hash (q106/q150),
     so the oracle replays it bucket-for-bucket."""
-    from feast_ray.functions.hnsw import _splitmix64
+    from feast_ray.functions.neardup import _splitmix64
 
     NB = 32
     ev = read_table(sf_dir, "events", columns=["user_id"])
@@ -14706,7 +14706,7 @@ def q217_jl_projection(sf_dir: str):
     (rows, 64) reshape, one (64, 8) sign-matrix multiply). Long-form
     output (vec_id, j, proj_n); the SQL replays quantization, signs
     and sums with the shared splitmix expression."""
-    from feast_ray.functions.hnsw import _splitmix64
+    from feast_ray.functions.neardup import _splitmix64
 
     D, K = 64, 8
     dj = np.arange(D, dtype=np.uint64)[:, None] * np.uint64(K) \

@@ -327,8 +327,11 @@ class OnlineParquetStore:
             # upsert bucketed on (keys, window_start) — probe all
             buckets = list(range(self.NUM_BUCKETS))
         else:
+            # Arrow keeps a None key a null in an int64 column; pandas
+            # would turn the whole column float64 and hash every int key
+            # to another bucket than upsert wrote it to
             keyed = add_hash_bucket(
-                pa.Table.from_pandas(req[view.join_keys], preserve_index=False),
+                pa.Table.from_pylist(entity_rows).select(view.join_keys),
                 view.join_keys, self.NUM_BUCKETS, col="__ob",
             )
             buckets = sorted(set(keyed["__ob"].to_pylist()))

@@ -69,3 +69,24 @@ def force_buckets(monkeypatch):
         monkeypatch.setattr(exchange, "auto_num_buckets", lambda *_a, **_k: n)
 
     return _force
+
+
+@pytest.fixture
+def verify_tier(monkeypatch):
+    """``verify_tier(t)`` runs every near-dup verify in the test on tier
+    ``t``: ``"driver"``, ``"broadcast"`` or ``"join"`` (patches
+    ``neardup.DRIVER_VERIFY_MAX`` and
+    ``neardup.BROADCAST_VERIFY_MAX_BYTES``)."""
+    from feast_ray.functions import neardup
+
+    driver_max = neardup.DRIVER_VERIFY_MAX
+    broadcast_max = neardup.BROADCAST_VERIFY_MAX_BYTES
+
+    def _force(tier: str) -> None:
+        assert tier in ("driver", "broadcast", "join"), tier
+        monkeypatch.setattr(
+            neardup, "DRIVER_VERIFY_MAX", driver_max if tier == "driver" else -1)
+        monkeypatch.setattr(
+            neardup, "BROADCAST_VERIFY_MAX_BYTES", -1 if tier == "join" else broadcast_max)
+
+    return _force

@@ -45,7 +45,8 @@ def test_char_bigram_edges():
 def test_bigram_hash_matches_horner_spec():
     # the bucket must equal splitmix64((cp1*FNV + cp2) mod 2^64) % D —
     # the exact 2-char Horner specialization the SQL oracle restates
-    from feast_ray.functions.dsir import _FNV, _splitmix64
+    from feast_ray.functions.dsir import _FNV
+    from feast_ray.functions.neardup import _splitmix64
 
     t = pa.table({"text": pa.array(["ab"])})
     b, _ = char_bigram_buckets(t, "text", 4096)

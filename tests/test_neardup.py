@@ -101,31 +101,33 @@ def test_deterministic_across_calls(corpus):
     assert simhash64("hello world") == simhash64("hello world")
 
 
-def test_minhash_distributed_verify_matches_driver(corpus, monkeypatch):
-    """The size-gated verify paths (driver vectorized vs distributed
-    hash-join) must produce the same verified pair set."""
-    from feast_ray.functions import neardup
+def _minhash_pair_rows(corpus):
     from feast_ray.functions.neardup import minhash_candidate_pairs
 
     ds = ray.data.from_pandas(corpus)
-    a = (
+    return (
         minhash_candidate_pairs(ds, "doc_id", "text", threshold=0.6)
         .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
     )
-    monkeypatch.setattr(neardup, "DRIVER_VERIFY_MAX", 0)
-    b = (
-        minhash_candidate_pairs(ds, "doc_id", "text", threshold=0.6)
-        .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    )
-    assert list(a["id_a"]) == list(b["id_a"])
-    assert list(a["id_b"]) == list(b["id_b"])
-    assert len(a) > 0
+
+
+@pytest.mark.parametrize("tier", ["driver", "broadcast", "join"])
+def test_minhash_distributed_verify_matches_driver(corpus, verify_tier, tier):
+    """Each size-gated verify tier (driver, broadcast signatures,
+    signatures hash-joined onto the pairs) returns the driver tier's
+    (id_a, id_b, est_jaccard) rows, scores bit for bit."""
+    verify_tier("driver")
+    want = _minhash_pair_rows(corpus)
+    verify_tier(tier)
+    pd.testing.assert_frame_equal(_minhash_pair_rows(corpus), want, check_exact=True)
+    assert len(want) > 0
 
 
 def test_minhash_distributed_verify_matches_driver_two_buckets(corpus, force_buckets,
-                                                               monkeypatch):
+                                                               verify_tier):
     force_buckets(2)  # several keys per reducer
-    test_minhash_distributed_verify_matches_driver(corpus, monkeypatch)
+    for tier in ("broadcast", "join"):
+        test_minhash_distributed_verify_matches_driver(corpus, verify_tier, tier)
 
 
 def _ref_digest(b: bytes) -> int:
@@ -135,10 +137,33 @@ def _ref_digest(b: bytes) -> int:
     h = 0
     for c in b:
         h = (h * 1099511628211 + c) & m
+    return _ref_splitmix(h)
+
+
+def _ref_splitmix(h: int) -> int:
+    """Pure-Python splitmix64 finalizer of a value in [0, 2^64)."""
+    m = (1 << 64) - 1
     h = (h + 0x9E3779B97F4A7C15) & m
     h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & m
     h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & m
     return h ^ (h >> 31)
+
+
+def test_splitmix64_reads_int64_as_twos_complement():
+    """uint64 over the full range matches the Python reference, and the
+    same bits viewed as int64 (negatives included) hash identically."""
+    from feast_ray.functions.neardup import _splitmix64
+
+    u = np.random.default_rng(5).integers(0, 2**64, size=2000, dtype=np.uint64)
+    u[:4] = [0, 1, 2**63, 2**64 - 1]
+    before = u.copy()
+    want = [_ref_splitmix(int(v)) for v in u]
+    assert _splitmix64(u).tolist() == want
+    assert (u == before).all()  # the input is not modified
+    s = u.view(np.int64)
+    assert (s < 0).sum() > 100
+    got = _splitmix64(s)
+    assert got.dtype == np.uint64 and got.tolist() == want
 
 
 def test_word_hashes64_matches_python_reference():

@@ -158,22 +158,29 @@ def test_cosine_lsh_precision_and_recall(emb):
     assert recall >= 0.7, recall
 
 
-def test_cosine_lsh_distributed_verify(emb, monkeypatch):
-    from feast_ray.functions import similarity
+def _cosine_lsh_rows(emb):
     from feast_ray.functions.similarity import cosine_neardup_pairs_lsh
 
     ds = ray.data.from_pandas(emb[["vec_id", "embedding"]])
-    a = cosine_neardup_pairs_lsh(ds, threshold=0.4, n_planes=4, n_tables=4
-                                 ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    monkeypatch.setattr(similarity, "DRIVER_VERIFY_MAX", 0)
-    b = cosine_neardup_pairs_lsh(ds, threshold=0.4, n_planes=4, n_tables=4
-                                 ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    assert list(a["id_a"]) == list(b["id_a"]) and list(a["id_b"]) == list(b["id_b"])
+    return cosine_neardup_pairs_lsh(ds, threshold=0.4, n_planes=4, n_tables=4
+                                    ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-def test_cosine_lsh_distributed_verify_two_buckets(emb, force_buckets, monkeypatch):
+@pytest.mark.parametrize("tier", ["driver", "broadcast", "join"])
+def test_cosine_lsh_distributed_verify(emb, verify_tier, tier):
+    """Each verify tier returns the driver tier's (id_a, id_b, cosine)
+    rows, scores bit for bit."""
+    verify_tier("driver")
+    want = _cosine_lsh_rows(emb)
+    verify_tier(tier)
+    pd.testing.assert_frame_equal(_cosine_lsh_rows(emb), want, check_exact=True)
+    assert len(want) > 0
+
+
+def test_cosine_lsh_distributed_verify_two_buckets(emb, force_buckets, verify_tier):
     force_buckets(2)  # several keys per reducer
-    test_cosine_lsh_distributed_verify(emb, monkeypatch)
+    for tier in ("broadcast", "join"):
+        test_cosine_lsh_distributed_verify(emb, verify_tier, tier)
 
 
 def test_ivf_build_distributed_sample_and_refine(tmp_path):

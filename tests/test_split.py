@@ -25,7 +25,7 @@ def test_split_component_atomicity_and_fractions():
     b = df2.sort_values("doc_id").reset_index(drop=True)
     assert a.equals(b)
     # splitmix bucketing matches the documented rule
-    from feast_ray.functions.hnsw import _splitmix64
+    from feast_ray.functions.neardup import _splitmix64
 
     z = _splitmix64(a["component"].to_numpy(np.uint64)) % np.uint64(100)
     expect = np.where(z < 80, "train", np.where(z < 90, "val", "test"))

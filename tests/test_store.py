@@ -602,3 +602,21 @@ def test_online_lookup_finds_narrow_keys(tmp_path, typ, keys):
     assert online.upsert(_probe_view(), ray.data.from_arrow(probe)) == len(keys)
     got = online.lookup(_probe_view(), [{"user_id": k} for k in keys])
     assert got["n"].tolist() == list(range(len(keys)))
+
+
+def test_online_lookup_with_a_null_key_finds_int_keys(tmp_path):
+    """A ``None`` among the request keys stays a null in the int64 key
+    column, so every int key still hashes to the bucket ``upsert``
+    wrote it to (a float64 request column missed half of them)."""
+    import ray
+
+    from feast_ray.store import OnlineParquetStore
+
+    online = OnlineParquetStore(str(tmp_path / "online"))
+    probe = pa.table({"user_id": pa.array(range(8), pa.int64()),
+                      "n": pa.array(range(10, 18), pa.int64())})
+    assert online.upsert(_probe_view(), ray.data.from_arrow(probe)) == 8
+    got = online.lookup(_probe_view(),
+                        [{"user_id": k} for k in range(8)] + [{"user_id": None}])
+    assert got["n"].tolist()[:8] == list(range(10, 18))
+    assert len(got) == 9 and pd.isna(got["n"].iloc[8])
