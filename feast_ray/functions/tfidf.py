@@ -155,9 +155,7 @@ def _tfidf_distributed(
     ≤ 1 row per distinct (doc, term) into the join, ≤ k rows per doc
     per term-bucket into the doc exchange."""
     from feast_ray.stages.dedup import bucketed_group_reduce
-    from feast_ray.stages.join import dataset_schema, hash_join
-
-    id_type = dataset_schema(mat).field(id_col).type
+    from feast_ray.stages.join import hash_join
 
     def _pairs(tbl: pa.Table) -> pa.Table:
         d = _doc_terms(tbl, id_col, text_col)
@@ -166,15 +164,7 @@ def _tfidf_distributed(
         ).replace_schema_metadata(None)
 
     pairs = mat.map_batches(_pairs, batch_format="pyarrow")
-    joined = hash_join(
-        pairs,
-        df_ds,
-        on="term",
-        left_schema=pa.schema(
-            [("doc_id", id_type), ("term", pa.string()), ("tf", pa.int64())]
-        ),
-        right_schema=pa.schema([("term", pa.string()), ("df", pa.int64())]),
-    )
+    joined = hash_join(pairs, df_ds, on="term")
     pruned = joined.map_batches(
         lambda t: pa.Table.from_pandas(
             _score_topk(t.to_pandas(), n_docs, k), preserve_index=False

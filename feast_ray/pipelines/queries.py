@@ -174,17 +174,7 @@ def q02_revenue_by_nation(sf_dir: str):
     )
     cust_ds = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     nation = read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
-    i64 = pa.int64()
-    ds = hash_join(
-        lp,
-        orders,
-        on="l_orderkey",
-        # known schemas skip the two limit-1 lineage probes
-        left_schema=pa.schema(
-            [("l_orderkey", i64), ("rev_c", i64), ("n_lines", i64)]
-        ),
-        right_schema=pa.schema([("l_orderkey", i64), ("o_custkey", i64)]),
-    )
+    ds = hash_join(lp, orders, on="l_orderkey")
     if cust_ds.count() <= CUSTOMER_BROADCAST_MAX_ROWS:
         ds = broadcast_join(
             ds, cust_ds.to_pandas(), on="o_custkey", right_on="c_custkey"
@@ -194,20 +184,7 @@ def q02_revenue_by_nation(sf_dir: str):
             lambda t: t.rename_columns(["o_custkey", "c_nationkey"]),
             batch_format="pyarrow",
         )
-        ds = hash_join(
-            ds,
-            cust_r,
-            on="o_custkey",
-            left_schema=pa.schema(
-                [
-                    ("l_orderkey", i64),
-                    ("rev_c", i64),
-                    ("n_lines", i64),
-                    ("o_custkey", i64),
-                ]
-            ),
-            right_schema=pa.schema([("o_custkey", i64), ("c_nationkey", i64)]),
-        )
+        ds = hash_join(ds, cust_r, on="o_custkey")
     ds = broadcast_join(ds, nation, on="c_nationkey", right_on="n_nationkey")
     agg = grouped_agg(
         ds,
@@ -3867,14 +3844,7 @@ def q72_supplier_variety_by_brand(sf_dir: str):
         lambda t: t.rename_columns(["l_partkey", "p_brand"]),
         batch_format="pyarrow",
     )
-    i64 = pa.int64()
-    joined = hash_join(
-        li,
-        part,
-        on="l_partkey",
-        left_schema=pa.schema([("l_partkey", i64), ("l_suppkey", i64)]),
-        right_schema=pa.schema([("l_partkey", i64), ("p_brand", pa.string())]),
-    )
+    joined = hash_join(li, part, on="l_partkey")
     return grouped_agg(
         joined,
         ["p_brand"],
@@ -4126,14 +4096,7 @@ def q77_priority_lines_by_flag(sf_dir: str):
         lambda t: t.rename_columns(["l_orderkey", "o_orderpriority"]),
         batch_format="pyarrow",
     )
-    i64 = pa.int64()
-    joined = hash_join(
-        li,
-        orders,
-        on="l_orderkey",
-        left_schema=pa.schema([("l_orderkey", i64), ("l_returnflag", pa.string())]),
-        right_schema=pa.schema([("l_orderkey", i64), ("o_orderpriority", pa.string())]),
-    )
+    joined = hash_join(li, orders, on="l_orderkey")
 
     def _case(t: pa.Table) -> pa.Table:
         high = pc.is_in(
@@ -4213,18 +4176,7 @@ def q78_disjunctive_predicates(sf_dir: str):
         ).rename_columns(["l_partkey", "p_brand", "p_size"]),
         batch_format="pyarrow",
     )
-    i64 = pa.int64()
-    joined = hash_join(
-        lp,
-        part,
-        on="l_partkey",
-        left_schema=pa.schema(
-            [("l_partkey", i64), ("l_quantity", pa.float64()), ("rev_c", i64)]
-        ),
-        right_schema=pa.schema(
-            [("l_partkey", i64), ("p_brand", pa.string()), ("p_size", pa.int64())]
-        ),
-    )
+    joined = hash_join(lp, part, on="l_partkey")
 
     def _branches(t: pa.Table) -> pa.Table:
         keep = None

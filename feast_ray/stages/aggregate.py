@@ -808,81 +808,49 @@ def _tiled_sliding_agg(
         if result is None:
             result = cd
         else:
-            # bucketed (keys, window) join — NOT a driver to_pandas +
-            # broadcast (VERDICT r3 #3): both sides hash-bucket on
-            # tkeys and each bucket runs one pandas merge (pandas, not
-            # the Arrow join, because merge matches NULL keys — the
+            # bucketed (keys, window) left join through the two-sided
+            # exchange — NOT a driver to_pandas + broadcast (VERDICT r3
+            # #3): each bucket runs one pandas merge (pandas, not the
+            # Arrow join, because merge matches NULL keys — the
             # dropna=False doctrine). Scales with (key, window)
             # cardinality instead of pinning the cd table on the driver.
-            from feast_ray.stages.relational import union_align
-
-            alias = spec.alias
-            # Probe both schemas ONCE here (union_align would do the
-            # same two probes internally) and record which output
-            # columns are integers on the side that owns them.
-            # union_align nulls each side's missing columns, so the
-            # bucket's to_pandas upcasts every int count to float64;
-            # values stay exact but the driver hashes the REPRESENTATION
-            # ("1.0" vs "1") — the round-4 q73 regression. The merge
-            # below restores the owner's integer dtypes.
-            left_schema, cd_schema = result.schema(), cd.schema()
-
-            def _pa_fields(s) -> list[pa.Field]:
-                if s is None:  # empty side — no columns to restore
-                    return []
-                out = []
-                for n, t in zip(s.names, s.types):
-                    if not isinstance(t, pa.DataType):
-                        t = (
-                            pa.string()
-                            if t == np.dtype("O")
-                            else pa.from_numpy_dtype(t)
-                        )
-                    out.append(pa.field(n, t))
-                return out
-
-            lf, cf = _pa_fields(left_schema), _pa_fields(cd_schema)
-            int_casts = {
-                f.name: f.type.to_pandas_dtype()
-                for f in lf
-                if f.name != alias and pa.types.is_integer(f.type)
-            }
-            for f in cf:
-                if f.name == alias and pa.types.is_integer(f.type):
-                    int_casts[alias] = f.type.to_pandas_dtype()
-            side8 = pa.field("__cdside", pa.int8())
-            tagged = union_align(
-                [
-                    result.map_batches(
-                        lambda t: t.append_column(
-                            "__cdside", pa.array(np.zeros(len(t), np.int8))),
-                        batch_format="pyarrow"),
-                    cd.map_batches(
-                        lambda t: t.append_column(
-                            "__cdside", pa.array(np.ones(len(t), np.int8))),
-                        batch_format="pyarrow"),
-                ],
-                schemas=[pa.schema([*lf, side8]), pa.schema([*cf, side8])],
-            )
-
-            def _bucket_join(
-                df: pd.DataFrame, a=alias, k=tuple(tkeys), casts=int_casts
-            ) -> pd.DataFrame:
-                left = df[df["__cdside"] == 0].drop(columns=["__cdside", a])
-                right = df[df["__cdside"] == 1][[*k, a]]
-                out = left.merge(right, on=list(k), how="left")
-                # a (key, window) absent from the cd side means every
-                # value was NULL there → count_distinct is 0, and the
-                # owner dtypes (int64 counts) come back from the
-                # union_align float upcast
-                for col, dt in casts.items():
-                    out[col] = out[col].fillna(0).astype(dt)
-                return out
-
-            result = bucketed_group_reduce(tagged, tkeys, _bucket_join)
+            result = _count_distinct_join(result, cd, tkeys, spec.alias)
 
     assert result is not None, "no agg specs given"
     return result
+
+
+def _count_distinct_join(main: ray.data.Dataset, cd: ray.data.Dataset,
+                         keys: list[str], alias: str) -> ray.data.Dataset:
+    """``main`` left-joined on ``keys`` with the ``cd`` side's
+    ``alias`` count; a (key, window) absent from ``cd`` had only NULL
+    values, so its count_distinct is 0 — and when every value was NULL,
+    ``cd`` has no schema and its stated one is ``main``'s keys plus an
+    int64 ``alias``. The output keeps ``main``'s schema plus that
+    ``alias`` field."""
+    from feast_ray.stages.exchange import two_sided_exchange
+    from feast_ray.stages.join import (
+        _copartition_sides, _key_hash, _keyed, _side_table, cast_to_schema,
+        dataset_schema)
+
+    main = main.materialize()
+    stated = pa.schema([*(dataset_schema(main).field(k) for k in keys),
+                        pa.field(alias, pa.int64())])
+    main, cd, mschema, cschema, key_schema = _copartition_sides(
+        main, cd, keys, right_schema=stated)
+    out_schema = pa.schema([*mschema, cschema.field(alias)])
+    mkeyed, ckeyed = _keyed(mschema, key_schema), _keyed(cschema, key_schema)
+
+    def _join_bucket(_b: int, mparts: list, cparts: list) -> pa.Table:
+        m = _side_table(mparts, mkeyed).to_pandas()
+        c = _side_table(cparts, ckeyed).select([*keys, alias]).to_pandas()
+        out = m.merge(c, on=keys, how="left")
+        out[alias] = out[alias].fillna(0)
+        return cast_to_schema(
+            pa.Table.from_pandas(out, preserve_index=False), out_schema)
+
+    bucket = _key_hash(key_schema)
+    return two_sided_exchange(main, cd, bucket, bucket, None, _join_bucket)
 
 
 def session_agg(

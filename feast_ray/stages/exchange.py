@@ -25,34 +25,41 @@ shuffle, 4.6 s here). Partitioning alone suffices, so this module
 drops to raw Ray tasks — the documented last-resort rule (SURVEY
 custom-operator rule (c)):
 
-* **bucket contract**: the caller tags each row with an int64 bucket
-  column holding either a raw 64-bit key hash (``dedup.add_hash_bucket``
-  with ``num_buckets=None``, the package's one key hash) or an id it
-  owns (a shard, partition or cell). The exchange picks B (the
-  caller's count, or auto-sized from the materialized bytes) and owns
-  the bucket: each map task takes the column as uint64 mod B, the
-  identity on ids already in [0, B). Reducers are called with their
-  bucket index ``b``, so no caller copies the bucket column into its
-  rows to learn which bucket it reduces.
-* **map side**: one task per materialized block → stable-sort the
-  block by its bucket → ``num_returns=B`` zero-copy slices (Arrow
-  ``Table.slice``), one per bucket, the bucket column dropped.
+* **bucket contract**: one-sided (``bucket_exchange``), the caller
+  tags each row with an int64 bucket column holding either a raw
+  64-bit key hash (``dedup.add_hash_bucket`` with ``num_buckets=None``,
+  the package's one key hash) or an id it owns (a shard, partition or
+  cell). Two-sided (``two_sided_exchange``), the caller passes the two
+  sides as separate Datasets plus one bucket function per side that
+  returns each row's raw key hash from that side's own rows, so no
+  bucket or side column is added and no union is built. Either way the
+  exchange picks B (the caller's count, or auto-sized from the
+  materialized bytes) and owns the bucket: each map task takes the
+  value as uint64 mod B, the identity on ids already in [0, B).
+  Reducers are called with their bucket index ``b`` — ``reduce_fn(b,
+  parts)`` or ``join_fn(b, lparts, rparts)`` — so no caller copies the
+  bucket into its rows to learn which bucket it reduces.
+* **map side**: one task per materialized block of each side →
+  stable-sort the block by its bucket → ``num_returns=B`` zero-copy
+  slices (Arrow ``Table.slice``), one per bucket (a bucket column is
+  dropped).
 * **reduce side**: one task per bucket ``b`` concatenates its ≤ M
-  slices (M = map-task count) and applies the caller's per-bucket
-  function to ``(b, parts)``.
+  slices per side (M = that side's map-task count) and applies the
+  caller's per-bucket function.
 
 Scale shape: classic MapReduce shuffle — B × M small objects through
 the object store, no global order, no barrier beyond the one every
 all-to-all has (reducers start once all map tasks are done). Skew
-lives in the caller's bucket assignment (hash_join salts hot keys
-BEFORE the bucket column is computed, so a salted key's rows still
-spread here). Partitioning assumption unchanged: one bucket (all
-sides) fits in a worker's heap — scale ``num_buckets`` with data size.
+lives in the caller's bucket assignment (hash_join salts hot keys in
+its left bucket function and replicates the matching right rows, so a
+salted key's rows still spread here). Partitioning assumption
+unchanged: one bucket (all sides) fits in a worker's heap — scale
+``num_buckets`` with data size.
 
-Every exchange here materializes its upstream into the object store
-at BUILD time (``to_arrow_refs``) — the same materialization a sort
-shuffle performs, surfaced eagerly; the returned Dataset is lazy from
-the reduce outputs onward.
+Every exchange here materializes its upstream (each side once) into
+the object store at BUILD time (``to_arrow_refs``) — the same
+materialization a sort shuffle performs, surfaced eagerly; the
+returned Dataset is lazy from the reduce outputs onward.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 
 #: target bytes per bucket for auto-sized exchanges — the documented
@@ -96,12 +104,13 @@ def refs_total_bytes(refs) -> int:
         return 0
 
 
-def _split_remote(n_out: int, key_fn, drop_cols: Sequence[str]):
+def _split_remote(n_out: int, hash_fn, drop_cols: Sequence[str]):
     """Build the map-side task: block → ``n_out`` per-bucket slices.
 
-    ``key_fn(tbl) -> np.ndarray[int64]`` maps each row to its output
-    index in [0, n_out) (its bucket for one-sided exchanges; side and
-    bucket for joins)."""
+    ``hash_fn(tbl) -> np.ndarray`` gives each row a raw 64-bit hash or
+    id; the row's bucket is that value as uint64 mod ``n_out``. A
+    0-row block (Ray Data emits 0-row map outputs as SCHEMA-LESS
+    blocks, with no columns at all) is never hashed."""
 
     @ray.remote(num_returns=n_out)
     def _split(tbl):
@@ -109,7 +118,10 @@ def _split_remote(n_out: int, key_fn, drop_cols: Sequence[str]):
         # (despite the name) — normalize to Arrow here
         if not isinstance(tbl, pa.Table):
             tbl = pa.Table.from_pandas(tbl, preserve_index=False).replace_schema_metadata(None)
-        key = key_fn(tbl)
+        h = np.asarray(hash_fn(tbl)) if len(tbl) else np.zeros(0, np.uint64)
+        if h.dtype != np.uint64:
+            h = h.astype(np.int64, copy=False).view(np.uint64)
+        key = (h % np.uint64(n_out)).astype(np.int64)
         order = np.argsort(key, kind="stable")
         tbl = tbl.take(pa.array(order))
         key = key[order]
@@ -134,39 +146,25 @@ def _splits_done(split_refs: list) -> list:
     return split_refs
 
 
-def _exchange(ds, bucket_col, num_buckets, fn, fallback, name, side=None):
-    """The body of both exchanges. ``side=(side_col, right_tag)`` makes
-    it two-sided: rows whose ``side_col`` equals ``right_tag`` form the
-    right side, and ``fn(b, lparts, rparts)`` gets bucket ``b``'s
-    slices of each side; one-sided, ``fn(b, parts)``."""
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    if not refs:
+def _exchange(sides, num_buckets, fn, fallback, name):
+    """The body of both exchanges. ``sides`` is one ``(ds, hash_fn,
+    drop_cols)`` per side; each side is materialized once and split by
+    its own map tasks, and ``fn(b, *parts)`` gets bucket ``b``'s slices
+    of each side, one list per side."""
+    mats = [ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+            for ds, _, _ in sides]
+    refs = [m.to_arrow_refs() for m in mats]
+    if not any(refs):
         if fallback is not None:
             return fallback()
         raise ValueError(f"{name} on a zero-block Dataset")
     B = num_buckets
     if B is None:
-        # the dataset's own block metadata is free and reliable; the
+        # the datasets' own block metadata is free and reliable; the
         # object-location query is only a fallback (it can time out
         # under load)
-        size = mat.size_bytes() or 0
-        B = auto_num_buckets(size if size > 0 else refs_total_bytes(refs))
-    sides = 1 if side is None else 2
-
-    def _key(tbl: pa.Table) -> np.ndarray:
-        # Ray Data emits 0-row map_batches outputs as SCHEMA-LESS empty
-        # blocks (no columns at all) — they carry no rows: bucket 0
-        if bucket_col not in tbl.column_names:
-            return np.zeros(len(tbl), dtype=np.int64)
-        v = tbl[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (v.view(np.uint64) % np.uint64(B)).astype(np.int64)
-        if side is not None:
-            b += (tbl[side[0]].to_numpy(zero_copy_only=False) == side[1]) * B
-        return b
-
-    drop = [bucket_col] if side is None else [bucket_col, side[0]]
-    _split = _split_remote(sides * B, _key, drop)
+        size = sum(m.size_bytes() or 0 for m in mats)
+        B = auto_num_buckets(size if size > 0 else refs_total_bytes(sum(refs, [])))
 
     # slice refs ride INSIDE list arguments, not as task args (Ray
     # 2.49's reference counter can fatally race inlining thousands of
@@ -177,10 +175,14 @@ def _exchange(ds, bucket_col, num_buckets, fn, fallback, name, side=None):
     def _reduce(b, *part_refs):
         return fn(b, *(list(ray.get(list(p))) for p in part_refs))
 
-    split_refs = _splits_done([_split.remote(r) for r in refs])
-    split_refs = [r if isinstance(r, list) else [r] for r in split_refs]
+    split_refs = []
+    for (_, hash_fn, drop), side_refs in zip(sides, refs):
+        _split = _split_remote(B, hash_fn, drop)
+        split_refs.append([_split.remote(r) for r in side_refs])
+    _splits_done(sum(split_refs, []))
+    split_refs = [[r if isinstance(r, list) else [r] for r in s] for s in split_refs]
     out = [
-        _reduce.remote(b, *([r[s * B + b] for r in split_refs] for s in range(sides)))
+        _reduce.remote(b, *([r[b] for r in s] for s in split_refs))
         for b in range(B)
     ]
     return ray.data.from_arrow_refs(out)
@@ -207,28 +209,32 @@ def bucket_exchange(
     ``fallback`` builds the result for an input that materializes to
     zero blocks (no schema to exchange) — typically an empty Dataset
     from ``reduce_fn(0, [])``."""
-    return _exchange(ds, bucket_col, num_buckets, reduce_fn, fallback,
-                     "bucket_exchange")
+    return _exchange(
+        [(ds, lambda t: t[bucket_col].to_numpy(zero_copy_only=False), (bucket_col,))],
+        num_buckets, reduce_fn, fallback, "bucket_exchange")
 
 
 def two_sided_exchange(
-    both: ray.data.Dataset,
-    bucket_col: str,
-    side_col: str,
-    right_tag: str,
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    left_hash: Callable[[pa.Table], np.ndarray],
+    right_hash: Callable[[pa.Table], np.ndarray],
     num_buckets: "int | None",
     join_fn: Callable[[int, list[pa.Table], list[pa.Table]], pa.Table],
     *,
     fallback: Callable[[], ray.data.Dataset] | None = None,
 ) -> ray.data.Dataset:
-    """Two-sided raw exchange for joins: ``both`` is the tagged UNION
-    of the two sides (one streaming execution, so the sides still run
-    concurrently); each map task splits its block into 2·B slices
-    keyed by (side, bucket) and reducer ``b`` receives bucket ``b``'s
-    left slices and right slices separately — ``join_fn(b, lparts,
-    rparts)`` joins them (parts may be empty / schema-drifted per
-    block; the caller casts each part to its captured side schema).
-    Buckets, ``num_buckets=None`` and ``fallback`` work as in
-    ``bucket_exchange``."""
-    return _exchange(both, bucket_col, num_buckets, join_fn, fallback,
-                     "two_sided_exchange", side=(side_col, right_tag))
+    """Two-sided raw exchange for joins: ``left`` and ``right`` are
+    materialized once each (a ``MaterializedDataset`` is used as it
+    is), and each side's map tasks split its blocks on that side's
+    bucket function — ``left_hash(tbl)`` / ``right_hash(tbl)`` return
+    one raw 64-bit key hash per row, taken mod B like a one-sided
+    bucket column. Reducer ``b`` receives bucket ``b``'s left slices
+    and right slices separately: ``join_fn(b, lparts, rparts)`` joins
+    them (parts may be empty or schema-drifted per block; the caller
+    casts each part to its side's schema). A side with zero blocks
+    contributes empty part lists; ``fallback`` runs only when both
+    have none. ``num_buckets=None`` auto-sizes B from the two sides'
+    materialized bytes."""
+    return _exchange([(left, left_hash, ()), (right, right_hash, ())],
+                     num_buckets, join_fn, fallback, "two_sided_exchange")

@@ -14,14 +14,20 @@ Semantics reproduced:
 Scale design:
 - **small right side → broadcast**: the right table is ``ray.put`` once
   and joined per batch with pyarrow's C++ hash join — no shuffle, the
-  canonical dimension-table pattern. The reference uses a 100 MB
-  threshold (ray/nodes.py:182-199); callers here choose explicitly.
-- **both sides large → partitioned**: add ``bucket = hash(key) % B`` to
-  both sides, union tagged, and join per bucket through the raw
-  exchange (``stages/exchange.py``; B auto-sized from the input bytes).
-  Partitioning assumption (documented per SURVEY.md): all rows of one
-  bucket fit in a worker's heap. As-of joins co-partition on the `by`
-  key itself (assumption: one key's rows fit).
+  canonical dimension-table pattern. The reference picks the path by a
+  100 MB threshold (ray/nodes.py:182-199); here the caller picks the
+  operator (``broadcast_join`` / ``asof_join`` vs ``hash_join`` /
+  ``copartitioned_asof_join``), and ``semi_join`` switches on its key
+  count (``SEMI_BROADCAST_MAX_KEYS``).
+- **both sides large → co-partitioned**: each side is materialized
+  once, its schema read off the materialized blocks, and both sides go
+  through the two-sided raw exchange (``stages/exchange.py``) with one
+  bucket function each: the shared key hash (``dedup._hash_keys``) of
+  the key columns cast to the type both sides unify to. Each reducer
+  gets its bucket's left and right slices separately — no side column,
+  no union — and B is sized from the two sides' bytes. Partitioning
+  assumption (documented per SURVEY.md): all rows of one bucket fit in
+  a worker's heap; for an as-of join that means one `by` key's rows.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from feast_ray.stages.dedup import bucketed_group_reduce
-from feast_ray.stages.exchange import two_sided_exchange
+from feast_ray.stages import exchange
+from feast_ray.stages.dedup import _hash_keys
 
 _JOIN_TYPE = {
     "inner": "inner",
@@ -50,33 +56,97 @@ _BROADCASTABLE = ("inner", "left")
 SEMI_BROADCAST_MAX_KEYS = 5_000_000
 #: salted buckets a ``hash_join`` hot key's left rows spread over
 SALT_FACTOR = 8
+#: a salted bucket's offset from its key hash is this odd multiplier ×
+#: the salt (1..salt factor), so offsets stay distinct mod B
+_SALT_STEP = np.uint64(2654435761)
+_SALT_COL = "__salt"
+_SCHEMALESS = (
+    "cannot infer the schema of an empty schema-less Dataset "
+    "(e.g. ray.data.from_pandas of a 0-row frame) — give the "
+    "input at least a typed empty block")
+
+
+def arrow_schema(s) -> "pa.Schema | None":
+    """A Ray Data schema (or an Arrow one) as an Arrow schema; None
+    stays None. Pandas-backed blocks report numpy dtypes: each converts
+    with ``pa.from_numpy_dtype``, and object, like any other non-Arrow
+    type, reads as string."""
+    if s is None:
+        return None
+    base = getattr(s, "base_schema", s)
+    if isinstance(base, pa.Schema):
+        return base
+    return pa.schema([
+        pa.field(n, t if isinstance(t, pa.DataType)
+                 else pa.from_numpy_dtype(t)
+                 if isinstance(t, np.dtype) and t != np.dtype("O")
+                 else pa.string())
+        for n, t in zip(s.names, s.types)
+    ])
 
 
 def dataset_schema(ds: ray.data.Dataset) -> pa.Schema:
-    """The Arrow schema of a Dataset, robust to pandas-backed blocks
-    (which report numpy dtypes instead of a pa.Schema)."""
-    s = ds.schema()
+    """The Arrow schema of a Dataset (``arrow_schema`` of
+    ``ds.schema()``); raises on a schema-less one."""
+    s = arrow_schema(ds.schema())
     if s is None:
-        raise ValueError(
-            "cannot infer the schema of an empty schema-less Dataset "
-            "(e.g. ray.data.from_pandas of a 0-row frame) — give the "
-            "input at least a typed empty block"
-        )
-    base = getattr(s, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
+        raise ValueError(_SCHEMALESS)
+    return s
+
+
+def _copartition_sides(left, right, keys, left_schema=None, right_schema=None):
+    """The setup every co-partitioned join shares: each side
+    materialized once, and its Arrow schema read off the materialized
+    blocks, which runs nothing (a stated schema stands in for a side
+    with zero blocks). Returns ``(left, right, lschema, rschema,
+    key_schema)``: ``key_schema`` holds the types ``keys`` unify to
+    across the sides — int32 meets int64, int meets float — or the
+    left type where they do not unify."""
+    sides, schemas = [], []
+    for ds, stated in ((left, left_schema), (right, right_schema)):
+        ds = ds.materialize()
+        sch = arrow_schema(ds.schema(fetch_if_missing=False))
+        sch = stated if sch is None else sch
+        if sch is None:
+            raise ValueError(_SCHEMALESS)
+        sides.append(ds)
+        schemas.append(sch)
+    return (*sides, *schemas, _key_schema(*schemas, keys))
+
+
+def _key_schema(lschema: pa.Schema, rschema: pa.Schema, keys) -> pa.Schema:
     fields = []
-    for name, typ in zip(s.names, s.types):
-        if isinstance(typ, pa.DataType):
-            fields.append(pa.field(name, typ))
-        elif isinstance(typ, np.dtype):
-            if typ == np.dtype("O"):
-                fields.append(pa.field(name, pa.string()))
-            else:
-                fields.append(pa.field(name, pa.from_numpy_dtype(typ)))
-        else:
-            fields.append(pa.field(name, pa.string()))
+    for k in keys:
+        t = lschema.field(k).type
+        try:
+            t = pa.unify_schemas(
+                [pa.schema([pa.field(k, t)]), pa.schema([pa.field(k, rschema.field(k).type)])],
+                promote_options="permissive").field(k).type
+        except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError):
+            pass
+        fields.append(pa.field(k, t))
     return pa.schema(fields)
+
+
+def _keyed(schema: pa.Schema, key_schema: pa.Schema) -> pa.Schema:
+    """``schema`` with its key fields retyped to ``key_schema``'s."""
+    for f in key_schema:
+        schema = schema.set(schema.get_field_index(f.name), f)
+    return schema
+
+
+def _key_hash(key_schema: pa.Schema):
+    """A side's bucket function: the shared key hash of the key columns
+    cast to the unified key types, so equal keys of both sides meet."""
+    return lambda t: _hash_keys(cast_to_schema(t, key_schema), key_schema.names)
+
+
+def _side_table(parts: list, schema: pa.Schema) -> pa.Table:
+    """One side of a bucket as one table of exactly ``schema``: a
+    pandas-origin block can surface an all-null column as Arrow `null`
+    type, which the C++ join refuses as a payload field."""
+    parts = [cast_to_schema(p, schema) for p in parts if len(p)]
+    return pa.concat_tables(parts) if parts else schema.empty_table()
 
 
 def _to_arrow(obj) -> pa.Table:
@@ -197,6 +267,38 @@ def _asof_on(left_ts: str, right_ts: str) -> dict:
     return {"left_on": left_ts, "right_on": right_ts}
 
 
+def _merge_asof(ldf: pd.DataFrame, rdf: pd.DataFrame, *, left_ts: str,
+                right_ts: str, by: list[str], ttl, direction: str,
+                right_suffix: str) -> pd.DataFrame:
+    """The one ``merge_asof`` body of both as-of joins. ``rdf`` comes
+    from ``_prep_asof_right``; its columns that collide with a left
+    one (other than `by` and a shared ts name) take ``right_suffix``.
+    A `by` column whose pandas dtype differs between the sides (an int
+    key with nulls on one side only reads as float there) is brought to
+    one dtype, which merge_asof requires."""
+    overlap = (set(ldf.columns) & set(rdf.columns)) - set(by)
+    if left_ts == right_ts:
+        overlap -= {right_ts}
+    if overlap:
+        rdf = rdf.rename(columns={c: c + right_suffix for c in overlap})
+    ldf = _norm_ts(ldf, left_ts)
+    ldf = ldf.sort_values(left_ts, kind="stable").reset_index(drop=True)
+    for k in by:
+        if ldf[k].dtype != rdf[k].dtype:
+            t = np.result_type(ldf[k].dtype, rdf[k].dtype)
+            ldf, rdf = ldf.astype({k: t}), rdf.astype({k: t})
+    return pd.merge_asof(
+        ldf,
+        rdf,
+        **_asof_on(left_ts, right_ts),
+        by=by,
+        direction=direction,
+        tolerance=ttl,
+        allow_exact_matches=True,
+        suffixes=("", right_suffix),
+    )
+
+
 def asof_join(
     left: ray.data.Dataset,
     right,
@@ -240,38 +342,17 @@ def asof_join(
     cutoff_col = "__created_cut" if (created_cutoff and created_ts) else None
     rdf = _prep_asof_right(rdf, right_ts, created_ts, keep_created_as=cutoff_col)
     ref = ray.put(rdf)
-    same_ts_name = left_ts == right_ts
 
     def _asof(tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas()
-        r: pd.DataFrame = ray.get(ref)
-        overlap = (set(df.columns) & set(r.columns)) - set(by)
-        if same_ts_name:
-            overlap -= {right_ts}
-        if overlap:
-            r = r.rename(columns={c: c + right_suffix for c in overlap})
-        df = _norm_ts(df, left_ts)
-        df = df.sort_values(left_ts, kind="stable").reset_index(drop=True)
-        out = pd.merge_asof(
-            df,
-            r,
-            **_asof_on(left_ts, right_ts),
-            by=by,
-            direction=direction,
-            tolerance=ttl,
-            allow_exact_matches=True,
-            suffixes=("", right_suffix),
-        )
+        out = _merge_asof(df, ray.get(ref), left_ts=left_ts, right_ts=right_ts,
+                          by=by, ttl=ttl, direction=direction,
+                          right_suffix=right_suffix)
         if cutoff_col is not None and cutoff_col in out.columns:
             late = out[cutoff_col] > out[left_ts]
-            feature_cols = [
-                c for c in r.columns
-                if c not in by and c != right_ts and c != cutoff_col
-            ]
-            for c in feature_cols:
-                col = c if c in out.columns else c + right_suffix
-                if col in out.columns:
-                    out.loc[late, col] = None
+            for c in out.columns:
+                if c not in df.columns and c not in (right_ts, cutoff_col):
+                    out.loc[late, c] = None
             out = out.drop(columns=[cutoff_col])
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
@@ -289,84 +370,51 @@ def copartitioned_asof_join(
     created_ts: str | None = None,
     right_suffix: str = "_r",
 ) -> ray.data.Dataset:
-    """Distributed as-of join for two large sides: tag rows with their
-    side, align columns, union, shuffle by the `by` key(s) through
-    ``bucketed_group_reduce``, and run one merge_asof per bucket
-    (ray_shared_utils.py:468-550 recast). Output order is unspecified.
+    """Distributed backward as-of join for two large sides
+    (ray_shared_utils.py:468-550 recast, without its tagged union):
+    each side is materialized once and co-partitioned on the `by`
+    key(s) through the two-sided exchange, and each bucket runs one
+    merge_asof (its ``by=`` keeps the bucket's keys apart). `by` keys
+    of both sides hash and merge in the type they unify to (int32 meets
+    int64, int meets float). Output order is unspecified.
 
     Partitioning assumption: all rows of one `by` key fit in one
     worker's heap (bucket by (key, time-window) if that breaks).
 
-    Each side's columns are tracked by EXPLICIT lists captured from the
-    input schemas (never inferred from null-ness — an all-null column
-    within one key group is legitimate data), and every group's output
-    is cast to one explicit Arrow schema so no per-group type drift
-    (int→float NaN promotion, missing columns) leaks into the result.
+    The output schema is explicit: the left side's fields, then the
+    right side's minus `by`, ``created_ts`` and a shared ts name, with
+    overlaps suffixed as in ``asof_join``. Every bucket's output is
+    cast to it, so no per-bucket type drift (int→float NaN promotion,
+    missing columns) leaks into the result.
     """
     by = [by] if isinstance(by, str) else list(by)
-    side = "__side"
+    left, right, lschema, rschema, key_schema = _copartition_sides(left, right, by)
     same = left_ts == right_ts
-
-    lschema = dataset_schema(left)
-    rschema = dataset_schema(right)
-    lnames = list(lschema.names)
-    rnames = list(rschema.names)
-    # right columns surviving into the output: drop created_ts, rename
-    # overlaps (same policy as the broadcast asof_join)
-    overlap = (set(lnames) & set(rnames)) - set(by)
+    overlap = (set(lschema.names) & set(rschema.names)) - set(by)
     if same:
         overlap -= {right_ts}
-    out_fields = [lschema.field(n) for n in lnames]
-    for n in rnames:
-        if n in by or n == created_ts or (same and n == right_ts):
+    out_fields = list(lschema)
+    for f in rschema:
+        if f.name in by or f.name == created_ts or (same and f.name == right_ts):
             continue
-        name = n + right_suffix if n in overlap else n
-        out_fields.append(pa.field(name, rschema.field(n).type))
+        name = f.name + right_suffix if f.name in overlap else f.name
+        out_fields.append(pa.field(name, f.type))
     out_schema = pa.schema(out_fields)
+    lkeyed, rkeyed = _keyed(lschema, key_schema), _keyed(rschema, key_schema)
 
-    def _tag(val):
-        def _t(tbl: pa.Table) -> pa.Table:
-            return tbl.append_column(side, pa.array([val] * len(tbl), pa.string()))
-
-        return _t
-
-    lt = left.map_batches(_tag("L"), batch_format="pyarrow")
-    rt = right.map_batches(_tag("R"), batch_format="pyarrow")
-    from feast_ray.stages.relational import union_align
-
-    both = union_align([lt, rt])
-
-    def _per_key(g: pd.DataFrame) -> pa.Table:
-        lmask = g[side] == "L"
-        ldf = g.loc[lmask, lnames]
-        rdf = g.loc[~lmask, rnames]
-        if len(ldf) == 0:
+    def _join_bucket(_b: int, lparts: list, rparts: list) -> pa.Table:
+        ldf = _side_table(lparts, lkeyed).to_pandas()
+        if not len(ldf):
             return out_schema.empty_table()
-        ldf = _norm_ts(ldf, left_ts)
-        ldf = ldf.sort_values(left_ts, kind="stable").reset_index(drop=True)
-        if len(rdf) == 0:
-            out = ldf
-        else:
-            rdf = _prep_asof_right(rdf, right_ts, created_ts)
-            if overlap:
-                rdf = rdf.rename(columns={c: c + right_suffix for c in overlap})
-            out = pd.merge_asof(
-                ldf,
-                rdf,
-                **_asof_on(left_ts, right_ts),
-                by=by,
-                direction="backward",
-                tolerance=ttl,
-                allow_exact_matches=True,
-                suffixes=("", right_suffix),
-            )
+        rdf = _prep_asof_right(_side_table(rparts, rkeyed).to_pandas(), right_ts, created_ts)
+        out = _merge_asof(ldf, rdf, left_ts=left_ts, right_ts=right_ts, by=by,
+                          ttl=ttl, direction="backward", right_suffix=right_suffix)
         return cast_to_schema(
             pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None), out_schema
         )
 
-    # one reduce call holds several `by` keys; merge_asof's `by=`
-    # keeps them apart
-    return bucketed_group_reduce(both, by, _per_key)
+    bucket = _key_hash(key_schema)
+    return exchange.two_sided_exchange(left, right, bucket, bucket, None, _join_bucket)
 
 
 def semi_join(
@@ -377,8 +425,10 @@ def semi_join(
     anti: bool = False,
 ) -> ray.data.Dataset:
     """Semi / anti join: keep left rows whose key IS (resp. is NOT) in
-    the right key set. Small key sets are broadcast once (``ray.put``)
-    and each batch filters with pyarrow ``is_in`` — no shuffle.
+    the right key set. A null key matches nothing, so semi drops it and
+    anti keeps it, on both tiers. Small key sets are broadcast once
+    (``ray.put``) and each batch runs Arrow's left semi / anti join
+    against them — no shuffle.
     ``right_keys``: table/frame/Dataset of key columns, or a list of
     values for a single key.
 
@@ -414,44 +464,25 @@ def semi_join(
         rt = pa.table({on[0]: pa.array(sorted(right_keys))})
     else:
         rt = _to_arrow(right_keys).select(on)
-    if len(on) > 1:
-        # composite keys: compare as concatenated strings (stable)
-        import pyarrow.compute as pc
-
-        def _keycol(t: pa.Table):
-            cols = [pc.cast(t[c], pa.string()) for c in on]
-            out = cols[0]
-            for c in cols[1:]:
-                out = pc.binary_join_element_wise(out, c, "\x1f")
-            return out
-
-        keyset = _keycol(rt).unique()
-    else:
-        keyset = rt[on[0]].combine_chunks().unique()
-    if len(keyset) == 0:
+    if len(rt) == 0:
         # empty key set: semi → nothing, anti → everything
         if anti:
             return left
         return left.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
-    ref = ray.put(keyset)
+    ref = ray.put(rt.group_by(on).aggregate([]))
+    join_type = "left anti" if anti else "left semi"
 
     def _filter(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+        # Arrow's semi/anti join compares composite keys column by
+        # column and never matches a null key (SQL semantics, as the
+        # distributed tier's hash_join); it runs on the key columns
+        # plus a row number, so the batch keeps its row order
         ks = ray.get(ref)
-        if len(on) > 1:
-            cols = [pc.cast(tbl[c], pa.string()) for c in on]
-            key = cols[0]
-            for c in cols[1:]:
-                key = pc.binary_join_element_wise(key, c, "\x1f")
-        else:
-            key = tbl[on[0]]
-            if not key.type.equals(ks.type):
-                key = pc.cast(key, ks.type)
-        mask = pc.is_in(key, value_set=ks)
-        if anti:
-            mask = pc.invert(mask)
-        return tbl.filter(mask)
+        key_schema = _key_schema(tbl.schema, ks.schema, on)
+        probe = cast_to_schema(tbl, key_schema).append_column(
+            "__row", pa.array(np.arange(len(tbl), dtype=np.int64)))
+        rows = probe.join(cast_to_schema(ks, key_schema), keys=on, join_type=join_type)
+        return tbl.take(np.sort(rows["__row"].to_numpy()))
 
     return left.map_batches(_filter, batch_format="pyarrow")
 
@@ -491,12 +522,12 @@ def hash_join(
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
 ) -> ray.data.Dataset:
-    """Partitioned hash join for two LARGE sides: co-partition both on
-    ``hash(key) % num_buckets`` through the raw bucketed exchange
-    (stages/exchange.py — partition-only, no sort) and join
-    bucket-wise. Partitioning assumption: one bucket (both sides) fits
-    in a worker's heap. A zero-block tagged union yields a typed empty
-    Dataset.
+    """Partitioned hash join for two LARGE sides: each side is
+    materialized once and co-partitioned through the two-sided raw
+    exchange (stages/exchange.py — partition-only, no sort), and each
+    bucket joins its left and right slices. Partitioning assumption:
+    one bucket (both sides) fits in a worker's heap. Two zero-block
+    sides yield a typed empty Dataset.
 
     ``how``: inner / left / right / full (outer). Outer semantics are
     exact under co-partitioning — a key's rows from BOTH sides land in
@@ -505,42 +536,34 @@ def hash_join(
     incompatible with ``hot_keys`` salting (replication would
     duplicate unmatched right rows) and have no broadcast equivalent.
 
-    Each row is tagged with the shared key hash (``dedup._hash_keys``)
-    of its key columns AFTER they are cast to the key types both sides
-    unify to, so an int32 key meets an int64 key, and an int64 key a
-    float64 one, in the same bucket. The exchange takes the raw hash
-    mod a bucket count it AUTO-SIZES from the materialized tagged
-    union's bytes (``auto_num_buckets``) — so a pipeline written at
-    sf0.1 partitions correctly at 100× without edits. With
-    ``hot_keys`` the count is derived from the two inputs' bytes
-    BEFORE tagging instead (salting needs the bucket count at tag time
-    to keep salted offsets distinct).
+    Each side's bucket function is the shared key hash
+    (``dedup._hash_keys``) of its key columns cast to the key types
+    both sides unify to, so an int32 key meets an int64 key, and an
+    int64 key a float64 one, in the same bucket. The bucket count is
+    AUTO-SIZED from the two materialized sides' bytes
+    (``auto_num_buckets``) — so a pipeline written at sf0.1 partitions
+    correctly at 100× without edits.
 
-    ``left_schema`` / ``right_schema``: pass the known Arrow schemas to
-    skip the limit-1 probe executions ``dataset_schema`` otherwise runs
-    against each side's lineage (a real task on a deep pipeline);
-    blocks are cast to the stated schema per bucket either way.
+    Each side's schema is read off its materialized blocks, which runs
+    nothing. ``left_schema`` / ``right_schema`` state the schema of a
+    side that may have zero blocks (a materialized side with none has
+    no schema); a side with blocks keeps its own.
 
     **Skew**: pass ``hot_keys`` (an iterable of key VALUES of the
-    first/only join key) to SALT them — hot LEFT rows spread
-    round-robin over ``SALT_FACTOR`` salted buckets (at most the
-    bucket count) and the matching RIGHT rows are replicated into
-    every salted bucket, so one hot key costs ``1/SALT_FACTOR`` of its
-    rows per bucket instead of sinking one reducer. (The classic
-    skew-join recipe; replication cost = SALT_FACTOR × the hot right
-    rows only.)
+    first/only join key) to SALT them — the left bucket function
+    spreads hot LEFT rows round-robin over ``SALT_FACTOR`` salted
+    buckets (at most the bucket count), and the matching RIGHT rows are
+    replicated into every salted bucket (a ``__salt`` column the right
+    bucket function reads) before that side is exchanged, so one hot
+    key costs ``1/SALT_FACTOR`` of its rows per bucket instead of
+    sinking one reducer. (The classic skew-join recipe; replication
+    cost = SALT_FACTOR × the hot right rows only.)
 
-    The per-bucket join is pyarrow's C++ hash join over explicit
-    side-column lists captured from the input schemas (all-Arrow, no
-    pandas round-trip, no null-sniffing side split), so every bucket
-    emits blocks with the identical schema as the broadcast path."""
+    The per-bucket join is pyarrow's C++ hash join over each side's
+    parts cast to its schema (all-Arrow, no pandas round-trip), so every
+    bucket emits blocks with the identical schema as the broadcast
+    path."""
     on = [on] if isinstance(on, str) else list(on)
-    bucket, side = "__bucket", "__side"
-    import pyarrow.compute as pc
-
-    from feast_ray.stages.dedup import _hash_keys
-    from feast_ray.stages.exchange import auto_num_buckets
-
     if how not in _JOIN_TYPE:
         raise ValueError(f"hash_join: unknown join type {how!r}")
     if hot_keys is not None and how in ("right", "full"):
@@ -550,128 +573,70 @@ def hash_join(
         raise ValueError(
             "hash_join: hot_keys salting is only valid for inner/left "
             "joins (right-row replication breaks outer semantics)")
-    # None: the exchange sizes the count from the tagged union
-    num_buckets = None
-    if hot_keys is not None:
-        # salting must know the bucket count at tag time (salted
-        # offsets have to stay distinct mod num_buckets, or a hot
-        # right row replicated into two colliding salted buckets would
-        # match a hot left row twice) — size from the inputs instead
-        left = left.materialize()
-        right = right.materialize()
-        num_buckets = auto_num_buckets(
-            (left.size_bytes() or 0) + (right.size_bytes() or 0)
-        )
-        # salt offsets must stay distinct mod num_buckets (odd
-        # multiplier × power-of-two bucket count guarantees it only up
-        # to num_buckets)
-        salt_factor = min(SALT_FACTOR, num_buckets)
-
-    lschema = left_schema if left_schema is not None else dataset_schema(left)
-    rschema = right_schema if right_schema is not None else dataset_schema(right)
-    lnames = list(lschema.names)
-    rnames = list(rschema.names)
-    # unify join-key types across sides (int32 left vs int64 right must
-    # both cast to the promoted type — the C++ join refuses mismatched
-    # key types; the tagger hashes the keys in the unified type)
-    for k in on:
-        lt, rt_ = lschema.field(k).type, rschema.field(k).type
-        if not lt.equals(rt_):
-            try:
-                ut = pa.unify_schemas(
-                    [pa.schema([pa.field(k, lt)]), pa.schema([pa.field(k, rt_)])],
-                    promote_options="permissive",
-                ).field(k).type
-            except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError):
-                ut = lt
-            lschema = lschema.set(lschema.get_field_index(k), pa.field(k, ut))
-            rschema = rschema.set(rschema.get_field_index(k), pa.field(k, ut))
+    left, right, lschema, rschema, key_schema = _copartition_sides(
+        left, right, on, left_schema, right_schema)
+    num_buckets = exchange.auto_num_buckets(
+        (left.size_bytes() or 0) + (right.size_bytes() or 0))
+    lschema, rschema = _keyed(lschema, key_schema), _keyed(rschema, key_schema)
+    lnames, rnames = list(lschema.names), list(rschema.names)
     overlap = (set(lnames) & set(rnames)) - set(on)
     r_renamed = [c + right_suffix if c in overlap else c for c in rnames]
-    rschema = pa.schema(
-        [pa.field(n, rschema.field(o).type) for n, o in zip(r_renamed, rnames)]
-    )
     out_cols = lnames + [r for r, orig in zip(r_renamed, rnames) if orig not in on]
-    hot = pa.array(sorted(hot_keys)) if hot_keys is not None else None
-
-    key_schema = pa.schema([lschema.field(k) for k in on])
-
-    def _tagged(tbl: pa.Table, h: np.ndarray, val: str) -> pa.Table:
-        tbl = tbl.append_column(bucket, pa.array(h.view(np.int64)))
-        return tbl.append_column(side, pa.array([val] * len(tbl), pa.string()))
-
-    def _tag(val):
-        def _t(tbl: pa.Table) -> pa.Table:
-            h = _hash_keys(cast_to_schema(tbl, key_schema), on)
-            if hot is not None:
-                key = tbl[on[0]]
-                if not key.type.equals(hot.type):
-                    key = pc.cast(key, hot.type)
-                is_hot = pc.is_in(key, value_set=hot).to_numpy(
-                    zero_copy_only=False
-                )
-                if val == "L":
-                    with np.errstate(over="ignore"):
-                        salt = np.arange(len(tbl), dtype=np.uint64) % np.uint64(salt_factor)
-                        h = np.where(
-                            is_hot, h + (salt + np.uint64(1)) * np.uint64(2654435761), h
-                        )
-                else:
-                    # replicate hot right rows into every salted bucket;
-                    # the UNSALTED copy is dropped (hot left rows are
-                    # always salted, and a salted bucket can coincide
-                    # with the unsalted one — keeping both would match
-                    # a hot left row twice)
-                    hot_idx = np.flatnonzero(is_hot)
-                    if len(hot_idx):
-                        reps = [_tagged(tbl.filter(pa.array(~is_hot)), h[~is_hot], val)]
-                        hot_tbl = tbl.take(pa.array(hot_idx))
-                        hot_h = h[hot_idx]
-                        with np.errstate(over="ignore"):
-                            for s in range(salt_factor):
-                                hs = hot_h + np.uint64(s + 1) * np.uint64(2654435761)
-                                reps.append(_tagged(hot_tbl, hs, val))
-                        return pa.concat_tables(reps)
-            return _tagged(tbl, h, val)
-
-        return _t
-
-    lt = left.map_batches(_tag("L"), batch_format="pyarrow")
-    rt = right.map_batches(_tag("R"), batch_format="pyarrow")
-    from feast_ray.stages.relational import union_align
-
-    rschema_orig = pa.schema(
-        [pa.field(o, rschema.field(n).type) for n, o in zip(r_renamed, rnames)]
-    )
-    # when both side schemas are stated, the tagged schemas are fully
-    # known too — skip union_align's ds.schema() probes (each is a
-    # limit-1 execution of the side's whole lineage)
-    tagged = None
-    if left_schema is not None and right_schema is not None:
-        extra = [pa.field(bucket, pa.int64()), pa.field(side, pa.string())]
-        tagged = [
-            pa.schema(list(lschema) + extra),
-            pa.schema(list(rschema_orig) + extra),
-        ]
-    both = union_align([lt, rt], schemas=tagged)
+    left_hash = right_hash = _key_hash(key_schema)
+    if hot_keys is not None:
+        # salt offsets must stay distinct mod num_buckets (odd
+        # multiplier × power-of-two bucket count guarantees it only up
+        # to num_buckets), or a hot right row replicated into two
+        # colliding salted buckets would match a hot left row twice
+        left_hash, right, right_hash = _salted(
+            on[0], hot_keys, min(SALT_FACTOR, num_buckets), left_hash, right)
 
     def _join_bucket(_b: int, lparts: list, rparts: list) -> pa.Table:
-        # cast each part to its captured side schema — a pandas-origin
-        # block can surface an all-null column as Arrow `null` type,
-        # which the C++ join refuses as a payload field
-        lparts = [cast_to_schema(p, lschema) for p in lparts if len(p)]
-        rparts = [cast_to_schema(p, rschema_orig) for p in rparts if len(p)]
-        ltab = pa.concat_tables(lparts) if lparts else lschema.empty_table()
-        rtab = pa.concat_tables(rparts) if rparts else rschema_orig.empty_table()
-        if r_renamed != rnames:
-            rtab = rtab.rename_columns(r_renamed)
+        ltab = _side_table(lparts, lschema)
+        rtab = _side_table(rparts, rschema).rename_columns(r_renamed)
         out = ltab.join(rtab, keys=on, join_type=_JOIN_TYPE[how])
         return out.select(out_cols)
 
-    return two_sided_exchange(
-        both, bucket, side, "R", num_buckets, _join_bucket,
+    return exchange.two_sided_exchange(
+        left, right, left_hash, right_hash, num_buckets, _join_bucket,
         fallback=lambda: ray.data.from_arrow(_join_bucket(0, [], [])),
     )
+
+
+def _salted(key: str, hot_keys, salt_factor: int, key_hash, right):
+    """``hash_join``'s hot-key salting: the left bucket function, the
+    right side with each hot row replicated once per salt (1..
+    ``salt_factor``; a ``_SALT_COL`` of 0 marks a cold row, and no
+    unsalted copy of a hot row is kept, since hot left rows are always
+    salted) and the right bucket function that adds the salt offset."""
+    import pyarrow.compute as pc
+
+    hot = pa.array(sorted(hot_keys))
+
+    def _is_hot(t: pa.Table) -> np.ndarray:
+        k = t[key] if t[key].type.equals(hot.type) else pc.cast(t[key], hot.type)
+        return pc.is_in(k, value_set=hot).to_numpy(zero_copy_only=False)
+
+    def left_hash(t: pa.Table) -> np.ndarray:
+        salt = np.arange(len(t), dtype=np.uint64) % np.uint64(salt_factor) + np.uint64(1)
+        h = key_hash(t)
+        with np.errstate(over="ignore"):
+            return np.where(_is_hot(t), h + salt * _SALT_STEP, h)
+
+    def _replicate(t: pa.Table) -> pa.Table:
+        is_hot = _is_hot(t)
+        cold, hot_rows = np.flatnonzero(~is_hot), np.flatnonzero(is_hot)
+        salt = np.repeat(np.arange(salt_factor + 1, dtype=np.uint64),
+                         [len(cold)] + [len(hot_rows)] * salt_factor)
+        rows = np.concatenate([cold, np.tile(hot_rows, salt_factor)])
+        return t.take(rows).append_column(_SALT_COL, pa.array(salt))
+
+    def right_hash(t: pa.Table) -> np.ndarray:
+        salt = t[_SALT_COL].to_numpy(zero_copy_only=False)
+        with np.errstate(over="ignore"):
+            return key_hash(t) + salt * _SALT_STEP
+
+    return left_hash, right.map_batches(_replicate, batch_format="pyarrow"), right_hash
 
 
 def interval_join(
@@ -703,6 +668,8 @@ def interval_join(
     per bucket (hash_join-style co-partitioning).
     """
     by = [by] if isinstance(by, str) else (list(by) if by else [])
+    if how not in _BROADCASTABLE:
+        raise ValueError(f"interval_join supports {_BROADCASTABLE}, got {how!r}")
     rt = _to_arrow(right)
     rdf = rt.to_pandas().sort_values(right_start, kind="stable").reset_index(drop=True)
     if len(rdf):
@@ -710,19 +677,18 @@ def interval_join(
     else:
         max_len = None
     ref = ray.put(rdf)
-    # explicit output schema: left fields + right non-by fields (suffix
-    # where names overlap) — every batch casts to it, so a batch whose
-    # unmatched left rows NaN-promoted an int/timestamp right column
-    # cannot emit a different schema than an all-matched batch
-    lschema = dataset_schema(left)
-    overlap_names = (set(lschema.names) & set(rt.schema.names)) - set(by)
-    out_fields = [lschema.field(n) for n in lschema.names]
-    for f in rt.schema:
-        if f.name in by:
-            continue
-        name = f.name + right_suffix if f.name in overlap_names else f.name
-        out_fields.append(pa.field(name, f.type))
-    out_schema = pa.schema(out_fields)
+
+    def _out_schema(lschema: pa.Schema) -> pa.Schema:
+        # explicit output schema: the batch's fields + right non-by
+        # fields (suffix where names overlap) — every batch casts to
+        # it, so a batch whose unmatched left rows NaN-promoted an
+        # int/timestamp right column emits the same schema as an
+        # all-matched batch
+        overlap_names = (set(lschema.names) & set(rt.schema.names)) - set(by)
+        return pa.schema(list(lschema) + [
+            pa.field(f.name + right_suffix if f.name in overlap_names else f.name, f.type)
+            for f in rt.schema if f.name not in by
+        ])
 
     def _join(tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -774,7 +740,8 @@ def interval_join(
         for c in rcols:
             lpart[c] = rpart[c].to_numpy()
         return cast_to_schema(
-            pa.Table.from_pandas(lpart, preserve_index=False).replace_schema_metadata(None), out_schema
+            pa.Table.from_pandas(lpart, preserve_index=False).replace_schema_metadata(None),
+            _out_schema(tbl.schema),
         )
 
     return left.map_batches(_join, batch_format="pyarrow")

@@ -66,38 +66,16 @@ def top_frequencies(
     return topk(counts, ["n", col], n, descending=[True, False])
 
 
-def union_align(
-    datasets: list[ray.data.Dataset],
-    schemas: "list[pa.Schema] | None" = None,
-) -> ray.data.Dataset:
+def union_align(datasets: list[ray.data.Dataset]) -> ray.data.Dataset:
     """Union datasets after aligning their column SETS (missing columns
     become nulls) and column TYPES (same-named columns with different
     types — int32 vs int64, float32 vs float64 — are promoted to one
     unified type and every block cast to it, so the union emits one
-    uniform schema), mirroring `_align_and_union_entities_ray`.
+    uniform schema), mirroring `_align_and_union_entities_ray`."""
+    from feast_ray.stages.join import arrow_schema
 
-    ``schemas``: pass the known per-dataset Arrow schemas to skip the
-    ``ds.schema()`` probes — each probe executes a limit-1 run of that
-    dataset's full lineage, a real cost on deep pipelines."""
-    import numpy as np
-
-    def _to_pa_type(typ) -> pa.DataType:
-        if isinstance(typ, pa.DataType):
-            return typ
-        # pandas-backed blocks report numpy dtypes; object ≈ string
-        if isinstance(typ, np.dtype):
-            if typ == np.dtype("O"):
-                return pa.string()
-            return pa.from_numpy_dtype(typ)
-        return pa.string()
-
-    if schemas is None:
-        schemas = [ds.schema() for ds in datasets]
     per_ds = [
-        pa.schema(
-            [pa.field(n, _to_pa_type(t)) for n, t in zip(s.names, s.types)]
-        )
-        for s in schemas
+        s for s in (arrow_schema(ds.schema()) for ds in datasets)
         # a fully-empty schema-less side (e.g. an empty reduce output)
         # contributes no rows and no columns — skip it in unification
         if s is not None

@@ -1264,7 +1264,7 @@ def test_window_compose_int64_exact_beyond_float53():
 
 def test_hash_join_auto_buckets_scale_with_input(monkeypatch):
     """num_buckets=None (the default) derives the bucket count from the
-    materialized tagged union's bytes: with a tiny bucket-size target a
+    two materialized sides' bytes: with a tiny bucket-size target a
     bigger input must fan out to MORE reduce buckets (visible as output
     blocks), and the join stays equal to a pandas merge."""
     import ray.data
