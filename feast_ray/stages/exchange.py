@@ -70,7 +70,6 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
-from ray.data.dataset import MaterializedDataset
 
 
 #: target bytes per bucket for auto-sized exchanges — the documented
@@ -151,8 +150,7 @@ def _exchange(sides, num_buckets, fn, fallback, name):
     drop_cols)`` per side; each side is materialized once and split by
     its own map tasks, and ``fn(b, *parts)`` gets bucket ``b``'s slices
     of each side, one list per side."""
-    mats = [ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-            for ds, _, _ in sides]
+    mats = [ds.materialize() for ds, _, _ in sides]
     refs = [m.to_arrow_refs() for m in mats]
     if not any(refs):
         if fallback is not None:
@@ -225,16 +223,16 @@ def two_sided_exchange(
     fallback: Callable[[], ray.data.Dataset] | None = None,
 ) -> ray.data.Dataset:
     """Two-sided raw exchange for joins: ``left`` and ``right`` are
-    materialized once each (a ``MaterializedDataset`` is used as it
-    is), and each side's map tasks split its blocks on that side's
-    bucket function — ``left_hash(tbl)`` / ``right_hash(tbl)`` return
-    one raw 64-bit key hash per row, taken mod B like a one-sided
-    bucket column. Reducer ``b`` receives bucket ``b``'s left slices
-    and right slices separately: ``join_fn(b, lparts, rparts)`` joins
-    them (parts may be empty or schema-drifted per block; the caller
-    casts each part to its side's schema). A side with zero blocks
-    contributes empty part lists; ``fallback`` runs only when both
-    have none. ``num_buckets=None`` auto-sizes B from the two sides'
-    materialized bytes."""
+    materialized once each (a no-op on a materialized side), and each
+    side's map tasks split its blocks on that side's bucket function —
+    ``left_hash(tbl)`` / ``right_hash(tbl)`` return one raw 64-bit key
+    hash per row, taken mod B like a one-sided bucket column. Reducer
+    ``b`` receives bucket ``b``'s left slices and right slices
+    separately: ``join_fn(b, lparts, rparts)`` joins them (parts may be
+    empty or schema-drifted per block; the caller casts each part to
+    its side's schema). A side with zero blocks contributes empty part
+    lists; ``fallback`` runs only when both have none.
+    ``num_buckets=None`` auto-sizes B from the two sides' materialized
+    bytes."""
     return _exchange([(left, left_hash, ()), (right, right_hash, ())],
                      num_buckets, join_fn, fallback, "two_sided_exchange")

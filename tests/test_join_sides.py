@@ -127,6 +127,28 @@ def test_copartitioned_asof_join_unifies_by_key_types(rtype):
     assert got["rv"].iloc[:2].tolist() == [10, 21] and pd.isna(got["rv"].iloc[2])
 
 
+@pytest.mark.parametrize("copartitioned", [False, True])
+def test_asof_join_int_key_null_on_one_side(copartitioned):
+    """An int `by` key with a null reads as float64 in pandas while the
+    other side's reads as int64; merge_asof needs one dtype."""
+    from feast_ray.stages.join import asof_join
+
+    ts = pd.Timestamp("2024-01-01")
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, None], pa.int64()),
+        "ts": pa.array([ts + pd.Timedelta(hours=1)] * 2, pa.timestamp("ns")),
+    }))
+    right = pa.table({"k": pa.array([1], pa.int64()),
+                      "fts": pa.array([ts], pa.timestamp("ns")), "rv": [7]})
+    if copartitioned:
+        out = copartitioned_asof_join(left, ray.data.from_arrow(right),
+                                      left_ts="ts", right_ts="fts", by="k")
+    else:
+        out = asof_join(left, right, left_ts="ts", right_ts="fts", by="k")
+    got = out.to_pandas().sort_values("k").reset_index(drop=True)
+    assert got["rv"].iloc[0] == 7 and pd.isna(got["k"].iloc[1]) and pd.isna(got["rv"].iloc[1])
+
+
 @pytest.mark.parametrize("tier", ["broadcast", "distributed"])
 def test_semi_join_tiers_follow_sql(monkeypatch, tier):
     """A null key matches nothing (semi drops it, anti keeps it), and a
