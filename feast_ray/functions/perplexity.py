@@ -3,9 +3,11 @@
 KenLM itself is not in the sandbox; the stand-in is a byte-trigram
 language model with add-one smoothing trained once per actor on a
 fixed, embedded English seed corpus — deterministic across processes
-and rounds. Scoring is fully vectorized: UTF-8 bytes → uint32 trigram
-ids → log-prob lookup via a dense (sorted-key searchsorted) table, so
-the hot loop is numpy, not Python.
+and rounds. Scoring is fully vectorized: UTF-8 bytes → byte trigrams
+→ one gather from an exact two-level log-prob table (a row index
+per bigram prefix, one 256-entry row per seed bigram plus one shared
+row for every unseen prefix; under 1 MiB, held in memory by each
+worker), so the hot loop is numpy, not Python.
 
 Execution shape = the reference's model-holding batch transform
 (feast/embedder.py:49-120, ray_transformation.py:30-74): build in
@@ -47,65 +49,25 @@ class PerplexityModel:
         self.add_k = add_k
         self.tri_keys, self.tri_counts = tri_keys, tri_counts.astype(np.float64)
         self.bi_keys, self.bi_counts = bi_keys, bi_counts.astype(np.float64)
-        # dense O(1) log-prob table, built once per actor: the trigram
-        # id's PRECOMPUTED logp — log((c_tri + k) / (c_bi + k·V)) where
-        # the bigram prefix is tri >> 8 — as 2^24 float64 (128 MiB).
-        # One gather + segment-mean is the whole hot path; the per-batch
-        # add/div/log chain over the concatenated byte stream (the r2
-        # shape) was ~40% of the fused scorer's CPU. float64 table so
-        # the values are BIT-IDENTICAL to computing the chain per batch
-        # (same float64 ratio + same libm log) — the q24/q28 oracles
-        # compare keep decisions at the MAX_PPL threshold, so a float32
-        # table's rounding could flip borderline docs.
-        # dense PRECOMPUTED log-prob table: logp_dense[t] =
-        # log((c_tri[t]+k)/(c_bi[t>>8]+k·V)) as 2^24 float64 (128 MiB
-        # per worker — "the model in memory", amortized by worker-
-        # process reuse exactly like an actor pool). Built from the
-        # seed model's SPARSITY: all but ~7e2 ids share their
-        # bigram-prefix value, so one 2^16 log + one repeat writes the
-        # table in a single streaming pass (a full 2^24
-        # gather/div/log chain measured ~4 s on this box), then the
-        # seed trigrams are patched with the identical elementwise
-        # formula. Every entry is bit-equal to computing the add/div/
-        # log chain per batch (same float64 inputs, same libm), so the
-        # q24/q28 oracles — which compare keep decisions at the
-        # MAX_PPL threshold — stay exact. Hot path becomes ONE gather
-        # (measured 3× over the per-batch chain, 6× over the two-level
-        # cache-resident variant whose seed-override searchsorted
-        # dominated).
-        # built ONCE PER NODE and memory-mapped by every worker (the
-        # page cache is the shared copy — N workers cold-starting in
-        # parallel would otherwise serialize on N×128 MiB of writes):
-        # atomic tmp+rename publish, content-keyed filename, parallel
-        # builders are idempotent (deterministic bytes, last rename
-        # wins). This is the 100 TB shape for node-local model state.
-        import hashlib
-        import os
-        import tempfile
-
-        key = hashlib.blake2b(
-            f"{corpus}|{add_k}".encode(), digest_size=10
-        ).hexdigest()
-        cache = os.path.join(
-            tempfile.gettempdir(), f"feast_ray_ppl_logp_{key}.npy"
-        )
-        if not os.path.exists(cache):
-            bi_dense = np.zeros(1 << 16, dtype=np.float64)
-            bi_dense[bi_keys] = bi_counts
-            logp = np.repeat(
-                np.log((0.0 + add_k) / (bi_dense + add_k * self.V)), 256
-            )
-            logp[tri_keys] = np.log(
-                (tri_counts + add_k)
-                / (bi_dense[tri_keys >> np.uint32(8)] + add_k * self.V)
-            )
-            fd, tmp = tempfile.mkstemp(
-                dir=tempfile.gettempdir(), suffix=".npy.tmp"
-            )
-            with os.fdopen(fd, "wb") as f:
-                np.save(f, logp)  # file OBJECT: no .npy suffix appended
-            os.replace(tmp, cache)
-        self.logp_dense = np.load(cache, mmap_mode="r")
+        # two-level log-prob table, exact and cache-resident: trigram id
+        # t = prefix << 8 | byte scores logp_rows[row_base[prefix] + byte],
+        # one 256-entry row per seed bigram plus row 0, shared by every
+        # prefix the seed never saw: 512 KiB + ~0.45 MiB, where a dense
+        # 2^24 table is 128 MiB. Each entry is the float64
+        # log((c_tri + k) / (c_bi + k·V)) computed once here with the
+        # same inputs and libm as the per-trigram chain in score(), so
+        # ppl is BIT-IDENTICAL to that chain — the q24/q28 oracles
+        # compare keep decisions at the MAX_PPL threshold, where a
+        # float32 table's rounding could flip borderline docs.
+        c_tri = np.zeros((len(bi_keys) + 1, 256))
+        row = np.searchsorted(bi_keys, tri_keys >> np.uint32(8)) + 1
+        c_tri[row, tri_keys & 255] = tri_counts
+        c_bi = np.concatenate([[0.0], self.bi_counts])
+        logp = np.log((c_tri + add_k) / (c_bi[:, None] + add_k * self.V))
+        # a spare 0.0 entry last: see _score_bytes
+        self.logp_rows = np.append(logp.ravel(), 0.0)
+        self.row_base = np.zeros(1 << 16, np.intp)
+        self.row_base[bi_keys] = np.arange(1, len(bi_keys) + 1) << 8
 
     def _lookup(self, keys: np.ndarray, table_keys: np.ndarray, table_vals: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(table_keys, keys)
@@ -142,17 +104,21 @@ class PerplexityModel:
         idx = np.flatnonzero(lens >= 3)
         if not len(idx):
             return out
-        tri = np.left_shift(buf[:-2], 16, dtype=np.uint32)
-        tri |= np.left_shift(buf[1:-1], 8, dtype=np.uint32)
-        tri |= buf[2:]
         # one gather — the add/div/log chain is baked into the table
-        # (bit-identical, see __init__); the spare last slot keeps the
-        # final doc's end bound a valid reduceat index. Trigram ids are
-        # < 2^24 by construction, so "clip" never clips; it only spares
-        # take's buffered bounds check.
-        logp = np.empty(len(tri) + 1)
-        logp[-1] = 0.0
-        np.take(self.logp_dense, tri, out=logp[:-1], mode="clip")
+        # (bit-identical, see __init__): the bigram prefix picks its
+        # row, the third byte the entry. A last position on the table's
+        # spare 0.0 keeps the final doc's end bound a valid reduceat
+        # index. Indices are intp because take casts any other dtype
+        # first (measured slower than the explicit astype); they are
+        # always in range, so "clip" never clips and only spares take's
+        # buffered bounds check.
+        bi = np.left_shift(buf[:-2], 8, dtype=np.uint16)
+        bi |= buf[1:-1]
+        pos = np.empty(len(bi) + 1, np.intp)
+        pos[-1] = len(self.logp_rows) - 1
+        np.take(self.row_base, bi.astype(np.intp), out=pos[:-1], mode="clip")
+        pos[:-1] += buf[2:]
+        logp = np.take(self.logp_rows, pos, mode="clip")
         # segment-sum doc i's trigrams at [offs[i], offs[i+1]-2),
         # skipping the 2 cross-document boundary trigrams; each sum reads
         # only its own segment, so the rest of the batch cannot change it

@@ -350,44 +350,17 @@ MAX_DUP_2GRAM_FRAC = 0.4  # Gopher-style repetition cutoff (model rule)
 def _rep_from_codes(codes, doc, lens, n):
     """Counting core shared by both repetition paths: given integer
     word codes, their doc ids, and per-doc token counts, compute
-    (dup_2gram_frac, top_word_frac). Grouping runs on a SINGLE
-    composite int64 key sorted by value (np.sort, no permutation
-    gathers) when the key fits 62 bits; exact lexsort fallback
-    otherwise. Docs with < 2 tokens contribute nothing."""
+    dup_2gram_frac, the fraction of a doc's word 2-grams that repeat
+    an earlier one. Grouping runs on a SINGLE composite int64 key
+    sorted by value (np.sort, no permutation gathers) when the key
+    fits 62 bits; exact lexsort fallback otherwise. Docs with < 2
+    tokens contribute nothing."""
     dup2 = np.zeros(n)
-    topw = np.zeros(n)
     if len(codes) == 0:
-        return dup2, topw
+        return dup2
     K = int(codes.max()) + 1
 
-    # ---- top-word fraction: max multiplicity of a (doc, word) pair
-    if n * K < 1 << 62:
-        ks = np.sort(doc * K + codes)
-        new_pair = np.empty(len(ks), dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(new_pair)
-        pair_doc = ks[starts] // K
-    else:
-        order = np.lexsort((codes, doc))
-        d_s, c_s = doc[order], codes[order]
-        new_pair = np.empty(len(d_s), dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (d_s[1:] != d_s[:-1]) | (c_s[1:] != c_s[:-1])
-        starts = np.flatnonzero(new_pair)
-        pair_doc = d_s[starts]
-    pair_counts = np.diff(np.append(starts, len(codes)))
-    # per-doc max over contiguous pair_doc runs
-    doc_starts = np.flatnonzero(
-        np.concatenate([[True], pair_doc[1:] != pair_doc[:-1]])
-    )
-    max_counts = np.maximum.reduceat(pair_counts, doc_starts)
-    eligible = lens >= 2
-    sel = eligible[pair_doc[doc_starts]]
-    tgt = pair_doc[doc_starts][sel]
-    topw[tgt] = max_counts[sel] / lens[tgt]
-
-    # ---- duplicate-2gram fraction: distinct (doc, w, w_next) runs
+    # distinct (doc, w, w_next) runs
     valid = doc[:-1] == doc[1:]
     if valid.any():
         g_doc = doc[:-1][valid]
@@ -413,19 +386,19 @@ def _rep_from_codes(codes, doc, lens, n):
         gdoc = gd[gstarts]
         total = lens[gdoc] - 1
         dup2[gdoc] = 1.0 - distinct / total
-    return dup2, topw
+    return dup2
 
 
-def repetition_stats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-doc repetition metrics (Gopher-style): duplicate word-2gram
-    fraction and top-word fraction — reference path over Python
-    strings (Arrow split + pandas factorize). Kept as the fallback and
-    the parity target for the byte fast path below."""
+def repetition_stats(texts: list[str]) -> np.ndarray:
+    """Per-doc duplicate word-2gram fraction (Gopher-style) —
+    reference path over Python strings (Arrow split + pandas
+    factorize). Kept as the fallback and the parity target for the
+    byte fast path below."""
     import pandas as pd
 
     n = len(texts)
     if n == 0:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0)
     # str.split() semantics: split on whitespace runs, no empty tokens
     la = pc.split_pattern(
         pc.utf8_trim_whitespace(
@@ -441,7 +414,7 @@ def repetition_stats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     # an empty/whitespace-only doc yields one "" token; docs with < 2
     # tokens contribute nothing (same skip as the per-doc loop)
     if len(flat) == 0:
-        return np.zeros(n), np.zeros(n)
+        return np.zeros(n)
     codes, _ = pd.factorize(flat)
     codes = codes.astype(np.int64)
     doc = np.repeat(np.arange(n, dtype=np.int64), lens)
@@ -450,7 +423,7 @@ def repetition_stats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _repetition_fast(
     text: pa.Array, view, cls: "np.ndarray | None" = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Byte-path repetition stats: the \\S+ tokens are slices of the
     compacted non-ws bytes, wrapped as one ``large_binary`` array whose
     Arrow ``dictionary_encode`` gives exact dense token codes (bytes
@@ -465,19 +438,17 @@ def _repetition_fast(
     nonws = ~_has(cls, _WS)
     lens, toks = _runs_binary(nonws, buf, offs)
     if len(toks) == 0:
-        return np.zeros(n), np.zeros(n)
+        return np.zeros(n)
     codes = pc.dictionary_encode(toks).indices.to_numpy().astype(np.int64)
     doc = np.repeat(np.arange(n, dtype=np.int64), lens)
-    dup2, topw = _rep_from_codes(codes, doc, lens, n)
+    dup2 = _rep_from_codes(codes, doc, lens, n)
 
     # patch docs the byte tokenizer can't reproduce exactly
     idx = np.flatnonzero(_segsum(cls >> _IMPURE & 1, offs))
     if len(idx):
         sub = text.take(pa.array(idx, pa.int64())).to_pylist()
-        d2, tw = repetition_stats(sub)
-        dup2[idx] = d2
-        topw[idx] = tw
-    return dup2, topw
+        dup2[idx] = repetition_stats(sub)
+    return dup2
 
 
 def add_repetition_stats(
@@ -487,8 +458,7 @@ def add_repetition_stats(
         ctx = ByteText(tbl[text_col])
     text, view = ctx.text, ctx.view
     if view is None:
-        dup2, topw = repetition_stats(text.to_pylist())
+        dup2 = repetition_stats(text.to_pylist())
     else:
-        dup2, topw = _repetition_fast(text, view, ctx.cls)
-    tbl = tbl.append_column("dup_2gram_frac", pa.array(dup2))
-    return tbl.append_column("top_word_frac", pa.array(topw))
+        dup2 = _repetition_fast(text, view, ctx.cls)
+    return tbl.append_column("dup_2gram_frac", pa.array(dup2))

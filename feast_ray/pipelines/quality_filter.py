@@ -134,7 +134,7 @@ class QualityScorer:
 
 # per-worker-process model cache for the stateless-task execution mode:
 # Ray reuses worker processes across tasks, so the scorer (regexes,
-# dense LM tables) is built once per process — the same amortization an
+# LM tables) is built once per process — the same amortization an
 # actor pool gives, WITHOUT statically reserving CPUs. A fixed actor
 # pool held 3/4 of the cluster from pipeline start and capped the
 # pre-shuffle read/extract phase at the leftover CPUs (measured ~2-10

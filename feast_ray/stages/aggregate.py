@@ -827,14 +827,17 @@ def _count_distinct_join(main: ray.data.Dataset, cd: ray.data.Dataset,
     values, so its count_distinct is 0 — and when every value was NULL,
     ``cd`` has no schema and its stated one is ``main``'s keys plus an
     int64 ``alias``. The output keeps ``main``'s schema plus that
-    ``alias`` field."""
+    ``alias`` field; a schema-less, empty ``main`` is returned as is."""
     from feast_ray.stages.exchange import two_sided_exchange
     from feast_ray.stages.join import (
-        _copartition_sides, _key_hash, _keyed, _side_table, cast_to_schema,
-        dataset_schema)
+        _copartition_sides, _key_hash, _keyed, _side_table, arrow_schema,
+        cast_to_schema)
 
     main = main.materialize()
-    stated = pa.schema([*(dataset_schema(main).field(k) for k in keys),
+    mschema = arrow_schema(main.schema(fetch_if_missing=False))
+    if mschema is None:
+        return main  # no main rows, so no input rows: nothing to join
+    stated = pa.schema([*(mschema.field(k) for k in keys),
                         pa.field(alias, pa.int64())])
     main, cd, mschema, cschema, key_schema = _copartition_sides(
         main, cd, keys, right_schema=stated)

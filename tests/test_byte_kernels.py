@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import string
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -119,20 +120,18 @@ def test_repetition_byte_vs_reference_parity():
     docs = _rand_docs(29, 2000)
     arr = pa.array(docs, pa.string())
     view = ts._string_view(arr)
-    d2f, twf = ts._repetition_fast(arr, view)
-    d2r, twr = ts.repetition_stats(docs)
+    d2f = ts._repetition_fast(arr, view)
+    d2r = ts.repetition_stats(docs)
     assert np.array_equal(d2f, d2r)
-    assert np.array_equal(twf, twr)
 
 
 def test_repetition_empty_and_degenerate():
     for docs in ([], [""], [" \t "], ["one"], ["x x x x"], ["\va b\v"]):
         arr = pa.array(docs, pa.string())
         view = ts._string_view(arr)
-        d2f, twf = ts._repetition_fast(arr, view)
-        d2r, twr = ts.repetition_stats(docs)
+        d2f = ts._repetition_fast(arr, view)
+        d2r = ts.repetition_stats(docs)
         assert np.array_equal(d2f, d2r), docs
-        assert np.array_equal(twf, twr), docs
 
 
 def test_langid_byte_vs_re2_parity():
@@ -230,6 +229,29 @@ def test_perplexity_byte_view_matches_score_batch():
     assert got.null_count == 2
     valid = [t for t in nulls.to_pylist() if t is not None]
     assert got.drop_null().to_pylist() == m.score_batch(valid).tolist()
+
+
+def test_perplexity_table_matches_formula_for_every_trigram():
+    """Every one of the 2^24 byte trigrams looks up the bit-exact
+    smoothed log-prob log((c_tri + k) / (c_bi[prefix] + k*V)), not
+    just those the pin corpora reach; the whole table is < 1 MiB."""
+    m = PerplexityModel()
+    assert m.logp_rows.nbytes + m.row_base.nbytes < 1 << 20
+    step = 1 << 20
+    for lo in range(0, 1 << 24, step):
+        tri = np.arange(lo, lo + step, dtype=np.uint32)
+        bi = tri >> np.uint32(8)
+        c_tri = m._lookup(tri, m.tri_keys, m.tri_counts)
+        c_bi = m._lookup(bi, m.bi_keys, m.bi_counts)
+        want = np.log((c_tri + m.add_k) / (c_bi + m.add_k * m.V))
+        got = m.logp_rows[m.row_base[bi] + (tri & 255)]
+        assert np.array_equal(got, want), lo
+
+
+def test_perplexity_model_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    PerplexityModel()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_shared_bytetext_context_matches_unshared():

@@ -205,3 +205,18 @@ def test_sliding_count_distinct_of_only_nulls_is_zero():
     ).to_pandas().sort_values(["k", "window_start"])
     assert out["s"].tolist() == [1, 1, 2, 2]
     assert out["n"].tolist() == [0, 0, 0, 0] and out["n"].dtype == np.int64
+
+
+def test_sliding_mixed_aggs_of_empty_input_is_empty():
+    """A 0-row input gives 0 windows when count_distinct rides with
+    another aggregate, as each gives alone."""
+    us = pa.timestamp("us")
+    ds = ray.data.from_arrow(pa.table({
+        "k": pa.array([], pa.int64()), "ts": pa.array([], us),
+        "v": pa.array([], pa.int64()), "u": pa.array([], pa.int64()),
+    }))
+    for specs in ([AggSpec("v", "sum", "s")], [AggSpec("u", "count_distinct", "n")],
+                  [AggSpec("v", "sum", "s"), AggSpec("u", "count_distinct", "n")]):
+        out = windowed_agg(ds, ["k"], "ts", timedelta(hours=2), specs,
+                           slide=timedelta(hours=1))
+        assert out.count() == 0, specs

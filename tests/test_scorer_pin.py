@@ -31,7 +31,6 @@ EXPECTED = {
     "symbol_frac": "c0e2e5e9cfdea382b829b20e0743f32d8e1809e95dd41cc5cb088cb3bdb39be3",
     "stop_count": "9679f5f6b1eeb1f88b6b3ad491ab001f458c6b6ffec799e0cea544d2aa2d7bfe",
     "dup_2gram_frac": "9d24ca38017f5a3aba2d9641db1d2ff01c75f07b3955b1a0c10f282e2ea694f5",
-    "top_word_frac": "7e6d407c6615d6b7cf9dd425cc292f9848e5efeee458da9ae9b31244bb9fd1ec",
     "lang_pred": "1b06eb47062dc17d58ae4f8d5a9d1eea79c068a0a127c91fc45f5e48116f2c41",
     "lang_conf": "aa9161fe4b4df937d38df781ecb5a85585bc56797de6a04133b09d319d697a44",
     "ppl": "5019bda7db92659ed082b4fb00d1f8e5c744e1836e9716c8ef8c234973f63964",
