@@ -26,10 +26,6 @@ def content_hash64(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def content_hash_hex(text: str) -> str:
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-
-
 def rolling_min_hash(text: str, window: int = _WINDOW) -> int:
     """Minimum polynomial rolling hash over byte windows (uint64
     wraparound arithmetic — deterministic everywhere). Returns the

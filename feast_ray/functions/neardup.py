@@ -510,10 +510,6 @@ def popcount64(x: np.ndarray) -> np.ndarray:
     return _POP8[x.view(np.uint8).reshape(len(x), 8)].sum(axis=1).astype(np.int64)
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
 class SimHasher:
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col

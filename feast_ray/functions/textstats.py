@@ -239,7 +239,7 @@ class ByteText:
             text = text.combine_chunks()
         self.text = text
         self.view = _string_view(text)
-        self.cls = None if self.view is None else _CLASS[self.view[0]]
+        self.cls = None if self.view is None else np.take(_CLASS, self.view[0])
         self._counts = None
         self._runs = None
 
@@ -434,7 +434,7 @@ def _repetition_fast(
     buf, offs = view
     n = len(text)
     if cls is None:
-        cls = _CLASS[buf]
+        cls = np.take(_CLASS, buf)
     nonws = ~_has(cls, _WS)
     lens, toks = _runs_binary(nonws, buf, offs)
     if len(toks) == 0:

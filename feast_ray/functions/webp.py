@@ -293,13 +293,6 @@ def _read_entropy_image(
     return out.reshape(h, w)
 
 
-def _delta(t: int, c: int) -> int:
-    """ColorTransformDelta: signed-int8 product, arithmetic >> 5."""
-    ts = t - 256 if t > 127 else t
-    cs = c - 256 if c > 127 else c
-    return (ts * cs) >> 5
-
-
 def _inv_predictor(res: np.ndarray, modes: np.ndarray, bits: int) -> np.ndarray:
     """Inverse predictor transform: residuals + per-block predictions,
     contiguous-buffer edge semantics (TR of the last column is the

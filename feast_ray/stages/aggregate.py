@@ -24,21 +24,25 @@ at scale):
    mean/std/var from the merged IRs.
 
 ``count_distinct`` is two-phase too: global distinct on (keys, col)
-(itself per-block-deduped before the shuffle) then a grouped count.
+(itself per-block-deduped before the shuffle) then its own grouped
+count, attached to the other aggregates by one bucketed left join
+(``_count_distinct_join``), never through the driver.
 
 Windowed aggregation assigns each row its ONE hop bucket in a
 vectorized ``map_batches``; tumbling windows then run the two-phase
 grouped aggregation on (keys, window_start) directly, while sliding
-windows compose per-(key, hop) merged IR TILES into windows
-(``_tiled_sliding_agg``) — the reference's tiling engine shape, with
-O(1) rows per input row through the heavy phase.
+windows compose per-(key, hop) merged IR TILES into windows with one
+sorted sweep per key bucket (``_tiled_sliding_agg``,
+``_make_window_compose``) — the reference's tiling engine shape, with
+O(1) rows per input row through the heavy phase. Keyless windows run
+the same sweep on one global key.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 
 import numpy as np
 import pandas as pd
@@ -215,6 +219,14 @@ def _totals_of_nothing(ds: ray.data.Dataset, keys: list[str],
     return pa.table(cols)
 
 
+def _with_global_key(t: pa.Table) -> pa.Table:
+    return t.append_column(_GLOBAL_KEY, [np.zeros(len(t), dtype=np.int8)])
+
+
+def _without_global_key(t: pa.Table) -> pa.Table:
+    return t.drop_columns([_GLOBAL_KEY]) if _GLOBAL_KEY in t.column_names else t
+
+
 def grouped_agg(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -229,13 +241,8 @@ def grouped_agg(
 
     result: ray.data.Dataset | None = None
     gkeys = keys if keys else [_GLOBAL_KEY]
+    d = ds if keys else ds.map_batches(_with_global_key, batch_format="pyarrow")
     if main_specs:
-        d = ds
-        if not keys:
-            d = d.map_batches(
-                lambda t: t.append_column(_GLOBAL_KEY, [np.zeros(len(t), dtype=np.int8)]),
-                batch_format="pyarrow",
-            )
         partial = d.map_batches(_make_partial_fn(gkeys, main_specs), batch_format="pyarrow")
         # merge phase: shuffle the (small) partials by a hash BUCKET of
         # the keys and reduce each bucket with ONE vectorized pandas
@@ -245,61 +252,7 @@ def grouped_agg(
         from feast_ray.stages.dedup import bucketed_group_reduce
 
         result = bucketed_group_reduce(partial, gkeys, _make_merge_fn(gkeys, main_specs))
-
-    for spec in cd_specs:
-        import pyarrow.compute as _pc
-
-        from feast_ray.stages.relational import distinct
-
-        dcols = (keys if keys else []) + [spec.col]
-        # COUNT(DISTINCT) ignores NULL values (pandas nunique / SQL
-        # semantics) — drop null-VALUED rows before the distinct
-        # (null group KEYS stay; dropna=False downstream keeps them)
-        nonnull = ds.select_columns(dcols).map_batches(
-            lambda t, c=spec.col: t.filter(_pc.is_valid(t[c])),
-            batch_format="pyarrow",
-        )
-        dist = distinct(nonnull, dcols)
-        if not keys:
-            cnt = dist.map_batches(
-                lambda t: t.append_column(_GLOBAL_KEY, [np.zeros(len(t), dtype=np.int8)]),
-                batch_format="pyarrow",
-            )
-        else:
-            cnt = dist
-        # count per key over the distinct rows — bucketed merge (same
-        # high-cardinality-safe shape as the main path)
-        from feast_ray.stages.dedup import bucketed_group_reduce
-
-        def _cd_partial(tbl: pa.Table, alias=spec.alias) -> pa.Table:
-            g = tbl.to_pandas().groupby(gkeys, sort=False, dropna=False)
-            return _keys_typed_as(pd.DataFrame({alias: g.size()}).reset_index(),
-                                  gkeys, tbl.schema)
-
-        def _cd_merge(df: pd.DataFrame, alias=spec.alias) -> pd.DataFrame:
-            g = df.groupby(gkeys, sort=False, dropna=False)
-            return pd.DataFrame({alias: g[alias].sum()}).reset_index()
-
-        cd = bucketed_group_reduce(
-            cnt.map_batches(_cd_partial, batch_format="pyarrow"), gkeys, _cd_merge
-        )
-        if result is None:
-            result = cd
-        else:
-            import ray as _ray
-
-            # aggregate outputs are small — broadcast-merge them.
-            # pandas merge (NOT the Arrow join): Arrow never matches
-            # null join keys, which dropped the count for a null
-            # group key that both sides had computed
-            cd_df = cd.to_pandas()
-            _ref = _ray.put(cd_df)
-            result = result.map_batches(
-                lambda df, r=_ref, k=tuple(gkeys): df.merge(
-                    _ray.get(r), on=list(k), how="left"
-                ),
-                batch_format="pandas",
-            )
+    result = _with_count_distinct(result, d, gkeys, cd_specs)
 
     assert result is not None, "no agg specs given"
     if not keys:
@@ -307,10 +260,35 @@ def grouped_agg(
         if not result.count():
             # the global aggregate of no rows is still one row
             return ray.data.from_arrow(_totals_of_nothing(ds, [], main_specs + cd_specs, 1))
-        result = result.map_batches(
-            lambda t: t.drop_columns([_GLOBAL_KEY]) if _GLOBAL_KEY in t.column_names else t,
-            batch_format="pyarrow",
-        )
+        result = result.map_batches(_without_global_key, batch_format="pyarrow")
+    return result
+
+
+def _with_count_distinct(
+    result: "ray.data.Dataset | None",
+    ds: ray.data.Dataset,
+    keys: list[str],
+    cd_specs: list[AggSpec],
+    explode: "Callable[[pa.Table], pa.Table] | None" = None,
+) -> "ray.data.Dataset | None":
+    """``result`` with one column per ``count_distinct`` spec over
+    ``ds``'s rows grouped by ``keys``. Each is its own two-phase
+    job: the distinct (keys, value) rows with a non-NULL value (COUNT
+    DISTINCT ignores NULLs), ``explode``-d and deduplicated again when
+    given (sliding windows: a hop's distinct values into each window
+    holding the hop), then a grouped row count. A ``result`` already
+    there gets each count through ``_count_distinct_join``."""
+    from feast_ray.stages.relational import distinct
+
+    for spec in cd_specs:
+        cols = [*keys, spec.col]
+        nonnull = ds.select_columns(cols).map_batches(
+            lambda t, c=spec.col: t.filter(pc.is_valid(t[c])), batch_format="pyarrow")
+        dist = distinct(nonnull, cols)
+        if explode is not None:
+            dist = distinct(dist.map_batches(explode, batch_format="pyarrow"), cols)
+        cd = grouped_agg(dist, keys, [AggSpec(None, "count", spec.alias)])
+        result = cd if result is None else _count_distinct_join(result, cd, keys, spec.alias)
     return result
 
 
@@ -344,9 +322,6 @@ class GroupedAgg:
         df = pa.concat_tables(partials, promote_options="permissive").to_pandas()
         out = _make_merge_fn(list(self.keys), list(self.specs))(df)
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
-_WINDOW_EPOCH = datetime(1970, 1, 1)
 
 
 def windowed_agg(
@@ -399,6 +374,17 @@ def windowed_agg(
     return _tiled_sliding_agg(hopped, keys, window_col, slide_us, n_hops, specs)
 
 
+def _explode(df: pd.DataFrame, window_col: str, slide_us: int, n_hops: int) -> pd.DataFrame:
+    """Each row once per window holding its hop: hop h is inside the
+    windows starting at h - j·slide, j in [0, n_hops) (a window covers
+    [start, start + window))."""
+    hop = df[window_col].to_numpy(dtype="datetime64[us]").astype(np.int64)
+    starts = hop[:, None] - np.arange(n_hops, dtype=np.int64) * slide_us
+    out = df.iloc[np.repeat(np.arange(len(df)), n_hops)].copy()
+    out[window_col] = starts.ravel().astype("datetime64[us]")
+    return out
+
+
 def _make_window_compose(
     keys: list[str],
     window_col: str,
@@ -409,56 +395,32 @@ def _make_window_compose(
     finalize,
 ):
     """Bucket-local window composition from merged per-(key, hop) IR
-    tiles (round 4 — the extreme-window//slide fix).
+    tiles: one output-optimal sorted sweep for every key, dense or
+    sparse, keyed or keyless (``_GLOBAL_KEY``).
 
-    Per key the composer picks the cheaper of two exact strategies:
+    The tiles are sorted by (key, hop) and the W output windows —
+    exactly those holding ≥1 tile — are emitted directly, each as the
+    contiguous tile range [lo, hi] of its key: additive IR kinds
+    (sum/count/sumsq) as prefix-sum differences, int64 kept int64
+    (exact past 2^53), and min/max from a sparse table of power-of-two
+    ranges (two overlapping spans per window; the op is idempotent).
+    The table is built one level at a time, each from the one before,
+    and a level is dropped once its windows are read, so working
+    memory is O(tiles + W) and time O(tiles·log n_hops + W),
+    independent of the hop range.
 
-    - **grid** (dense keys): scatter the key's tiles onto its hop grid
-      and compute every window in ONE rolling pass — cumsum-diff for
-      the additive IR kinds (sum/count/sumsq), pandas ``rolling`` (C
-      deque) for min/max. Cost O(hop-range + n_hops) per key,
-      independent of window//slide. Keys are packed into one global
-      array with (n_hops-1)-slot spacing so a single rolling pass
-      serves every key without cross-key bleed.
-    - **explode** (sparse keys, hop-range ≫ tiles): the classic
-      ×n_hops tile explode + groupby merge — but LOCAL to the bucket,
-      so the amplified rows never enter a shuffle.
-
-    Emitted windows are exactly those containing ≥1 tile (identical
-    to the explode path — parity-tested)."""
-
-    def _sliding_extreme(scat: np.ndarray, k: int, use_min: bool) -> np.ndarray:
-        """Exact sliding min/max of width-k backward windows via the
-        two-stack (prefix/suffix per k-chunk) decomposition — O(G),
-        works on int64 (no float53 corruption) and float64 alike.
-        Missing slots hold the op's identity (the caller scattered
-        sentinels); window(p) = op(suffix[p-k+1], prefix[p])."""
-        op = np.minimum if use_min else np.maximum
-        G = len(scat)
-        pad = (-G) % k
-        if pad:
-            ident = scat.dtype.type(
-                (np.inf if use_min else -np.inf)
-                if scat.dtype.kind == "f"
-                else (np.iinfo(np.int64).max if use_min else np.iinfo(np.int64).min)
-            )
-            scat = np.concatenate([scat, np.full(pad, ident, scat.dtype)])
-        m = scat.reshape(-1, k)
-        pref = op.accumulate(m, axis=1).reshape(-1)
-        suff = op.accumulate(m[:, ::-1], axis=1)[:, ::-1].reshape(-1)
-        idx = np.arange(G)
-        lo = idx - k + 1
-        res = pref[idx]
-        v = lo >= 0
-        res[v] = op(res[v], suff[lo[v]])
-        return res
+    Two cases fall back to exploding each tile into its n_hops windows
+    and merging them with ``merge_ir``, local to the bucket: object
+    dtype extremes (string min/max have no numeric kernel) and a hop
+    range so large the sweep's composite int64 search key would
+    overflow."""
 
     def _to_work(col: pd.Series, use_min: bool):
         """(work array with per-dtype identity sentinels for missing
-        slots, sentinel, restore_fn) — int64 stays int64 (exact beyond
-        2^53, matching the explode path's integer groupby — code-review
-        r4), datetimes ride int64, floats use ±inf with NaN treated as
-        missing (groupby-skipna semantics)."""
+        tiles, sentinel, restore_fn) — int64 stays int64 (exact beyond
+        2^53, matching the explode's integer groupby), datetimes ride
+        int64, floats use ±inf with NaN treated as missing
+        (groupby-skipna semantics)."""
         v = col.to_numpy()
         if np.issubdtype(v.dtype, np.datetime64):
             iv = v.astype("datetime64[us]").astype(np.int64)
@@ -482,75 +444,46 @@ def _make_window_compose(
 
         return fv, sent, _restore_f
 
-    def _compose_sparse(
-        dfs: pd.DataFrame,
-        srows: np.ndarray,
-        sidx: np.ndarray,
-        kid_s: np.ndarray,
-        hop_s: np.ndarray,
-        starts: np.ndarray,
-        n_tiles: np.ndarray,
-        minh: np.ndarray,
-    ) -> pd.DataFrame:
-        """Sparse arm — output-optimal sorted sweep (round 5; the
-        README's monotonic-deque candidate, in vectorizable form).
-
-        The old explode materialized tiles × n_hops IR rows and hash-
-        groupby-merged them: O(t·K) rows copied through pandas per
-        bucket. This sweep emits each of the W output windows directly
-        — O(t·log t + W) with prefix-sum diffs for the additive IR
-        kinds (the dense grid arm's doctrine) and a vectorized
-        sparse-table (power-of-two range min/max; idempotent overlap)
-        for extremes, replacing the sequential deque so the whole
-        bucket stays in numpy. W ≤ t·K always, and ≪ t·K whenever
-        per-tile window ranges overlap.
-
-        Tiles arrive one-per-(key, hop) (the upstream bucketed reduce
-        merged them) and sorted by (kid, hop). Windows of segment j
-        search only segment j's tiles via a composite searchsorted key
-        ``seg·stride + hop_offset``; falls back to the explode when the
-        composite would overflow int64 (astronomical hop ranges)."""
-        sh = hop_s[srows]
-        s_tiles = n_tiles[sidx]
-        S = len(sidx)
-        T = len(srows)
+    def _sweep(dfs: pd.DataFrame, hop_s: np.ndarray, kid_s: np.ndarray) -> pd.DataFrame:
+        """Windows of ``dfs``'s tiles, sorted by (key id, hop), at most
+        one tile per (key, hop); IR columns un-finalized."""
+        T = len(dfs)
         K = np.int64(n_hops)
-        tseg = np.repeat(np.arange(S, dtype=np.int64), s_tiles)
-        minh_s = minh[sidx]
-        Lmax = int(((hop_s[starts[sidx] + s_tiles - 1] - minh_s) // slide_us).max()) + 1
-        stride = np.int64(Lmax + 2 * n_hops)
-        if S and stride > (2**62) // max(S, 1):
-            return merge_ir(_explode_ir(dfs.iloc[srows]))
+        new_key = np.concatenate([[True], kid_s[1:] != kid_s[:-1]])
+        starts = np.flatnonzero(new_key)
+        tseg = np.cumsum(new_key) - 1
+        minh = hop_s[starts]
+        # each tile's offset on its key's hop grid
+        pos = (hop_s - minh[tseg]) // slide_us
+        stride = np.int64(int(pos.max()) + 2 * n_hops)
+        if stride > (2**62) // len(starts):
+            return merge_ir(_explode(dfs, window_col, slide_us, n_hops))
 
-        # per-tile NEW window range: [max(h-(K-1)s, prev_h+s), h] —
-        # consecutive same-segment tiles share overlapping ranges, the
-        # union is emitted exactly once, in sorted order per segment
-        w_start = sh - (K - 1) * slide_us
-        prev = np.empty(T, np.int64)
-        prev[1:] = sh[:-1] + slide_us
-        first = np.concatenate([[True], tseg[1:] != tseg[:-1]])
-        np.maximum(w_start, prev, out=w_start, where=~first)
-        c = (sh - w_start) // slide_us + 1
-        cum = np.zeros(T + 1, np.int64)
-        np.cumsum(c, out=cum[1:])
-        W = int(cum[-1])
-        wi = np.repeat(np.arange(T), c)
-        w = w_start[wi] + (np.arange(W) - cum[wi]) * slide_us
-        eseg_w = tseg[wi]
-
-        # composite search keys: offsets are hop-grid positions shifted
-        # +(K-1) so the lowest window start stays non-negative
-        t_off = (sh - minh_s[tseg]) // slide_us + (K - 1)
-        comp_tile = tseg * stride + t_off
-        comp_lo = eseg_w * stride + (w - minh_s[eseg_w]) // slide_us + (K - 1)
-        lo = np.searchsorted(comp_tile, comp_lo, side="left")
-        hi = np.searchsorted(comp_tile, comp_lo + (K - 1), side="right") - 1
+        # tile i opens the windows starting at grid offsets
+        # [max(pos_i - (K-1), pos_{i-1} + 1), pos_i] (the first bound
+        # alone for a key's first tile): every window once, in order,
+        # and tile i is the first tile of each window it opens
+        q0 = pos - (K - 1)
+        np.maximum(q0[1:], pos[:-1] + 1, out=q0[1:], where=~new_key[1:])
+        c = pos - q0 + 1
+        W = int(c.sum())
+        lo = np.repeat(np.arange(T, dtype=np.int64), c)
+        q = np.arange(W, dtype=np.int64)
+        q -= (np.cumsum(c) - c - q0)[lo]
+        seg = tseg[lo]
+        # last tile at offset <= q + K - 1 of the same key: one search
+        # over the composite key seg·stride + offset, which increases
+        # over the sorted tiles
+        hi = seg * stride
+        hi += q
+        hi += K - 1
+        hi = np.searchsorted(tseg * stride + pos, hi, side="right") - 1
 
         out_cols: dict[str, np.ndarray] = {}
-        sdf = dfs.iloc[srows]
+        lev = None
         for pname, kind in kinds.items():
             if kind in ("sum", "count", "sumsq"):
-                vals = sdf[pname].to_numpy()
+                vals = dfs[pname].to_numpy()
                 if np.issubdtype(vals.dtype, np.integer):
                     pref = np.zeros(T + 1, np.int64)
                     pref[1:] = vals
@@ -559,47 +492,30 @@ def _make_window_compose(
                     pref[1:] = np.nan_to_num(vals.astype(np.float64))
                 np.cumsum(pref, out=pref)
                 out_cols[pname] = pref[hi + 1] - pref[lo]
-            else:
-                use_min = kind == "min"
-                vals, sent, restore = _to_work(sdf[pname], use_min)
-                op = np.minimum if use_min else np.maximum
-                # sparse table: st[j][i] = op over tiles [i, i + 2^j)
-                st = [vals]
-                j, half = 0, 1
-                while half * 2 <= T:
-                    st.append(op(st[j][: T - half * 2 + 1], st[j][half : T - half + 1]))
-                    j += 1
-                    half *= 2
-                ln = hi - lo + 1
-                lev = np.floor(np.log2(ln)).astype(np.int64)
-                res = np.full(W, sent, vals.dtype)
-                for j in range(len(st)):
-                    m = lev == j
-                    if m.any():
-                        p2 = 1 << j
-                        res[m] = op(st[j][lo[m]], st[j][hi[m] + 1 - p2])
-                out_cols[pname] = restore(res)
+                continue
+            use_min = kind == "min"
+            level, sent, restore = _to_work(dfs[pname], use_min)
+            op = np.minimum if use_min else np.maximum
+            if lev is None:
+                # a window of n tiles reads level floor(log2 n)
+                lev = np.log2(hi - lo + 1).astype(np.int8)
+                top = int(lev.max())
+            res = np.empty(W, level.dtype)
+            # level j: level[i] = op over the tiles [i, i + 2^j)
+            for j in range(top + 1):
+                if j:
+                    level = op(level[: -(1 << (j - 1))], level[1 << (j - 1):])
+                m = np.flatnonzero(lev == j)
+                res[m] = op(level[lo[m]], level[hi[m] + 1 - (1 << j)])
+            out_cols[pname] = restore(res)
 
         frame = pd.DataFrame(out_cols)
-        frame[window_col] = w.astype("datetime64[us]")
-        key_rows = dfs.iloc[starts[sidx]][keys].reset_index(drop=True)
+        q *= slide_us
+        q += minh[seg]
+        frame[window_col] = q.astype("datetime64[us]")
         for col in keys:
-            frame[col] = key_rows[col].to_numpy()[eseg_w]
+            frame[col] = dfs[col].to_numpy()[starts][seg]
         return frame
-
-    def _explode_ir(sparse_df: pd.DataFrame) -> pd.DataFrame:
-        n = len(sparse_df)
-        idx = np.repeat(np.arange(n), n_hops)
-        shop = sparse_df[window_col].to_numpy(
-            dtype="datetime64[us]"
-        ).astype(np.int64)
-        wv = (
-            np.repeat(shop, n_hops)
-            - np.tile(np.arange(n_hops, dtype=np.int64) * slide_us, n)
-        )
-        ex = sparse_df.iloc[idx].copy()
-        ex[window_col] = wv.astype("datetime64[us]")
-        return ex
 
     def _compose(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -608,105 +524,11 @@ def _make_window_compose(
             kind in ("min", "max") and df[pname].dtype == object
             for pname, kind in kinds.items()
         ):
-            # object-dtype extremes (e.g. string min/max): neither the
-            # grid roll nor the sparse sweep has a numeric kernel —
-            # keep the bucket-local pandas-groupby explode path
-            # (code-review r5; cost is the pre-round-5 O(tiles×hops))
-            return finalize(merge_ir(_explode_ir(df)))
+            return finalize(merge_ir(_explode(df, window_col, slide_us, n_hops)))
         hop = df[window_col].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        g = df.groupby(keys, sort=False, dropna=False)
-        kid = g.ngroup().to_numpy()
+        kid = df.groupby(keys, sort=False, dropna=False).ngroup().to_numpy()
         order = np.lexsort((hop, kid))
-        dfs = df.iloc[order]
-        kid_s = kid[order]
-        hop_s = hop[order]
-        seg_start = np.concatenate([[True], kid_s[1:] != kid_s[:-1]])
-        starts = np.flatnonzero(seg_start)
-        ends = np.append(starts[1:], len(dfs))
-        minh = hop_s[starts]
-        maxh = hop_s[ends - 1]
-        n_tiles = ends - starts
-        L = (maxh - minh) // slide_us + 1
-        dense = (L + n_hops) < n_tiles * np.int64(n_hops)
-        dense_rows = np.repeat(dense, n_tiles)
-        parts: list[pd.DataFrame] = []
-
-        sidx = np.flatnonzero(~dense)
-        srows = np.flatnonzero(~dense_rows)
-        if len(srows):
-            part = _compose_sparse(
-                dfs, srows, sidx, kid_s, hop_s, starts, n_tiles, minh
-            )
-            parts.append(finalize(part))
-
-        didx = np.flatnonzero(dense)
-        if len(didx):
-            drows = np.flatnonzero(dense_rows)
-            ddf = dfs.iloc[drows]
-            dk = kid_s[drows]
-            dh = hop_s[drows]
-            seg_len = (L[didx] + n_hops - 1).astype(np.int64)
-            bases = np.zeros(len(didx), np.int64)
-            np.cumsum(seg_len[:-1], out=bases[1:])
-            G = int(seg_len.sum())
-            # position of each dense tile in the packed global array
-            seg_of = {int(k): i for i, k in enumerate(kid_s[starts][didx])}
-            seg_idx = np.array([seg_of[int(k)] for k in dk], np.int64)
-            pos = bases[seg_idx] + (dh - minh[didx][seg_idx]) // slide_us
-
-            pres = np.zeros(G + 1, np.int64)
-            pres[pos + 1] = 1
-            np.cumsum(pres, out=pres)
-            lo = np.maximum(np.arange(G) - (n_hops - 1), 0)
-            present = (pres[np.arange(G) + 1] - pres[lo]) > 0
-            emit = np.flatnonzero(present)
-            # windows roll WITHIN a segment: clamp each emitted
-            # window's reach-back to its own segment start
-            eseg = np.searchsorted(bases, emit, side="right") - 1
-            elo = np.maximum(emit - (n_hops - 1), bases[eseg])
-
-            out_cols: dict[str, np.ndarray] = {}
-            for pname, kind in kinds.items():
-                if kind in ("sum", "count", "sumsq"):
-                    # integer IRs (counts, fixed-point cents) stay
-                    # int64 — exact past 2^53, like the explode path's
-                    # integer groupby sums (code-review r4)
-                    vals = ddf[pname].to_numpy()
-                    if np.issubdtype(vals.dtype, np.integer):
-                        c = np.zeros(G + 1, np.int64)
-                        c[pos + 1] = vals
-                    else:
-                        c = np.zeros(G + 1, np.float64)
-                        c[pos + 1] = np.nan_to_num(vals.astype(np.float64))
-                    np.cumsum(c, out=c)
-                    res = c[emit + 1] - c[elo]
-                else:
-                    use_min = kind == "min"
-                    vals, sent, restore = _to_work(ddf[pname], use_min)
-                    scat = np.full(G, sent, vals.dtype)
-                    scat[pos] = vals
-                    res = restore(
-                        _sliding_extreme(scat, n_hops, use_min)[emit]
-                    )
-                out_cols[pname] = res
-
-            wts = (
-                minh[didx][eseg]
-                - (n_hops - 1) * slide_us
-                + (emit - bases[eseg]) * slide_us
-            )
-            frame = pd.DataFrame(out_cols)
-            frame[window_col] = wts.astype("datetime64[us]")
-            # key values: one representative row per dense segment
-            key_rows = dfs.iloc[starts[didx]][keys].reset_index(drop=True)
-            for c in keys:
-                frame[c] = key_rows[c].to_numpy()[eseg]
-            parts.append(finalize(frame))
-
-        out = pd.concat(parts, ignore_index=True) if parts else finalize(
-            merge_ir(df.iloc[:0])
-        )
-        return out
+        return finalize(_sweep(df.iloc[order], hop[order], kid[order]))
 
     return _compose
 
@@ -721,37 +543,27 @@ def _tiled_sliding_agg(
 ) -> ray.data.Dataset:
     """Compose sliding windows from merged per-(key, hop) tiles.
 
-    Three small stages after the one O(rows) partial pass:
+    Two small stages after the one O(rows) partial pass:
     1. merge block tiles → one IR tile per (key, hop) (bucketed reduce,
        IR columns kept un-finalized so tiles stay combinable);
-    2. explode each merged tile into the n_hops windows containing its
-       hop — amplification applies to the TILE table (one row per key
-       per slide period), never to raw rows;
-    3. merge + finalize per (key, window_start).
+    2. bucket the merged tiles on the keys alone, so each key's tiles
+       co-locate, and compose and finalize its windows inside the
+       bucket (``_make_window_compose``): nothing amplified by n_hops
+       crosses a shuffle. Keyless windows run the same composer on
+       ``_GLOBAL_KEY``, one bucket holding the one tile per hop.
     count_distinct can't compose from additive tiles: it runs
     distinct-(key, hop, value) → explode → distinct-(key, window,
-    value) → grouped count, so the explode touches only per-hop
-    DISTINCT values.
+    value) → grouped count (``_with_count_distinct``), so the explode
+    touches only per-hop DISTINCT values, and joins the result.
     """
     from feast_ray.stages.dedup import bucketed_group_reduce
 
-    tkeys = keys + [window_col]
+    gkeys = keys if keys else [_GLOBAL_KEY]
+    if not keys:
+        hopped = hopped.map_batches(_with_global_key, batch_format="pyarrow")
+    tkeys = gkeys + [window_col]
     cd_specs = [s for s in specs if s.fn == "count_distinct"]
     main_specs = [s for s in specs if s.fn != "count_distinct"]
-
-    def _explode_to_windows(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas()
-        hop = df[window_col].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        # hop h is inside windows starting at h - j*slide, j in [0, n_hops)
-        # (window covers [start, start + window))
-        idx = np.repeat(np.arange(len(df)), n_hops)
-        starts = (
-            np.repeat(hop, n_hops)
-            - np.tile(np.arange(n_hops, dtype=np.int64) * slide_us, len(df))
-        )
-        out = df.iloc[idx].copy()
-        out[window_col] = starts.astype("datetime64[us]")
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     result: ray.data.Dataset | None = None
     if main_specs:
@@ -759,75 +571,37 @@ def _tiled_sliding_agg(
         for i, spec in enumerate(main_specs):
             kinds.update(_partial_cols(spec, i))
 
-        _merge_ir = _make_merge_ir_fn(tkeys, main_specs)
-        finalize = _make_finalize_fn(tkeys, main_specs)
+        merge_ir = _make_merge_ir_fn(tkeys, main_specs)
         block_tiles = hopped.map_batches(
             _make_partial_fn(tkeys, main_specs), batch_format="pyarrow"
         )
-        tiles = bucketed_group_reduce(block_tiles, tkeys, _merge_ir)
-        if keys:
-            # bucket-local composition (round 4): bucket the merged
-            # tiles on the KEYS alone so each key's tiles co-locate,
-            # then compose windows INSIDE the bucket — the ×n_hops
-            # amplification never crosses the network (the old path
-            # shipped the exploded tile table through a second
-            # shuffle), and dense keys skip the explode entirely via
-            # a rolling pass over the hop grid (O(grid) instead of
-            # O(tiles × n_hops) — the extreme-window//slide fix).
-            compose = _make_window_compose(
-                keys, window_col, slide_us, n_hops, kinds, _merge_ir, finalize
-            )
-            result = bucketed_group_reduce(tiles, keys, compose)
-        else:
-            # keyless sliding windows: tiny tile table, keep the
-            # explode + one bucketed reduce on the window column
-            exploded = tiles.map_batches(
-                _explode_to_windows, batch_format="pyarrow"
-            )
-            result = bucketed_group_reduce(
-                exploded, tkeys, _make_merge_fn(tkeys, main_specs)
-            )
-
-    for spec in cd_specs:
-        import pyarrow.compute as _pc
-
-        from feast_ray.stages.relational import distinct
-
-        dcols = tkeys + [spec.col]
-        # COUNT(DISTINCT) ignores NULL values (grouped_agg semantics)
-        nonnull = hopped.select_columns(dcols).map_batches(
-            lambda t, c=spec.col: t.filter(_pc.is_valid(t[c])),
-            batch_format="pyarrow",
+        tiles = bucketed_group_reduce(block_tiles, tkeys, merge_ir)
+        compose = _make_window_compose(
+            gkeys, window_col, slide_us, n_hops, kinds, merge_ir,
+            _make_finalize_fn(tkeys, main_specs),
         )
-        hop_dist = distinct(nonnull, dcols)
-        win_pairs = hop_dist.map_batches(_explode_to_windows, batch_format="pyarrow")
-        win_dist = distinct(win_pairs, dcols)
-        # count of distinct rows per (key, window) == count_distinct;
-        # grouped_agg's count path is the two-phase bucketed shape
-        cd = grouped_agg(win_dist, tkeys, [AggSpec(spec.col, "count", spec.alias)])
-        if result is None:
-            result = cd
-        else:
-            # bucketed (keys, window) left join through the two-sided
-            # exchange — NOT a driver to_pandas + broadcast (VERDICT r3
-            # #3): each bucket runs one pandas merge (pandas, not the
-            # Arrow join, because merge matches NULL keys — the
-            # dropna=False doctrine). Scales with (key, window)
-            # cardinality instead of pinning the cd table on the driver.
-            result = _count_distinct_join(result, cd, tkeys, spec.alias)
+        result = bucketed_group_reduce(tiles, gkeys, compose)
 
+    def _explode_batch(tbl: pa.Table) -> pa.Table:
+        out = _explode(tbl.to_pandas(), window_col, slide_us, n_hops)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+
+    result = _with_count_distinct(result, hopped, tkeys, cd_specs, _explode_batch)
     assert result is not None, "no agg specs given"
-    return result
+    return result if keys else result.map_batches(_without_global_key, batch_format="pyarrow")
 
 
 def _count_distinct_join(main: ray.data.Dataset, cd: ray.data.Dataset,
                          keys: list[str], alias: str) -> ray.data.Dataset:
     """``main`` left-joined on ``keys`` with the ``cd`` side's
-    ``alias`` count; a (key, window) absent from ``cd`` had only NULL
-    values, so its count_distinct is 0 — and when every value was NULL,
-    ``cd`` has no schema and its stated one is ``main``'s keys plus an
-    int64 ``alias``. The output keeps ``main``'s schema plus that
-    ``alias`` field; a schema-less, empty ``main`` is returned as is."""
+    ``alias`` count, through the two-sided exchange: each bucket runs
+    one pandas merge (not the Arrow join: a pandas merge matches NULL
+    keys, the dropna=False doctrine). A key absent from ``cd`` had only
+    NULL values, so its count_distinct is 0 — and when every value was
+    NULL, ``cd`` has no schema and its stated one is ``main``'s keys
+    plus an int64 ``alias``. The output keeps ``main``'s schema plus
+    that ``alias`` field; a schema-less, empty ``main`` is returned as
+    is."""
     from feast_ray.stages.exchange import two_sided_exchange
     from feast_ray.stages.join import (
         _copartition_sides, _key_hash, _keyed, _side_table, arrow_schema,

@@ -3,6 +3,7 @@ streaming pipelines see empty blocks routinely."""
 
 from datetime import timedelta
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -122,6 +123,55 @@ def test_count_distinct_ignores_nulls(ray_session):
     rownull = out[out["g"].isna()].iloc[0]
     assert rownull["cd"] == 1  # null group key still merged
     assert rownull["sx"] == 9.0
+
+
+
+def _count_distinct_vs_duckdb(tbl: pa.Table, keys: list[str], tumbling: bool):
+    """``sum(v)`` and ``count(distinct x)`` per ``keys`` from
+    ``grouped_agg`` (or a tumbling ``windowed_agg`` holding every row
+    in one window) and from DuckDB over the same rows."""
+    import duckdb
+
+    specs = [AggSpec("v", "sum", "s"), AggSpec("x", "count_distinct", "n")]
+    ds = ray.data.from_arrow(tbl)
+    if tumbling:
+        out = windowed_agg(ds, keys, "ts", timedelta(hours=1), specs)
+    else:
+        out = grouped_agg(ds, keys, specs)
+    out = out.to_pandas().sort_values(keys).reset_index(drop=True) if keys else out.to_pandas()
+    by = f"group by {', '.join(keys)} order by {', '.join(keys)}" if keys else ""
+    sel = "".join(f"{k}, " for k in keys)
+    exp = duckdb.sql(f"select {sel}sum(v) as s, count(distinct x) as n from tbl {by}").df()
+    return out, exp
+
+
+@pytest.mark.parametrize("tumbling", [False, True])
+def test_count_distinct_of_an_all_null_group_is_zero(ray_session, tumbling):
+    """A group whose counted values are all NULL counts 0 (int64) next
+    to another aggregate, as DuckDB gives it."""
+    tbl = pa.table({
+        "k": ["a", "a", "b", "b"], "ts": pa.array([0] * 4, pa.timestamp("us")),
+        "v": [1, 2, 3, 4], "x": pa.array([5, 5, None, None], pa.int64()),
+    })
+    out, exp = _count_distinct_vs_duckdb(tbl, ["k"], tumbling)
+    assert out["n"].dtype == np.int64
+    assert out["n"].tolist() == exp["n"].tolist() == [1, 0]
+    assert out["s"].tolist() == exp["s"].tolist() == [3, 7]
+
+
+@pytest.mark.parametrize("tumbling", [False, True])
+def test_keyless_count_distinct_of_only_nulls_is_zero(ray_session, tumbling):
+    """Every counted value NULL with no group keys: one row with count
+    0 next to another aggregate, as DuckDB gives it."""
+    tbl = pa.table({
+        "ts": pa.array([0, 1], pa.timestamp("us")), "v": [1, 2],
+        "x": pa.array([None, None], pa.int64()),
+    })
+    out, exp = _count_distinct_vs_duckdb(tbl, [], tumbling)
+    assert len(out) == len(exp) == 1
+    assert out["n"].dtype == np.int64
+    assert out["n"].tolist() == exp["n"].tolist() == [0]
+    assert out["s"].tolist() == exp["s"].tolist() == [3]
 
 
 def test_simhash_max_hamming_guard(ray_session):

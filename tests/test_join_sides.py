@@ -75,9 +75,9 @@ def test_copartitioned_asof_join_runs_each_side_once(tmp_path, blocks):
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_sliding_count_distinct_join_runs_each_side_once(tmp_path, monkeypatch, blocks):
     """A sliding ``windowed_agg`` mixing ``count_distinct`` with ``sum``
-    joins its main aggregate with the count_distinct one: the input runs
-    once per branch (tiles and distinct values), and the count_distinct
-    side once per block."""
+    joins its composed windows with the count_distinct aggregate through
+    one two-sided exchange: the input runs once per branch (tiles and
+    distinct values), and the count_distinct side once per block."""
     from feast_ray.stages import aggregate
 
     cd_path, cd_blocks = tmp_path / "cd", []
@@ -192,7 +192,8 @@ def test_interval_join_rejects_unsupported_types_and_runs_left_once(tmp_path):
 
 def test_sliding_count_distinct_of_only_nulls_is_zero():
     """Every counted value NULL: the count_distinct side has no rows and
-    no schema, and each window's count is 0, as SQL gives it."""
+    no schema, so the join reads its stated schema, and each window's
+    count is 0, as SQL gives it."""
     us = pa.timestamp("us")
     ds = ray.data.from_arrow(pa.table({
         "k": [1, 2], "ts": pa.array([0, 3_600_000_000], us), "v": [1, 2],

@@ -1147,10 +1147,10 @@ def test_exchange_zero_block_input_is_empty(force_buckets):
 
 
 def test_window_compose_grid_vs_brute(ray_session):
-    """Round-4 bucket-local window composition: the dense-key grid
-    rolling path and the sparse-key local explode must both equal
-    brute-force window semantics, across mixed densities, null keys,
-    and every IR kind (sum/mean/min/max/count/std + datetime max)."""
+    """Bucket-local window composition: the sorted sweep must equal
+    brute-force window semantics for dense and sparse keys alike,
+    across mixed densities, null keys, and every IR kind
+    (sum/mean/min/max/count/std + datetime max)."""
     from datetime import timedelta
 
     import numpy as np
@@ -1209,9 +1209,9 @@ def test_window_compose_grid_vs_brute(ray_session):
 
 
 def test_window_compose_int64_exact_beyond_float53():
-    """Grid composition keeps integer IRs in int64 (code-review r4):
-    sums and extrema of fixed-point values beyond 2^53 stay exact —
-    a float64 cumsum would silently round them."""
+    """The sweep keeps integer IRs in int64 on a dense key (a tile on
+    every hop): sums and extrema of fixed-point values beyond 2^53 stay
+    exact — a float64 cumsum would silently round them."""
     import numpy as np
     import pandas as pd
 
@@ -1236,7 +1236,7 @@ def test_window_compose_int64_exact_beyond_float53():
 
     comp = _make_window_compose(["k"], "w", 1_000_000, 4, kinds, merge_ir, finalize)
     n, big = 40, 3 * 10**15
-    hops = np.arange(n, dtype=np.int64) * 1_000_000  # dense -> grid path
+    hops = np.arange(n, dtype=np.int64) * 1_000_000  # a tile on every hop
     vals = np.full(n, big, np.int64)
     vals[7] = big + 3
     df = pd.DataFrame({
@@ -1298,10 +1298,10 @@ def test_hash_join_auto_buckets_scale_with_input(monkeypatch):
 
 
 def test_window_sparse_sweep_720_hops_parity():
-    """Round-5 sparse-arm sweep (verdict r4 #7): at window//slide = 720
-    with few tiles per key, the output-optimal sweep (prefix-diff +
-    sparse-table extremes) must equal the brute tile explode exactly —
-    including int64 sums beyond 2^53, NaN floats, and datetime max."""
+    """At window//slide = 720 with few tiles per key, the
+    output-optimal sweep (prefix-diff + level-by-level sparse-table
+    extremes) must equal the brute tile explode exactly — including
+    int64 sums beyond 2^53, NaN floats, and datetime max."""
     import numpy as np
     import pandas as pd
 
@@ -1361,8 +1361,10 @@ def test_window_sparse_sweep_720_hops_parity():
 
 
 def test_window_sparse_sweep_overflow_fallback():
-    """Astronomical hop ranges overflow the composite searchsorted key:
-    the sweep must fall back to the local explode and stay exact."""
+    """Two keys whose hops lie 2^61 slides apart: each key's windows
+    are searched on offsets from its own first hop, so the sweep stays
+    exact (``test_window_sweep_overflow_falls_back_to_explode`` covers
+    the ranges that do overflow its search key)."""
     import numpy as np
     import pandas as pd
 
@@ -1385,10 +1387,94 @@ def test_window_sparse_sweep_overflow_fallback():
     assert len(got) == 8 and got["__p0_sum"].sum() == 4 * 5 + 4 * 7
 
 
+
+def test_window_sweep_overflow_falls_back_to_explode():
+    """Keys whose own hop ranges are ~2^61 slides long overflow the
+    sweep's composite int64 search key: the composer explodes the tiles
+    instead and stays exact."""
+    import numpy as np
+    import pandas as pd
+
+    from feast_ray.stages.aggregate import _make_window_compose
+
+    def merge_ir(df):
+        g = df.groupby(["k", "w"], sort=False, dropna=False)
+        return pd.DataFrame({"__p0_sum": g["__p0_sum"].sum()}).reset_index()
+
+    comp = _make_window_compose(["k"], "w", 1, 4, {"__p0_sum": "sum"}, merge_ir,
+                                lambda d: d.reset_index(drop=True))
+    df = pd.DataFrame({
+        "k": ["a", "a", "b", "b", "c"],
+        "w": np.array([0, 2**61, 5, 2**61 + 5, 9], np.int64).astype("datetime64[us]"),
+        "__p0_sum": np.array([1, 2, 3, 4, 5], np.int64),
+    })
+    got = comp(df).sort_values(["k", "w"]).reset_index(drop=True)
+    hop = df["w"].to_numpy("datetime64[us]").astype(np.int64)
+    exp = pd.DataFrame({
+        "k": np.repeat(df["k"].to_numpy(), 4),
+        "w": (np.repeat(hop, 4) - np.tile(np.arange(4), len(df))).astype("datetime64[us]"),
+        "__p0_sum": np.repeat(df["__p0_sum"].to_numpy(), 4),
+    }).sort_values(["k", "w"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got[exp.columns], exp)
+
+
+def test_keyless_sliding_window_vs_brute(ray_session):
+    """Keyless sliding windows (one composer bucket on the global key)
+    equal a pandas brute-force explode of the rows into every window
+    holding them, count_distinct included."""
+    from datetime import timedelta
+
+    import numpy as np
+    import pandas as pd
+    import ray.data
+
+    from feast_ray.stages.aggregate import AggSpec, windowed_agg
+
+    rng = np.random.RandomState(7)
+    base = pd.Timestamp("2024-06-01").value // 1000
+    ts = base + np.sort(rng.randint(0, 20000, 300)).astype(np.int64) * 1_000_000
+    ts[150:] += 40000 * 1_000_000  # a gap wider than the window
+    df = pd.DataFrame({
+        "ts": ts.astype("datetime64[us]"), "value": rng.randn(300),
+        "cnt": rng.randint(0, 50, 300),
+        "tag": pd.array(np.where(rng.rand(300) < 0.2, None, rng.randint(0, 9, 300)),
+                        dtype="Int64"),
+    })
+    ds = ray.data.from_pandas(df).repartition(4)
+    specs = [
+        AggSpec("value", "sum", "v_sum"), AggSpec("value", "mean", "v_mean"),
+        AggSpec("value", "min", "v_min"), AggSpec("cnt", "max", "c_max"),
+        AggSpec(None, "count", "n"), AggSpec("value", "std", "v_std"),
+        AggSpec("tag", "count_distinct", "tags"),
+    ]
+    w_s, s_s = 3600, 300
+    got = (
+        windowed_agg(ds, [], "ts", timedelta(seconds=w_s), specs,
+                     slide=timedelta(seconds=s_s))
+        .to_pandas().sort_values("window_start").reset_index(drop=True)
+    )
+    s_us = s_s * 1_000_000
+    hop = (ts // s_us) * s_us
+    ex = pd.concat([
+        df.assign(window_start=(hop - j * s_us).astype("datetime64[us]"))
+        for j in range(w_s // s_s)
+    ])
+    g = ex.groupby("window_start")
+    exp = pd.DataFrame({
+        "v_sum": g["value"].sum(), "v_mean": g["value"].mean(),
+        "v_min": g["value"].min(), "c_max": g["cnt"].max(),
+        "n": g["value"].size(), "v_std": g["value"].std(),
+        "tags": g["tag"].nunique(),
+    }).reset_index().sort_values("window_start").reset_index(drop=True)
+    assert list(got.columns) == list(exp.columns)
+    assert got["tags"].dtype == np.int64
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False, rtol=1e-9, atol=1e-12)
+
+
 def test_window_string_minmax_falls_back_to_explode(ray_session):
     """Object-dtype extremes (string min/max) have no numeric kernel in
-    the grid/sweep arms — the composer must fall back to the explode
-    path and stay exact (code-review r5)."""
+    the sweep — the composer must fall back to the explode path and
+    stay exact (code-review r5)."""
     from datetime import timedelta
 
     import numpy as np
