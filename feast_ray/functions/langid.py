@@ -10,8 +10,9 @@ in ``__call__`` — the reference's stateful-transform shape
 (transformation/ray_transformation.py:30-74) without an actor pool.
 
 The batch path is the byte path: per-language function-word counts
-come from the batch's shared ``textstats.ByteText`` (one exact Arrow
-probe of the lowercase \\w+ runs against every dictionary word).
+come from the batch's shared ``textstats.ByteText`` (one exact lookup
+of the packed lowercase \\w+ runs in a hash table of every dictionary
+word).
 Non-ASCII docs and null columns take the RE2 ``count_substring_regex``
 reference kernels; the scalar ``predict()`` applies the identical
 formula record-at-a-time for the test oracle.

@@ -30,6 +30,7 @@ PII_PATTERNS: list[tuple[str, str, str]] = [
 
 TOXIC_WORDS = ["badword1", "badword2", "slur1"]  # placeholder lexicon
 _TOXIC_PATTERN = r"\b(" + "|".join(TOXIC_WORDS) + r")\b"
+_TOXIC_RE2 = f"(?i:{_TOXIC_PATTERN})"
 
 
 class Scrubber:
@@ -37,13 +38,25 @@ class Scrubber:
     PII masked and lexicon words redacted. Arrow in / Arrow out.
 
     ``only_where`` names a boolean column: rows where it is false get a
-    null ``out_col`` (scrub effort is spent on kept docs only)."""
+    null ``out_col`` (scrub effort is spent on kept docs only).
+
+    Only candidate rows enter the pattern chain. Every PII pattern
+    needs a digit or an ``@``, and a lexicon word is a dictionary-word
+    hit of the batch's ``textstats.ByteText`` (the fused scorer passes
+    its own as ``ctx``): the digit count, one byte scan for ``@`` and
+    the hits find them. Non-ASCII rows take RE2 for the lexicon, whose
+    ``(?i)`` folds Unicode case; a column with nulls takes RE2 for
+    both."""
 
     def __init__(self, text_col: str = "text", out_col: str = "text_scrubbed",
                  include_toxic: bool = True, only_where: str | None = None):
+        from .textstats import dict_mask
+
         self.text_col = text_col
         self.out_col = out_col
         self.only_where = only_where
+        self.include_toxic = include_toxic
+        self._toxic_mask = dict_mask(w.encode() for w in TOXIC_WORDS)
         self.patterns = [
             (re.compile(pat), repl) for _, pat, repl in PII_PATTERNS
         ]
@@ -56,7 +69,7 @@ class Scrubber:
         # nested regexp_replace mirrors.
         parts = [p for _, p, _ in PII_PATTERNS]
         if include_toxic:
-            parts.append(f"(?i:{_TOXIC_PATTERN})")
+            parts.append(_TOXIC_RE2)
         self.prescan = re.compile("|".join(f"(?:{p})" for p in parts))
 
     def scrub(self, text: str) -> str:
@@ -66,35 +79,49 @@ class Scrubber:
             text = rx.sub(repl, text)
         return text
 
-    # every PII pattern requires a digit or '@'; toxic needs a lexicon
-    # word — one vectorized RE2 kernel finds the candidate rows and
-    # clean documents (the common case) never enter Python at all
-    _CANDIDATE_RE = r"[0-9@]"
+    def __call__(self, batch: "pa.Table", ctx=None) -> "pa.Table":
+        from .textstats import ByteText
 
-    def __call__(self, batch: "pa.Table") -> "pa.Table":
-        col = batch[self.text_col].combine_chunks()
-        if isinstance(col, pa.ChunkedArray):
-            col = col.chunk(0) if col.num_chunks else pa.array([], pa.string())
+        if ctx is None:
+            ctx = ByteText(batch[self.text_col])
+        col = ctx.text
+        cand = self._candidates(ctx)
         if self.only_where is None:
-            return batch.append_column(self.out_col, self._scrub_column(col))
+            return batch.append_column(self.out_col, self._scrub_column(col, cand))
         # scrub the kept rows only, then scatter them back: a null take
         # index gives each dropped row its null
         keep = pc.fill_null(batch[self.only_where], False).to_numpy(
             zero_copy_only=False
         )
-        out = self._scrub_column(col.take(np.flatnonzero(keep)))
+        idx = np.flatnonzero(keep)
+        out = self._scrub_column(col.take(idx), cand[idx])
         pos = pa.array(np.cumsum(keep) - 1, mask=~keep)
         return batch.append_column(self.out_col, out.take(pos))
 
-    def _scrub_column(self, col: pa.Array) -> pa.Array:
-        cand = pc.match_substring_regex(col, self._CANDIDATE_RE).to_numpy(
-            zero_copy_only=False
-        )
-        has_toxic = any(repl == "<TOX>" for _, repl in self.patterns)
-        if has_toxic:
-            cand = cand | pc.match_substring_regex(
-                col, f"(?i:{_TOXIC_PATTERN})"
-            ).to_numpy(zero_copy_only=False)
+    def _candidates(self, ctx) -> np.ndarray:
+        """Per-row mask of the rows a pattern can match."""
+        col = ctx.text
+        if ctx.view is None:
+            cand = pc.match_substring_regex(col, "[0-9@]")
+            if self.include_toxic:
+                cand = pc.or_(cand, pc.match_substring_regex(col, _TOXIC_RE2))
+            return pc.fill_null(cand, False).to_numpy(zero_copy_only=False)
+        from .textstats import count_dict_words
+
+        buf, offs = ctx.view
+        n_chars, _, n_digit, _, _ = ctx.counts
+        cand = n_digit > 0
+        cand[np.searchsorted(offs, np.flatnonzero(buf == ord("@")), "right") - 1] = True
+        if self.include_toxic:
+            cand |= count_dict_words(ctx.runs, self._toxic_mask, len(col)) > 0
+            impure = np.flatnonzero((np.diff(offs) != n_chars) & ~cand)
+            if len(impure):
+                sub = col.take(pa.array(impure, pa.int64()))
+                cand[impure] |= pc.match_substring_regex(
+                    sub, _TOXIC_RE2).to_numpy(zero_copy_only=False)
+        return cand
+
+    def _scrub_column(self, col: pa.Array, cand: np.ndarray) -> pa.Array:
         # dirty-path VECTORIZED: take the candidate rows, run the
         # pattern chain as RE2 column kernels (same engine the DuckDB
         # oracle uses — byte-identity is exactly what the oracle
@@ -108,9 +135,9 @@ class Scrubber:
         sub = pc.take(col, pa.array(idx, pa.int64()))
         for _, pat, repl in PII_PATTERNS:
             sub = pc.replace_substring_regex(sub, pattern=pat, replacement=repl)
-        if has_toxic:
+        if self.include_toxic:
             sub = pc.replace_substring_regex(
-                sub, pattern=f"(?i:{_TOXIC_PATTERN})", replacement="<TOX>"
+                sub, pattern=_TOXIC_RE2, replacement="<TOX>"
             )
         mask = np.zeros(len(col), dtype=bool)
         mask[idx] = True

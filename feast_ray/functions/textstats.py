@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .langid import _PROFILES
+from .scrub import TOXIC_WORDS
 
 STOPWORD_PATTERN = r"\b(the|a|and|of|to|in|is|it)\b"
 _STOPWORDS = (b"the", b"a", b"and", b"of", b"to", b"in", b"is", b"it")
@@ -100,59 +101,52 @@ def _string_view(arr: pa.Array):
 
 def _segsum(x: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """Per-doc int64 sums of a per-byte array (``len(x) == offs[-1]``):
-    one ``np.add.reduceat`` over the starts of the non-empty docs, so
-    no full-buffer int64 temporary; empty docs sum to 0."""
+    one ``np.add.reduceat`` over the starts of the non-empty docs;
+    empty docs sum to 0. The reduce casts ``x`` to its accumulator
+    type, so it accumulates in int32 (half the temporary of int64)
+    whenever no sum can reach 2^31, and widens only the per-doc sums."""
     out = np.zeros(len(offs) - 1, np.int64)
     full = np.flatnonzero(offs[1:] > offs[:-1])
     if len(full):
-        out[full] = np.add.reduceat(x, offs[full], dtype=np.int64)
+        top = 1 if x.dtype == bool else np.iinfo(x.dtype).max
+        acc = np.int32 if len(x) * top < 2**31 else np.int64
+        out[full] = np.add.reduceat(x, offs[full], dtype=acc)
     return out
 
 
-def _run_bounds(mask: np.ndarray, offs: np.ndarray):
-    """(first, last) byte masks of every maximal run of ``mask`` bytes.
-    Doc boundaries split runs (RE2 matches are per string)."""
-    first = mask.copy()
-    first[1:] &= ~mask[:-1]
-    last = mask.copy()
-    last[:-1] &= ~mask[1:]
-    full = offs[1:] > offs[:-1]
-    ds = offs[:-1][full]
-    first[ds] = mask[ds]
-    de = offs[1:][full] - 1
-    last[de] = mask[de]
-    return first, last
+def _run_edges(mask: np.ndarray, offs: np.ndarray):
+    """(start, end) byte bounds of every maximal run of ``mask`` bytes,
+    in buffer order: one ``flatnonzero`` of the byte positions where
+    the mask flips. Doc boundaries split runs (RE2 matches are per
+    string): a run crossing one ends and restarts there."""
+    m = np.zeros(len(mask) + 2, bool)
+    m[1:-1] = mask
+    edges = np.flatnonzero(m[1:] != m[:-1])
+    split = offs[1:-1]
+    split = np.unique(split[(split > 0) & (split < len(mask))])
+    split = split[mask[split - 1] & mask[split]]
+    if len(split):
+        at = np.repeat(np.searchsorted(edges, split), 2)
+        edges = np.insert(edges, at, np.repeat(split, 2))
+    return edges[0::2], edges[1::2]
 
 
-def _runs_binary(mask: np.ndarray, data: np.ndarray, offs: np.ndarray):
-    """(runs per doc, run array) of every maximal run of ``mask`` bytes:
-    the runs are contiguous slices of the compacted ``data[mask]``, so
-    they wrap as one ``large_binary`` array without copying a string."""
-    first, last = _run_bounds(mask, offs)
-    start = np.flatnonzero(first)
-    run_offs = np.zeros(len(start) + 1, np.int64)
-    np.cumsum(np.flatnonzero(last) + 1 - start, out=run_offs[1:])
-    runs = pa.Array.from_buffers(
-        pa.large_binary(),
-        len(start),
-        [None, pa.py_buffer(run_offs), pa.py_buffer(data[mask])],
-    )
-    return _segsum(first, offs), runs
+def _per_doc(pos: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Per-doc count of the sorted byte positions ``pos``."""
+    return np.diff(np.searchsorted(pos, offs))
 
 
-def _byte_counts(buf: np.ndarray, offs: np.ndarray, cls: np.ndarray):
-    """(n_chars, n_nonws, n_digit, n_sym, n_words) per doc.
+def _byte_counts(buf: np.ndarray, offs: np.ndarray, cls: np.ndarray, starts: np.ndarray):
+    """(n_chars, n_nonws, n_digit, n_sym, n_words) per doc, given the
+    ``starts`` of the \\S+ tokens (``ByteText.tokens``).
     Exact for valid UTF-8: every codepoint's start byte is counted
     once; non-ASCII codepoints are neither \\s, [0-9A-Za-z] nor [0-9],
     so they count as symbols — exactly RE2's view."""
-    n_chars = np.diff(offs) - _segsum(cls >> _CONT & 1, offs)
-    ws = _has(cls, _WS)
-    n_ws = _segsum(ws, offs)
-    n_digit = _segsum(cls >> _DIGIT & 1, offs)
-    n_alnum = _segsum(cls >> _ALNUM & 1, offs)
-    # a \S+ match starts at every non-ws byte after ws or a doc start
-    # (a continuation byte always follows a non-ws byte)
-    n_words = _segsum(_run_bounds(~ws, offs)[0], offs)
+    n_chars = np.diff(offs) - _segsum(_has(cls, _CONT), offs)
+    n_ws = _segsum(_has(cls, _WS), offs)
+    n_digit = _segsum(_has(cls, _DIGIT), offs)
+    n_alnum = _segsum(_has(cls, _ALNUM), offs)
+    n_words = _per_doc(starts, offs)
     return n_chars, n_chars - n_ws, n_digit, n_chars - n_ws - n_alnum, n_words
 
 
@@ -162,20 +156,40 @@ def is_pure_word(w: bytes) -> bool:
     return all(_CLASS[b] >> _WORD & 1 for b in w)
 
 
-# every dictionary the byte path counts words of: the stopwords and the
-# langid profiles' pure-\w words ("für" has a non-ASCII byte, so it can
-# only occur in docs the callers route to RE2)
+# every dictionary the byte path counts words of: the stopwords, the
+# langid profiles' and the scrub lexicon's pure-\w words ("für" has a
+# non-ASCII byte, so it can only occur in docs the callers route to RE2)
 _PROFILE_WORDS = [w.encode() for p in _PROFILES.values() for w in p.split("|")]
-DICT_WORDS = pa.array(
-    sorted({*_STOPWORDS, *filter(is_pure_word, _PROFILE_WORDS)}), pa.large_binary()
+_LEXICON = [*_STOPWORDS, *_PROFILE_WORDS, *(w.encode() for w in TOXIC_WORDS)]
+DICT_WORDS = sorted(filter(is_pure_word, set(_LEXICON)))
+assert all(len(w) <= 8 for w in DICT_WORDS)
+assert all(max(w) >= 0x80 for w in _LEXICON if not is_pure_word(w))
+
+# each word packed into a uint64, its bytes little-endian from byte 0
+# and zero-padded: a \w byte is never 0, so equal packs are equal words
+_PACKED = np.array([int.from_bytes(w, "little") for w in DICT_WORDS], np.uint64)
+# the low ``n`` bytes of a uint64; runs longer than 8 bytes pack to 0
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)] + [0], np.uint64)
+# an exact hash table of the packed words: a multiplicative hash into
+# 2^12 slots whose multiplier is the first of a fixed odd sequence that
+# sends no two words to one slot. A slot holds its word's pack and
+# DICT_WORDS index; an empty slot holds all ones, which no pack equals
+# (0xFF is not a \w byte).
+_SLOT_SHIFT = np.uint64(64 - 12)
+_SLOT_MULT = next(
+    m for m in (np.uint64(0x9E3779B97F4A7C15 + 2 * k) for k in range(1 << 10))
+    if len(set((_PACKED * m) >> _SLOT_SHIFT)) == len(_PACKED)
 )
+_SLOT_PACK = np.full(1 << 12, ~np.uint64(0))
+_SLOT_WORD = np.zeros(1 << 12, np.int64)
+_SLOT_PACK[(_PACKED * _SLOT_MULT) >> _SLOT_SHIFT] = _PACKED
+_SLOT_WORD[(_PACKED * _SLOT_MULT) >> _SLOT_SHIFT] = np.arange(len(_PACKED))
 
 
 def dict_mask(words) -> np.ndarray:
     """Membership mask of ``words`` over DICT_WORDS."""
-    return pc.is_in(DICT_WORDS, pa.array(list(words), pa.large_binary())).to_numpy(
-        zero_copy_only=False
-    )
+    words = set(words)
+    return np.array([w in words for w in DICT_WORDS])
 
 
 def dict_word_hits(buf: np.ndarray, offs: np.ndarray, cls: np.ndarray):
@@ -185,14 +199,23 @@ def dict_word_hits(buf: np.ndarray, offs: np.ndarray, cls: np.ndarray):
     A ``\\b(word)\\b`` match of a pure-\\w word is EXACTLY a maximal
     \\w+ run equal to it (the boundaries force non-word chars on both
     sides), so dictionary-word counting — stopwords, language
-    function-word profiles — reduces to one exact Arrow hash probe of
-    the runs against DICT_WORDS. Doc boundaries split runs (RE2 matches
-    are per-string). ASCII-exact; callers patch non-ASCII docs via
-    RE2."""
-    per_doc, runs = _runs_binary(_has(cls, _WORD), buf | (cls & 1 << _UPPER), offs)
-    code = pc.index_in(runs, value_set=DICT_WORDS).fill_null(-1).to_numpy()
-    hit = code >= 0
-    return np.repeat(np.arange(len(per_doc)), per_doc)[hit], code[hit]
+    function-word profiles, the scrub lexicon — reduces to an exact
+    lookup of the runs in DICT_WORDS. Every dictionary word is at most
+    8 bytes, so each run reads the 8 lowered bytes at its start as one
+    little-endian uint64, keeps its own bytes and is looked up in the
+    packed words' hash table: one slot per run, a hit when the slot
+    holds the same pack. Doc boundaries split runs (RE2 matches are
+    per-string). ASCII-exact; callers patch non-ASCII docs via RE2."""
+    start, end = _run_edges(_has(cls, _WORD), offs)
+    low = np.zeros(len(buf) + 8, np.uint8)
+    np.bitwise_or(buf, cls & 1 << _UPPER, out=low[: len(buf)])
+    # an unaligned uint64 starting at every byte
+    word8 = np.ndarray((len(buf) + 1,), "<u8", low, 0, (1,))
+    packed = word8[start] & _LOW_BYTES[np.minimum(end - start, 9)]
+    slot = (packed * _SLOT_MULT) >> _SLOT_SHIFT
+    hit = np.flatnonzero(_SLOT_PACK[slot] == packed)
+    doc = np.searchsorted(offs, start[hit], "right") - 1
+    return doc, _SLOT_WORD[slot[hit]]
 
 
 def count_dict_words(hits, member: np.ndarray, n: int) -> np.ndarray:
@@ -227,12 +250,13 @@ def _stats_columns(n_chars, n_words, n_nonws, n_digit, n_sym, stop_count):
 
 class ByteText:
     """Shared per-batch byte-path context: the string view, its byte
-    class codes, and lazily cached byte counts and dictionary-word
-    hits. Fused pipelines (the QualityScorer) build ONE of these per
-    batch so textstats, repetition, stopword counting, langid and
-    perplexity read the byte buffer through one classification instead
-    of once per stage. ``view`` is None when the fast path can't apply
-    (nulls / non-string column) — consumers fall back to RE2."""
+    class codes, and lazily cached \\S+ token bounds, byte counts and
+    dictionary-word hits. Fused pipelines (the QualityScorer) build ONE
+    of these per batch so textstats, repetition, stopword counting,
+    langid, perplexity and the scrub candidates read the byte buffer
+    through one classification and one tokenization instead of once
+    per stage. ``view`` is None when the fast path can't apply (nulls /
+    non-string column) — consumers fall back to RE2."""
 
     def __init__(self, text):
         if isinstance(text, pa.ChunkedArray):
@@ -240,14 +264,22 @@ class ByteText:
         self.text = text
         self.view = _string_view(text)
         self.cls = None if self.view is None else np.take(_CLASS, self.view[0])
+        self._tokens = None
         self._counts = None
         self._runs = None
+
+    @property
+    def tokens(self):
+        """(start, end) byte bounds of every \\S+ token, in buffer order."""
+        if self._tokens is None:
+            self._tokens = _run_edges(~_has(self.cls, _WS), self.view[1])
+        return self._tokens
 
     @property
     def counts(self):
         """(n_chars, n_nonws, n_digit, n_sym, n_words) per doc."""
         if self._counts is None:
-            self._counts = _byte_counts(*self.view, self.cls)
+            self._counts = _byte_counts(*self.view, self.cls, self.tokens[0])
         return self._counts
 
     @property
@@ -422,12 +454,15 @@ def repetition_stats(texts: list[str]) -> np.ndarray:
 
 
 def _repetition_fast(
-    text: pa.Array, view, cls: "np.ndarray | None" = None
+    text: pa.Array, view, cls: "np.ndarray | None" = None, tokens=None
 ) -> np.ndarray:
-    """Byte-path repetition stats: the \\S+ tokens are slices of the
-    compacted non-ws bytes, wrapped as one ``large_binary`` array whose
-    Arrow ``dictionary_encode`` gives exact dense token codes (bytes
-    compared, no hash collisions), then the shared counting core.
+    """Byte-path repetition stats from the \\S+ token bounds
+    (``ByteText.tokens``): the tokens and the gaps between them are
+    consecutive slices of the byte buffer, so their bounds are the
+    offsets of one ``large_binary`` array over the buffer as it is (no
+    copy), whose Arrow ``dictionary_encode`` gives exact token codes
+    (bytes compared, no hash collisions; the gaps' codes are dropped),
+    then the shared counting core.
     Tokens are byte-identical to the reference path for pure-ASCII docs
     without VT (0x0b, which utf8_trim_whitespace would strip at doc
     edges); other docs are patched from the reference."""
@@ -435,11 +470,17 @@ def _repetition_fast(
     n = len(text)
     if cls is None:
         cls = np.take(_CLASS, buf)
-    nonws = ~_has(cls, _WS)
-    lens, toks = _runs_binary(nonws, buf, offs)
-    if len(toks) == 0:
+    if tokens is None:
+        tokens = _run_edges(~_has(cls, _WS), offs)
+    start, end = tokens
+    if len(start) == 0:
         return np.zeros(n)
-    codes = pc.dictionary_encode(toks).indices.to_numpy().astype(np.int64)
+    bounds = np.column_stack(tokens).ravel()
+    spans = pa.Array.from_buffers(
+        pa.large_binary(), len(bounds) - 1, [None, pa.py_buffer(bounds), pa.py_buffer(buf)]
+    )
+    codes = pc.dictionary_encode(spans).indices.to_numpy()[0::2].astype(np.int64)
+    lens = _per_doc(start, offs)
     doc = np.repeat(np.arange(n, dtype=np.int64), lens)
     dup2 = _rep_from_codes(codes, doc, lens, n)
 
@@ -460,5 +501,5 @@ def add_repetition_stats(
     if view is None:
         dup2 = repetition_stats(text.to_pylist())
     else:
-        dup2 = _repetition_fast(text, view, ctx.cls)
+        dup2 = _repetition_fast(text, view, ctx.cls, ctx.tokens)
     return tbl.append_column("dup_2gram_frac", pa.array(dup2))

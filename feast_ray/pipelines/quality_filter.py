@@ -119,9 +119,10 @@ class QualityScorer:
     def __call__(self, tbl: pa.Table) -> pa.Table:
         from feast_ray.functions.textstats import ByteText
 
-        # one byte-classification context shared by the four byte-path
-        # stages (buffer view, class codes, counts, dictionary-word hits
-        # each computed once per batch, not once per stage)
+        # one byte-classification context shared by the five byte-path
+        # stages (buffer view, class codes, token bounds, counts,
+        # dictionary-word hits each computed once per batch, not once
+        # per stage)
         ctx = ByteText(tbl[self.text_col])
         tbl = compute_textstats(tbl, self.text_col, ctx=ctx)
         tbl = add_repetition_stats(tbl, self.text_col, ctx=ctx)
@@ -129,7 +130,7 @@ class QualityScorer:
         tbl = self.ppl(tbl, ctx=ctx)
         tbl = apply_quality_rules(tbl)
         tbl = _model_rules(tbl)
-        return self.scrub(tbl)
+        return self.scrub(tbl, ctx=ctx)
 
 
 # per-worker-process model cache for the stateless-task execution mode:

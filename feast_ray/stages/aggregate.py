@@ -276,10 +276,16 @@ def _with_count_distinct(
     job: the distinct (keys, value) rows with a non-NULL value (COUNT
     DISTINCT ignores NULLs), ``explode``-d and deduplicated again when
     given (sliding windows: a hop's distinct values into each window
-    holding the hop), then a grouped row count. A ``result`` already
-    there gets each count through ``_count_distinct_join``."""
+    holding the hop), then a grouped row count, attached through
+    ``_count_distinct_join``. With no ``result`` yet, the counts join
+    onto the distinct (exploded) keys of ``ds``, so a group whose
+    counted values are all NULL keeps its row and counts 0."""
     from feast_ray.stages.relational import distinct
 
+    if result is None and cd_specs:
+        result = distinct(ds.select_columns(keys), keys)
+        if explode is not None:
+            result = distinct(result.map_batches(explode, batch_format="pyarrow"), keys)
     for spec in cd_specs:
         cols = [*keys, spec.col]
         nonnull = ds.select_columns(cols).map_batches(
@@ -288,7 +294,7 @@ def _with_count_distinct(
         if explode is not None:
             dist = distinct(dist.map_batches(explode, batch_format="pyarrow"), cols)
         cd = grouped_agg(dist, keys, [AggSpec(None, "count", spec.alias)])
-        result = cd if result is None else _count_distinct_join(result, cd, keys, spec.alias)
+        result = _count_distinct_join(result, cd, keys, spec.alias)
     return result
 
 

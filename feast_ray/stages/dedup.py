@@ -55,6 +55,8 @@ def _latest_per_key(keys: list[str], order_by: list[str], drop: tuple = ()):
 #: pandas' hash of a float NaN: the hash of a null in an int, bool or
 #: float key column, as when such a column reached pandas as float64
 _NULL_HASH = pd.util.hash_pandas_object(pd.Series([np.nan]), index=False).iloc[0]
+#: pandas' hash of None in a string column (a factorized null)
+_STR_NULL_HASH = np.uint64(2**64 - 1)
 
 
 def _hash_keys(tbl: pa.Table, keys: list[str]) -> np.ndarray:
@@ -67,9 +69,11 @@ def _hash_keys(tbl: pa.Table, keys: list[str]) -> np.ndarray:
     decoded, bool and every integer type cast to int64 (``safe=False``:
     uint64 keeps its bits), floats to float64. A null hashes as in a
     column of that canonical type: ``_NULL_HASH`` for int64 and
-    float64, pandas' hash of None for strings. For string and float64
-    columns, and null-free int64 and bool ones, this is the hash pandas
-    gives the column itself."""
+    float64, pandas' hash of None (2^64 - 1) for strings. For string
+    and float64 columns, and null-free int64 and bool ones, this is the
+    hash pandas gives the column itself. Strings hash their values
+    directly (``categorize=False``): the same uint64s as pandas'
+    factorize-then-hash, without the factorize."""
     h = np.zeros(len(tbl), dtype=np.uint64)
     for k in keys:
         col = tbl.column(k)
@@ -79,16 +83,22 @@ def _hash_keys(tbl: pa.Table, keys: list[str]) -> np.ndarray:
             col = pc.cast(col, pa.int64(), safe=False)
         elif pa.types.is_floating(col.type):
             col = pc.cast(col, pa.float64())
-        if col.type == pa.int64() and col.null_count:
-            # pandas would see this column as float64: hash the values
-            # as int64 and the nulls as float NaN
-            nulls = pc.is_null(col).to_numpy(zero_copy_only=False)
-            col = pc.fill_null(col, 0)
+        nulls = pc.is_null(col).to_numpy(zero_copy_only=False) if col.null_count else None
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            # hash_array hashes a None as the string "None"
+            kh = pd.util.hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
+            null_hash = _STR_NULL_HASH
         else:
-            nulls = None
-        kh = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
+            if col.type != pa.int64():
+                nulls = None  # pandas hashes these nulls itself (a float null as NaN)
+            elif nulls is not None:
+                # pandas would see this column as float64: hash the
+                # values as int64 and the nulls as float NaN
+                col = pc.fill_null(col, 0)
+            kh = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
+            null_hash = _NULL_HASH
         if nulls is not None:
-            kh[nulls] = _NULL_HASH
+            kh[nulls] = null_hash
         h ^= kh
     return h
 

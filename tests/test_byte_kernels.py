@@ -270,3 +270,99 @@ def test_shared_bytetext_context_matches_unshared():
     lb = m(tbl)
     assert la["lang_pred"].equals(lb["lang_pred"])
     assert la["lang_conf"].equals(lb["lang_conf"])
+
+
+def _views(docs: list[str]):
+    """The byte views of ``docs`` as string, sliced, chunked and
+    large_string columns, with the Arrow column each came from."""
+    arr = pa.array(docs, pa.string())
+    chunked = pa.chunked_array([arr.slice(0, 3), arr.slice(3)]).combine_chunks()
+    for col in (arr, arr.slice(2), chunked, pa.array(docs, pa.large_string())):
+        yield col, ts._string_view(col)
+
+
+def test_byte_find_and_count_match_arrow():
+    """The extractor's byte scans give ``pc.find_substring`` and
+    ``pc.count_substring`` per doc: a match straddling two docs is no
+    match, a match may end at the buffer's last byte, empty docs count
+    0, offsets are bytes past non-ASCII text."""
+    import pyarrow.compute as pc
+
+    from feast_ray.functions.extract import byte_count, byte_find
+
+    docs = ["x <article", ">y", "", "<art", "icle> é<article><article>",
+            "&amp&amp;&", "", "&am", "p;", "ü&amp;", "tail <article>"]
+    for col, (buf, offs) in _views(docs):
+        for pat in ("<article>", "&amp;", "&", "<a", "é<"):
+            want = pc.find_substring(col, pat).to_numpy(zero_copy_only=False)
+            assert byte_find(buf, offs, pat.encode()).tolist() == want.tolist(), pat
+            want = pc.count_substring(col, pat).to_numpy(zero_copy_only=False)
+            assert byte_count(buf, offs, pat.encode()).tolist() == want.tolist(), pat
+    with pytest.raises(ValueError, match="overlap"):
+        byte_count(buf, offs, b"aba")
+
+
+def _dict_hits_ref(docs: list[str]):
+    """(doc, DICT_WORDS index) of every ASCII \\w+ run, lowered, that
+    ``pc.index_in`` finds in DICT_WORDS."""
+    import re
+
+    import pyarrow.compute as pc
+
+    runs = [(i, m.group().lower()) for i, d in enumerate(docs)
+            for m in re.finditer(r"[0-9A-Za-z_]+", d)]
+    words = pa.array([w for _, w in runs], pa.string())
+    code = pc.index_in(words, value_set=pa.array([w.decode() for w in ts.DICT_WORDS]))
+    code = code.fill_null(-1).to_numpy(zero_copy_only=False)
+    hit = code >= 0
+    return np.array([i for i, _ in runs], np.int64)[hit], code[hit]
+
+
+def test_packed_dict_lookup_matches_index_in():
+    """The packed-word hash lookup finds exactly the runs an Arrow
+    ``index_in`` probe of every lowered \\w+ run finds: 8-byte words,
+    9-byte runs, words at doc edges, upper case, digits and ``_``
+    inside runs."""
+    assert max(map(len, ts.DICT_WORDS)) == 8 and b"badword1" in ts.DICT_WORDS
+    docs = ["badword1", "BADWORD1x badword12 xbadword1", "the", "", "THE",
+            "tHe_ the1 1the the_x", "and.of,to;in", "a", "b", "für und",
+            "it" * 4, "slur1 SLUR1 slur", "the", "the"] + _rand_docs(43, 300)
+    for col, (buf, offs) in _views(docs):
+        docs_c = col.to_pylist()
+        ascii_rows = [i for i, d in enumerate(docs_c) if d.isascii()]
+        doc, code = ts.dict_word_hits(buf, offs, np.take(ts._CLASS, buf))
+        keep = np.isin(doc, ascii_rows)
+        ref_doc, ref_code = _dict_hits_ref(docs_c)
+        ref_keep = np.isin(ref_doc, ascii_rows)
+        assert np.array_equal(doc[keep], ref_doc[ref_keep])
+        assert np.array_equal(code[keep], ref_code[ref_keep])
+
+
+def test_scrub_candidates_match_the_full_regex_chain():
+    """The scrubber's byte-path candidates (digits, ``@``, lexicon
+    hits; RE2 for the lexicon in non-ASCII rows, where ``(?i)`` folds
+    Unicode case) lose no row: its output equals the pattern chain run
+    over every row, with and without the lexicon."""
+    import pyarrow.compute as pc
+
+    from feast_ray.functions.scrub import _TOXIC_RE2, PII_PATTERNS, Scrubber
+
+    docs = ["mail a@b.co now", "call +1 555 123 4567", "clean text", "",
+            "BadWord1 here", "ſlur1 next to slur1", "é slur1", "x_slur1 slur1_",
+            "no digits ſlur", "10.0.0.1 and 123-45-6789"] + _rand_docs(47, 200)
+    for col, _ in _views(docs):
+        for toxic in (True, False):
+            want = col
+            for _, pat, repl in PII_PATTERNS:
+                want = pc.replace_substring_regex(want, pattern=pat, replacement=repl)
+            if toxic:
+                want = pc.replace_substring_regex(want, pattern=_TOXIC_RE2,
+                                                  replacement="<TOX>")
+            s = Scrubber(text_col="t", out_col="o", include_toxic=toxic)
+            got = s(pa.table({"t": col}))["o"]
+            assert got.to_pylist() == want.to_pylist(), toxic
+            cand = pc.match_substring_regex(col, "[0-9@]")
+            if toxic:
+                cand = pc.or_(cand, pc.match_substring_regex(col, _TOXIC_RE2))
+            got = s._candidates(ts.ByteText(col))
+            assert got.tolist() == cand.to_pylist(), toxic

@@ -126,13 +126,15 @@ def test_count_distinct_ignores_nulls(ray_session):
 
 
 
-def _count_distinct_vs_duckdb(tbl: pa.Table, keys: list[str], tumbling: bool):
-    """``sum(v)`` and ``count(distinct x)`` per ``keys`` from
-    ``grouped_agg`` (or a tumbling ``windowed_agg`` holding every row
-    in one window) and from DuckDB over the same rows."""
+def _count_distinct_vs_duckdb(tbl: pa.Table, keys: list[str], tumbling: bool,
+                              with_sum: bool = True):
+    """``sum(v)`` (unless not ``with_sum``) and ``count(distinct x)``
+    per ``keys`` from ``grouped_agg`` (or a tumbling ``windowed_agg``
+    holding every row in one window) and from DuckDB over the same
+    rows."""
     import duckdb
 
-    specs = [AggSpec("v", "sum", "s"), AggSpec("x", "count_distinct", "n")]
+    specs = [AggSpec("v", "sum", "s")] * with_sum + [AggSpec("x", "count_distinct", "n")]
     ds = ray.data.from_arrow(tbl)
     if tumbling:
         out = windowed_agg(ds, keys, "ts", timedelta(hours=1), specs)
@@ -141,14 +143,15 @@ def _count_distinct_vs_duckdb(tbl: pa.Table, keys: list[str], tumbling: bool):
     out = out.to_pandas().sort_values(keys).reset_index(drop=True) if keys else out.to_pandas()
     by = f"group by {', '.join(keys)} order by {', '.join(keys)}" if keys else ""
     sel = "".join(f"{k}, " for k in keys)
-    exp = duckdb.sql(f"select {sel}sum(v) as s, count(distinct x) as n from tbl {by}").df()
+    sel += "sum(v) as s, " * with_sum
+    exp = duckdb.sql(f"select {sel}count(distinct x) as n from tbl {by}").df()
     return out, exp
 
 
 @pytest.mark.parametrize("tumbling", [False, True])
 def test_count_distinct_of_an_all_null_group_is_zero(ray_session, tumbling):
-    """A group whose counted values are all NULL counts 0 (int64) next
-    to another aggregate, as DuckDB gives it."""
+    """A group whose counted values are all NULL counts 0 (int64), next
+    to another aggregate and alone, as DuckDB gives it."""
     tbl = pa.table({
         "k": ["a", "a", "b", "b"], "ts": pa.array([0] * 4, pa.timestamp("us")),
         "v": [1, 2, 3, 4], "x": pa.array([5, 5, None, None], pa.int64()),
@@ -157,6 +160,10 @@ def test_count_distinct_of_an_all_null_group_is_zero(ray_session, tumbling):
     assert out["n"].dtype == np.int64
     assert out["n"].tolist() == exp["n"].tolist() == [1, 0]
     assert out["s"].tolist() == exp["s"].tolist() == [3, 7]
+    out, exp = _count_distinct_vs_duckdb(tbl, ["k"], tumbling, with_sum=False)
+    assert out["k"].tolist() == exp["k"].tolist() == ["a", "b"]
+    assert out["n"].dtype == np.int64
+    assert out["n"].tolist() == exp["n"].tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("tumbling", [False, True])

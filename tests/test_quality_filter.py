@@ -222,6 +222,7 @@ def test_extract_fast_path_byte_identical():
         b"<article></article>",
         b"<article>\n<p></p>\n</article>",
         b"<article>\n<p>\n</article>",
+        None,  # a null page extracts to "", also next to invalid UTF-8
     ]
     col = pa.array(cases, pa.binary())
 
@@ -231,6 +232,7 @@ def test_extract_fast_path_byte_identical():
         assert out.to_pylist() == [extract_text(h) for h in html.to_pylist()]
 
     _check(col)
+    assert extract_batch(pa.table({"html": col}), "html", "out")["out"][-1].as_py() == ""
     _check(col.slice(3))  # sliced column: offset != 0
     _check(pa.chunked_array([col.slice(0, 5), col.slice(5, 9), col.slice(14)]))
     _check(col.slice(0, 0))

@@ -268,6 +268,31 @@ def test_part_ids_of_string_keys_keep_the_pandas_str_formula():
         assert got.type == pa.int64()
 
 
+def test_string_key_hash_equals_pandas_hash_of_the_column():
+    """String keys hash without pandas' factorize and still give the
+    bits ``hash_pandas_object`` gives the column: random strings with
+    duplicates and nulls, in ``string`` and ``large_string`` columns."""
+    import random
+
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    from feast_ray.stages.dedup import _hash_keys
+
+    rng = random.Random(5)
+    pool = ["".join(rng.choice("ab/:.é中 ") for _ in range(rng.randint(0, 12)))
+            for _ in range(300)]
+    keys = [None if rng.random() < 0.1 else rng.choice(pool) for _ in range(2000)]
+    keys += ["None", "nan", ""]
+    for typ in (pa.string(), pa.large_string()):
+        col = pa.chunked_array([pa.array(keys[:700], typ), pa.array(keys[700:], typ)])
+        got = _hash_keys(pa.table({"k": col}), ["k"])
+        want = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+
 def test_keep_only_nothing_kept_writes_nothing(tmp_path, sf_small):
     """A keep-only run that keeps no row commits every partition with 0
     rows and writes no data file and no metrics file."""
